@@ -165,7 +165,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the built-in oracle suites (JSON)")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
     p.add_argument("--budget", type=int, default=1_000_000,
-                   help="random sample count for the ceiling suite (default 1e6)")
+                   help="random sample count for the ceiling suite (default 1e6; 0: grid only)")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
@@ -297,6 +297,8 @@ def cmd_fridge(args, parser):
 
 
 def cmd_verify(args, parser):
+    if args.budget < 0:
+        parser.error(f"argument --budget: {args.budget} is negative")
     checks = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
     passed = all(c.passed for c in checks)
     payload = {

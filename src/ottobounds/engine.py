@@ -98,9 +98,13 @@ def work_ht(p):
     u = sech(2.0 * p.r)
     if u == 0.0:
         return math.inf
-    sg = math.sqrt(p.tau * u)
-    t = sg / p.z - p.z
-    return ((1.0 - sg) ** 2 - t * t) / (2.0 * p.beta2 * u)
+    return _grouped_work(p.z, math.sqrt(p.tau * u), u, p.beta2)
+
+
+def _grouped_work(z, sg, u, beta2=1.0):
+    """Grouped work, sg = sqrt(tau u); products, not ** 2, so floats and arrays agree bitwise."""
+    t = sg / z - z
+    return ((1.0 - sg) * (1.0 - sg) - t * t) / (2.0 * beta2 * u)
 
 
 def efficiency_ht(z, tau, r):

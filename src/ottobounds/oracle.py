@@ -1,10 +1,10 @@
 """Deterministic numerical search, independent of every closed form it checks.
 
-Three primitives: golden-section maximisation of a unimodal scalar
-objective, brute-force suprema over constrained rectangular grids, and
-bisection root location.  All three are fully deterministic: identical
-inputs produce bitwise-identical reports, grid reductions break ties on the
-lowest lexicographic input, and no randomness enters anywhere.
+Three primitives: golden-section maximisation of unimodal scalar objectives
+(many lanes in lockstep), brute-force suprema over constrained rectangular
+grids, and bisection root location.  All three are fully deterministic:
+identical inputs produce bitwise-identical reports, grid reductions break
+ties on the lowest lexicographic input, and no randomness enters anywhere.
 """
 
 import math
@@ -32,11 +32,12 @@ INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
 class ScalarObjective:
     """A scalar function to maximise on [lo, hi], assumed unimodal there.
 
+    ``fn`` maps a float to a float, or an array of lane points to lane values.
     Unimodality is the caller's responsibility; each use in this package
     documents why it holds (and the tests check it by second differences).
     """
 
-    fn: Callable[[float], float]
+    fn: Callable
     lo: float
     hi: float
     tol: float = 1e-10
@@ -60,9 +61,18 @@ class SupremumReport:
 
 def _eval_finite(fn, x):
     y = fn(x)
-    if not math.isfinite(y):
+    if not np.isfinite(y).all():
         raise DomainError(f"objective returned a non-finite value {y!r} at x={x}")
     return y
+
+
+def _pick(cond, x, y):
+    # [()] makes a 0-d result a numpy scalar, so one-lane objectives get floats.
+    return np.where(cond, x, y)[()]
+
+
+def _out(v):
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def maximize_scalar(obj):
@@ -71,45 +81,42 @@ def maximize_scalar(obj):
     The bracket shrinks by 1/phi per iteration; the step count is fixed up
     front as ceil(log(width/tol)/log(phi)), so the report is a deterministic
     function of the inputs.  best_input is the best point actually
-    evaluated, which always lies inside the final bracket.
+    evaluated, which always lies inside the final bracket.  Lanes (see
+    ScalarObjective) run in lockstep, one call per step, and each gets
+    bitwise the result of its own one-lane search; evaluations counts all.
     """
     a, b = obj.lo, obj.hi
     h = b - a
     if h <= obj.tol:
         x = 0.5 * (a + b)
-        return SupremumReport(x, _eval_finite(obj.fn, x), 1, "golden-section")
+        y = _eval_finite(obj.fn, x)
+        x = np.broadcast_to(x, np.shape(y))
+        return SupremumReport(_out(x), _out(y), np.size(y), "golden-section")
 
     n = int(math.ceil(math.log(h / obj.tol) / math.log(1.0 / INV_PHI)))
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
     yc = _eval_finite(obj.fn, c)
     yd = _eval_finite(obj.fn, d)
-    best_x, best_y = (c, yc) if yc >= yd else (d, yd)
-    evaluations = 2
+    best_x = _pick(yc >= yd, c, d)
+    best_y = _pick(yc >= yd, yc, yd)
 
     for _ in range(n - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = INV_PHI * h
-            c = a + INV_PHI2 * h
-            yc = _eval_finite(obj.fn, c)
-            x_new, y_new = c, yc
-        else:
-            a, c, yc = c, d, yd
-            h = INV_PHI * h
-            d = a + INV_PHI * h
-            yd = _eval_finite(obj.fn, d)
-            x_new, y_new = d, yd
-        evaluations += 1
-        if y_new > best_y:
-            best_x, best_y = x_new, y_new
+        left = yc > yd    # lanes whose maximum lies left of d
+        a, b = _pick(left, a, c), _pick(left, d, b)
+        h = INV_PHI * h
+        x_new = _pick(left, a + INV_PHI2 * h, a + INV_PHI * h)
+        y_new = _eval_finite(obj.fn, x_new)
+        c, d = _pick(left, x_new, d), _pick(left, c, x_new)
+        yc, yd = _pick(left, y_new, yd), _pick(left, yc, y_new)
+        better = y_new > best_y
+        best_x, best_y = _pick(better, x_new, best_x), _pick(better, y_new, best_y)
 
     mid = 0.5 * (a + b)
     y_mid = _eval_finite(obj.fn, mid)
-    evaluations += 1
-    if y_mid > best_y:
-        best_x, best_y = mid, y_mid
-    return SupremumReport(best_x, best_y, evaluations, "golden-section")
+    better = y_mid > best_y
+    best_x, best_y = _pick(better, mid, best_x), _pick(better, y_mid, best_y)
+    return SupremumReport(_out(best_x), _out(best_y), (n + 2) * np.size(best_y), "golden-section")
 
 
 def refine_parabolic(fn, x, h=1e-5):
@@ -121,14 +128,14 @@ def refine_parabolic(fn, x, h=1e-5):
     A single parabola fitted through samples spaced well outside that
     plateau recovers the vertex to ~h^2 truncation error instead.  Returns
     x unchanged if the three points are not locally concave at this scale.
+    ``x`` may be an array of lane points.
     """
     f0 = _eval_finite(fn, x)
     fp = _eval_finite(fn, x + h)
     fm = _eval_finite(fn, x - h)
     den = fp - 2.0 * f0 + fm
-    if den >= 0.0:
-        return x
-    return x - 0.5 * h * (fp - fm) / den
+    step = 0.5 * h * (fp - fm) / np.where(den < 0.0, den, -1.0)   # den >= 0: unused
+    return _out(_pick(den >= 0.0, x, x - step))
 
 
 def _as_resolutions(resolution, k):
@@ -144,7 +151,7 @@ def _as_resolutions(resolution, k):
     return res
 
 
-def _grid_scan(objective, predicate, axes):
+def _grid_scan(objective, axes):
     """Supremum over the product grid; first maximum in C order wins ties.
 
     When there are several axes the scan is chunked over the first one to
@@ -156,42 +163,40 @@ def _grid_scan(objective, predicate, axes):
     best_point = None
     evaluations = 0
 
-    def scan_block(coords):
+    def scan_block(block_axes):
         nonlocal best_val, best_point, evaluations
-        if predicate is None:
-            mask = np.ones(coords[0].shape, dtype=bool)
-        else:
-            mask = np.asarray(predicate(*coords), dtype=bool)
-        n_feasible = int(mask.sum())
-        if n_feasible == 0:
-            return
-        evaluations += n_feasible
-        vals = np.full(coords[0].shape, -np.inf)
-        vals[mask] = objective(*(c[mask] for c in coords))
-        flat = int(np.argmax(vals))
+        shape = tuple(len(ax) for ax in block_axes)
+        coords = np.meshgrid(*block_axes, indexing="ij", sparse=True)
+        vals = np.broadcast_to(np.asarray(objective(*coords), dtype=float), shape)
+        flat = int(np.argmax(vals))   # argmax stops at the first NaN
         val = float(vals.flat[flat])
+        idx = np.unravel_index(flat, shape)
+        point = tuple(float(ax[i]) for ax, i in zip(block_axes, idx))
+        if math.isnan(val):
+            raise DomainError(f"objective returned NaN at {point}")
+        evaluations += int(np.count_nonzero(vals > -np.inf))
         if val > best_val:
-            idx = np.unravel_index(flat, vals.shape)
-            best_val = val
-            best_point = tuple(float(c[idx]) for c in coords)
+            best_val, best_point = val, point
 
     if len(axes) == 1:
-        scan_block([np.asarray(axes[0])])
+        scan_block(axes)
     else:
-        inner = np.meshgrid(*axes[1:], indexing="ij")
-        for x0 in axes[0]:
-            scan_block([np.full_like(inner[0], x0), *inner])
+        for i in range(len(axes[0])):
+            scan_block([axes[0][i:i + 1], *axes[1:]])
 
     return best_point, best_val, evaluations
 
 
-def sup_constrained_grid(objective, bounds, predicate=None, resolution=50, refine=True):
-    """Supremum of a vectorised objective over a feasible rectangular grid.
+def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
+    """Supremum of a vectorised objective over a rectangular grid.
 
-    ``objective`` and ``predicate`` receive one numpy array per axis; the
-    objective is only ever evaluated at feasible points, so it may be
-    undefined elsewhere.  An empty feasible set is an answer, not an error:
-    the report comes back with None fields and zero evaluations.
+    ``objective`` receives open grid coordinates (``np.meshgrid(...,
+    indexing="ij", sparse=True)``, chunked over the first axis), so work on
+    one axis is done once per axis value; its result is broadcast to the
+    chunk.  It returns -inf at infeasible points, which ``evaluations`` does
+    not count, and a NaN raises DomainError.  An empty feasible set is an
+    answer, not an error: the report comes back with None fields and zero
+    evaluations.
 
     With ``refine`` the coarse best point is re-bracketed by one coarse step
     per axis and re-scanned on a 10x finer local grid; this buys accuracy
@@ -206,7 +211,7 @@ def sup_constrained_grid(objective, bounds, predicate=None, resolution=50, refin
             raise DomainError(f"empty axis [{lo}, {hi}]")
 
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, res)]
-    best_point, best_val, evaluations = _grid_scan(objective, predicate, axes)
+    best_point, best_val, evaluations = _grid_scan(objective, axes)
     method = "grid"
 
     if best_point is None:
@@ -217,7 +222,7 @@ def sup_constrained_grid(objective, bounds, predicate=None, resolution=50, refin
         for (lo, hi), n, x in zip(bounds, res, best_point):
             step = (hi - lo) / (n - 1)
             fine_axes.append(np.linspace(max(lo, x - step), min(hi, x + step), 21))
-        point, val, extra = _grid_scan(objective, predicate, fine_axes)
+        point, val, extra = _grid_scan(objective, fine_axes)
         evaluations += extra
         if point is not None and val > best_val:
             best_point, best_val = point, val

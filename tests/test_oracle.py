@@ -82,6 +82,29 @@ def test_objective_validation():
         ScalarObjective(lambda x: x, 0.0, 1.0, tol=0.0)
 
 
+def test_lockstep_lanes_equal_one_lane_searches_bitwise():
+    p = np.array([0.1, 0.37, 0.5, 0.93])
+    q = np.array([0.0, 0.3, -1.7, 2.0])
+    fn = lambda x: q * x - (x - p) * (x - p)
+    obj = ScalarObjective(fn, 0.0, 1.0, tol=1e-12)
+    rep = maximize_scalar(obj)
+    polished = refine_parabolic(fn, rep.best_input, h=1e-3)
+    for i in range(len(p)):
+        one = lambda x, i=i: q[i] * x - (x - p[i]) * (x - p[i])
+        single = maximize_scalar(ScalarObjective(one, 0.0, 1.0, tol=1e-12))
+        assert type(single.best_input) is float and type(single.best_value) is float
+        assert rep.best_input[i] == single.best_input
+        assert rep.best_value[i] == single.best_value
+        assert polished[i] == refine_parabolic(one, single.best_input, h=1e-3)
+        assert rep.evaluations == len(p) * single.evaluations
+
+
+def test_lockstep_lanes_check_every_lane_for_finite_values():
+    p = np.array([0.2, 0.6])
+    with pytest.raises(DomainError):
+        maximize_scalar(ScalarObjective(lambda x: np.where(x > p, np.inf, -x), 0.0, 1.0))
+
+
 def test_refine_parabolic_hits_the_vertex():
     f = lambda x: 2.0 - 3.0 * (x - 0.37) ** 2
     assert abs(refine_parabolic(f, 0.3, h=1e-3) - 0.37) < 1e-10
@@ -136,9 +159,8 @@ def test_grid_quadratic_two_axes():
 def test_grid_respects_the_feasibility_predicate():
     # Unconstrained argmax sits at x = 0.9, but the predicate cuts it away.
     rep = sup_constrained_grid(
-        lambda x: -((x - 0.9) ** 2),
+        lambda x: np.where(x < 0.5, -((x - 0.9) ** 2), -np.inf),
         bounds=[(0.0, 1.0)],
-        predicate=lambda x: x < 0.5,
         resolution=1001,
         refine=False,
     )
@@ -158,9 +180,8 @@ def test_grid_efficiency_supremum_respects_the_thermal_bound():
         return (1.0 - z2) * (z2 - tau) / (2.0 * z2 - tau * (1.0 + z2))
 
     rep = sup_constrained_grid(
-        eff,
+        lambda z: np.where(z * z > tau, eff(z), -np.inf),
         bounds=[(1e-4, 0.9999)],
-        predicate=lambda z: z * z > tau,
         resolution=1_000_000,
         refine=False,
     )
@@ -172,9 +193,8 @@ def test_grid_efficiency_supremum_respects_the_thermal_bound():
 
 def test_grid_empty_feasible_set_is_an_answer():
     rep = sup_constrained_grid(
-        lambda x: x,
+        lambda x: np.where(x > 2.0, x, -np.inf),
         bounds=[(0.0, 1.0)],
-        predicate=lambda x: x > 2.0,
         resolution=100,
     )
     assert rep.best_input is None and rep.best_value is None
@@ -195,6 +215,46 @@ def test_grid_deterministic_and_tie_broken_lexicographically():
     rep2 = sup_constrained_grid(f, [(0.0, 1.0), (0.0, 1.0)], resolution=7, refine=False)
     assert rep1 == rep2
     assert rep1.best_input == (0.0, 0.0)  # lowest lexicographic input wins
+
+
+def test_grid_rejects_nan_from_the_objective():
+    with pytest.raises(DomainError):
+        sup_constrained_grid(lambda x, y: np.where(x > 0.5, np.nan, x + y),
+                             [(0.0, 1.0), (0.0, 1.0)], resolution=5, refine=False)
+    with pytest.raises(DomainError):
+        sup_constrained_grid(lambda x: np.where(x > 0.5, np.nan, -np.inf),
+                             [(0.0, 1.0)], resolution=5, refine=False)
+
+
+def test_grid_objective_may_ignore_axes():
+    # A lower-rank result is broadcast over the ignored axes; ties along
+    # them go to the lowest lexicographic input.
+    rep = sup_constrained_grid(lambda x, y, z: -((x - 0.5) ** 2),
+                               [(0.0, 1.0)] * 3, resolution=5, refine=False)
+    assert rep.best_input == (0.5, 0.0, 0.0)
+    assert rep.evaluations == 125
+    rep = sup_constrained_grid(lambda x, y: 1.0, [(0.0, 1.0)] * 2, resolution=4, refine=False)
+    assert rep.best_input == (0.0, 0.0) and rep.best_value == 1.0
+    assert rep.evaluations == 16
+
+
+def test_grid_does_not_count_minus_inf_points():
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9), indexing="ij")
+    rep = sup_constrained_grid(lambda x, y: np.where(x + y > 1.0, x - y, -np.inf),
+                               [(0.0, 1.0), (0.0, 1.0)], resolution=9, refine=False)
+    assert rep.evaluations == np.count_nonzero(x + y > 1.0)
+    assert rep.best_input == (1.0, 0.125)
+
+
+def test_grid_receives_open_coordinates():
+    shapes = []
+
+    def f(x, y, z):
+        shapes.append((x.shape, y.shape, z.shape))
+        return x + y + z
+
+    sup_constrained_grid(f, [(0.0, 1.0)] * 3, resolution=[2, 3, 4], refine=False)
+    assert shapes == [((1, 1, 1), (1, 3, 1), (1, 1, 4))] * 2
 
 
 def test_grid_validation():

@@ -1,0 +1,122 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ottobounds import engine, verify
+from ottobounds.errors import DomainError
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Default-seed rows of `run_suite("all")` (budget 10^6), as recorded before
+# the ceiling check became one pass per point: (name, worst, evaluations).
+REFERENCE_ROWS = [
+    ("efficiency-ceiling", 0.4999999944846905, 4747402),
+    ("work-optimum", 1.083267371637664e-09, 25200),
+    ("reduction-identities", 1.6777050534185766e-13, 548),
+    ("cooling-windows", 1.6475709685437323e-13, 182),
+]
+GRID_EVALUATIONS = 4011323  # feasible points of the 48^4 grid plus its refinement
+
+
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "ottobounds", *args],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+
+
+def test_default_seed_suite_rows_are_unchanged():
+    checks = verify.run_suite("all")
+    assert [(c.name, c.worst, c.evaluations) for c in checks] == REFERENCE_ROWS
+    assert all(c.passed for c in checks)
+
+
+def test_seed_7_ceiling_report_is_byte_identical():
+    res = run_cli("verify", "--seed", "7", "--suite", "ceiling")
+    assert res.returncode == 0
+    assert res.stdout == (GOLDEN / "verify_seed7_ceiling.json").read_text()
+
+
+def _one_shot_draws(samples, seed):
+    """The draw leg as one samples x 4 batch, feasibility judged separately."""
+    rng = np.random.default_rng(seed)
+    a, b, z, r = rng.uniform(
+        low=[1e-4, 1e-4, 1e-4, 0.0], high=[10.0, 10.0, 0.9999, 10.0], size=(samples, 4)
+    ).T
+    dh = 1.0 + (2.0 + np.expm1(b)) * np.sinh(r) ** 2
+    x = z * dh * np.tanh(0.5 * a) / np.tanh(0.5 * b)
+    feasible = (x > 1.0) & (a > b * z)
+    z, x = z[feasible], x[feasible]
+    eta = 1.0 / (2.0 / (1.0 - z * z) + 1.0 / (x - 1.0))
+    return float(eta.max()), int(feasible.sum())
+
+
+def test_chunked_draws_reproduce_a_one_shot_draw():
+    samples = verify.DRAW_CHUNK + 7
+    grid = verify.ceiling_check(samples=0, seed=11)
+    check = verify.ceiling_check(samples=samples, seed=11)
+    best, count = _one_shot_draws(samples, seed=11)
+    assert check.worst == max(grid.worst, best)
+    assert check.evaluations == grid.evaluations + count
+    assert f"plus {samples} seeded draws" in check.detail
+
+
+def test_zero_budget_runs_the_grid_alone():
+    (check,) = verify.run_suite("ceiling", budget=0)
+    assert check.evaluations == GRID_EVALUATIONS
+    assert "plus 0 seeded draws" in check.detail
+    assert check.passed
+
+
+def test_negative_budget_is_a_domain_error():
+    with pytest.raises(DomainError):
+        verify.ceiling_check(samples=-5)
+    with pytest.raises(DomainError):
+        verify.run_suite("ceiling", budget=-1)
+
+
+def test_cli_budget_zero_and_negative():
+    res = run_cli("verify", "--suite", "ceiling", "--budget", "-5")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    res = run_cli("verify", "--suite", "ceiling", "--budget", "0")
+    assert res.returncode == 0
+    assert "plus 0 seeded draws" in res.stdout
+
+
+def test_exact_efficiency_marks_non_engines_with_minus_inf():
+    # a > b z fails (cold bath not colder), then x <= 1 (no positive work).
+    eta = verify.exact_efficiency([0.1, 5.0, 5.0], [5.0, 0.1, 0.1], [0.5, 0.5, 0.01], [0.0, 1.0, 0.0])
+    assert eta[0] == -np.inf and eta[2] == -np.inf
+    assert 0.0 < eta[1] < 0.5
+
+
+def test_grouped_work_gives_the_same_bits_for_floats_and_arrays():
+    # Lockstep lanes rely on this; Python's pow(s, 2) and numpy's square
+    # disagree in the last bit for about 1 input in 1000.
+    rng = np.random.default_rng(5)
+    z, sg, u = rng.uniform(0.01, 0.99, size=(3, 20_000))
+    lanes = engine._grouped_work(z, sg, u).tolist()
+    assert lanes == [engine._grouped_work(*p) for p in zip(z.tolist(), sg.tolist(), u.tolist())]
+
+
+def test_lockstep_work_argmax_equals_one_lane_calls():
+    tau = np.array([0.05, 0.3, 0.7, 0.95])
+    r = np.array([0.0, 0.4, 2.5, 5.0])
+    z, evaluations = verify.work_argmax(tau, r)
+    singles = [verify.work_argmax(float(t), float(rr)) for t, rr in zip(tau, r)]
+    assert z.tolist() == [zs for zs, _ in singles]
+    assert evaluations == sum(n for _, n in singles)
+    assert all(type(zs) is float for zs, _ in singles)
+
+
+@pytest.mark.parametrize("tau, r", [(0.0, 1.0), (1.0, 0.5), (0.5, -0.1), (0.5, np.inf),
+                                    (np.array([0.5, 1.2]), np.array([0.0, 1.0]))])
+def test_work_argmax_rejects_out_of_domain_inputs(tau, r):
+    with pytest.raises(DomainError):
+        verify.work_argmax(tau, r)
