@@ -27,42 +27,7 @@ from .cycle import (
     SqueezePlacement,
     heats_work,
 )
-from .errors import OttoError
-
-_AXIS_NAMES = ("r", "eta_c")
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    """One linearly spaced sweep axis.
-
-    A single-point axis (count = 1, stop = start) is allowed as the
-    degenerate case; real sweeps need count >= 2 and start < stop.
-    """
-
-    name: str
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.name not in _AXIS_NAMES:
-            raise ValueError(f"unknown sweep axis {self.name!r}")
-        if self.count < 1:
-            raise ValueError(f"axis count must be >= 1, got {self.count}")
-        if self.count == 1:
-            if self.stop != self.start:
-                raise ValueError("a single-point axis needs stop == start")
-        elif not self.start < self.stop:
-            raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
-
-    def points(self):
-        if self.count == 1:
-            return [self.start]
-        step = (self.stop - self.start) / (self.count - 1)
-        pts = [self.start + i * step for i in range(self.count)]
-        pts[-1] = self.stop
-        return pts
+from .errors import DomainError, OttoError, nonnegative, nonnegative_int, unit_open
 
 
 @dataclass(frozen=True)
@@ -108,11 +73,30 @@ def _error_payload(exc):
     return json.dumps({"error": {"kind": kind, "message": str(exc)}}, indent=2) + "\n"
 
 
-def _unit_interval(text):
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not strictly inside (0, 1)")
-    return value
+def _checked(check, parse=float):
+    """argparse type: parse, then apply a shared check; a DomainError exits 2 as a usage error."""
+    def flag_type(text):
+        try:
+            return check("value", parse(text))
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    flag_type.__name__ = parse.__name__   # argparse: "invalid float value: 'x'"
+    return flag_type
+
+
+_UNIT = _checked(unit_open)
+_NONNEG = _checked(nonnegative)
+
+
+def _sweep(parser, start, stop, count):
+    """count points start + i*step, the last exactly stop; a single point needs stop == start."""
+    if not (count > 1 and start < stop or count == 1 and stop == start):
+        parser.error(f"need count >= 2 and start < stop, or count = 1 and stop = start; "
+                     f"got count={count}, [{start}, {stop}]")
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 def build_parser():
@@ -141,32 +125,32 @@ def build_parser():
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("fig2", help="squeezed engine bounds swept over r (CSV)")
-    p.add_argument("--eta-c", dest="eta_c", type=_unit_interval, action="append", required=True,
+    p.add_argument("--eta-c", dest="eta_c", type=_UNIT, action="append", required=True,
                    help="Carnot efficiency; repeat the flag for several curves")
-    p.add_argument("--r-start", type=float, default=0.0)
-    p.add_argument("--r-stop", type=float, default=6.0)
+    p.add_argument("--r-start", type=_NONNEG, default=0.0)
+    p.add_argument("--r-stop", type=_NONNEG, default=6.0)
     p.add_argument("--count", type=int, default=121, help="points per curve (default 121)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("fig3", help="thermal bounds swept over the Carnot efficiency (CSV)")
-    p.add_argument("--start", type=_unit_interval, default=0.01)
-    p.add_argument("--stop", type=_unit_interval, default=0.99)
+    p.add_argument("--start", type=_UNIT, default=0.01)
+    p.add_argument("--stop", type=_UNIT, default=0.99)
     p.add_argument("--count", type=int, default=99)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("fridge", help="refrigerator feasibility report (JSON)")
-    p.add_argument("--tau", type=_unit_interval, required=True,
+    p.add_argument("--tau", type=_UNIT, required=True,
                    help="temperature ratio beta_hot/beta_cold")
-    p.add_argument("--r", type=float, default=0.0, help="cold-bath squeezing (default 0)")
+    p.add_argument("--r", type=_NONNEG, default=0.0, help="cold-bath squeezing (default 0)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the built-in oracle suites (JSON)")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_checked(nonnegative_int, int), default=1_000_000,
                    help="random sample count for the ceiling suite (default 1e6; 0: grid only)")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=_checked(nonnegative_int, int), default=verify.DEFAULT_SEED)
     p.add_argument("--out", default=None)
 
     return parser
@@ -235,15 +219,10 @@ def cmd_eval(args, parser):
 
 
 def cmd_fig2(args, parser):
-    if args.r_start < 0.0:
-        parser.error(f"--r-start must be non-negative, got {args.r_start}")
-    try:
-        axis = SweepAxis("r", args.r_start, args.r_stop, args.count)
-    except ValueError as exc:
-        parser.error(str(exc))
+    points = _sweep(parser, args.r_start, args.r_stop, args.count)
     rows = []
     for eta_c in args.eta_c:
-        for r in axis.points():
+        for r in points:
             rep = engine.engine_report(eta_c, r)
             rows.append((r, eta_c, rep.eta_up, rep.eta_mw, rep.eta_c_gen))
     report = RunReport(
@@ -259,13 +238,9 @@ def cmd_fig2(args, parser):
 
 
 def cmd_fig3(args, parser):
-    try:
-        axis = SweepAxis("eta_c", args.start, args.stop, args.count)
-    except ValueError as exc:
-        parser.error(str(exc))
     rows = [
         (x, engine.eta_up_thermal(x), engine.eta_rk(x), 0.5 * x)
-        for x in axis.points()
+        for x in _sweep(parser, args.start, args.stop, args.count)
     ]
     report = RunReport(
         version=__version__,
@@ -279,8 +254,6 @@ def cmd_fig3(args, parser):
 
 
 def cmd_fridge(args, parser):
-    if not args.r >= 0.0:
-        parser.error(f"--r must be non-negative, got {args.r}")
     rep = fridge.fridge_report(args.tau, args.r)
     payload = {
         "version": __version__,
@@ -297,8 +270,6 @@ def cmd_fridge(args, parser):
 
 
 def cmd_verify(args, parser):
-    if args.budget < 0:
-        parser.error(f"argument --budget: {args.budget} is negative")
     checks = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
     passed = all(c.passed for c in checks)
     payload = {

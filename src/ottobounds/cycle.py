@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ModeError
+from .errors import DomainError, ModeError, as_real, nonnegative, positive
 from .special import coth
 
 __all__ = [
@@ -43,22 +43,10 @@ __all__ = [
 _SINH_OVERFLOW = 355.0
 
 
-def _positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _nonnegative(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-        raise DomainError(f"{name} must be a non-negative finite number, got {value!r}")
-    return float(value)
-
-
 def thermal_occupation(beta, omega):
     """Mean thermal quanta 1/(e^{beta omega} - 1) of a mode at frequency omega."""
-    beta = _positive("beta", beta)
-    omega = _positive("omega", omega)
+    beta = positive("beta", beta)
+    omega = positive("omega", omega)
     x = beta * omega
     e = math.exp(-x)
     return e / -math.expm1(-x)
@@ -67,7 +55,7 @@ def thermal_occupation(beta, omega):
 def squeezed_occupation(beta, omega, r):
     """Mean quanta of a squeezed thermal state: <n> + (2<n> + 1) sinh^2(r)."""
     n = thermal_occupation(beta, omega)
-    r = _nonnegative("r", r)
+    r = nonnegative("r", r)
     if r == 0.0:
         return n
     if r > _SINH_OVERFLOW:
@@ -83,9 +71,9 @@ def delta_h(beta, omega, r):
     For beta*omega beyond ~709 (or r beyond ~355) the factor exceeds the
     double range and saturates to inf.
     """
-    beta = _positive("beta", beta)
-    omega = _positive("omega", omega)
-    r = _nonnegative("r", r)
+    beta = positive("beta", beta)
+    omega = positive("omega", omega)
+    r = nonnegative("r", r)
     if r == 0.0:
         return 1.0
     x = beta * omega
@@ -113,8 +101,8 @@ class BathSpec:
     r: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _positive("beta", self.beta))
-        object.__setattr__(self, "r", _nonnegative("r", self.r))
+        object.__setattr__(self, "beta", positive("beta", self.beta))
+        object.__setattr__(self, "r", nonnegative("r", self.r))
 
 
 @dataclass(frozen=True)
@@ -130,8 +118,8 @@ class FrequencyPair:
     omega2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega1", _positive("omega1", self.omega1))
-        object.__setattr__(self, "omega2", _positive("omega2", self.omega2))
+        object.__setattr__(self, "omega1", positive("omega1", self.omega1))
+        object.__setattr__(self, "omega2", positive("omega2", self.omega2))
         if not self.omega1 < self.omega2:
             raise DomainError(
                 f"need omega1 < omega2 strictly, got omega1={self.omega1}, omega2={self.omega2}"
@@ -161,8 +149,10 @@ class AdiabaticityMode:
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown adiabaticity kind {self.kind!r}")
         if self.kind == "custom":
-            if self.lam is None or not (math.isfinite(self.lam) and self.lam >= 1.0):
+            lam = as_real(self.lam)
+            if not 1.0 <= lam < math.inf:
                 raise DomainError(f"custom adiabaticity factor must be >= 1, got {self.lam!r}")
+            object.__setattr__(self, "lam", lam)
         elif self.lam is not None:
             raise DomainError(f"{self.kind!r} mode does not take an explicit factor")
 
@@ -176,7 +166,7 @@ class AdiabaticityMode:
 
     @classmethod
     def custom(cls, lam):
-        return cls("custom", float(lam))
+        return cls("custom", lam)
 
     def lambda_for(self, freqs):
         """The adiabaticity factor this mode assigns to a frequency pair."""
@@ -353,9 +343,9 @@ def effective_temperature(beta, omega, r):
     T = omega / ln(1 + 1/N).  Reduces to 1/beta exactly at r = 0 and to
     cosh(2r)/beta in the beta*omega -> 0 limit.
     """
-    beta = _positive("beta", beta)
-    omega = _positive("omega", omega)
-    r = _nonnegative("r", r)
+    beta = positive("beta", beta)
+    omega = positive("omega", omega)
+    r = nonnegative("r", r)
     if r == 0.0:
         return 1.0 / beta
     n = squeezed_occupation(beta, omega, r)

@@ -15,7 +15,7 @@ effective temperature.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoSolutionError, SingularityError
+from .errors import NoSolutionError, SingularityError, nonnegative, positive, unit_open
 from .special import sech
 
 __all__ = [
@@ -42,18 +42,6 @@ __all__ = [
 HT_BETA_OMEGA_MAX = 0.3
 
 
-def _check_unit_open(name, value):
-    if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return float(value)
-
-
-def _check_r(r):
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be a non-negative finite number, got {r!r}")
-    return float(r)
-
-
 @dataclass(frozen=True)
 class EngineParams:
     """Engine operating point; beta2 only sets the scale of work values."""
@@ -64,11 +52,10 @@ class EngineParams:
     beta2: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _check_unit_open("z", self.z))
-        object.__setattr__(self, "tau", _check_unit_open("tau", self.tau))
-        object.__setattr__(self, "r", _check_r(self.r))
-        if not (math.isfinite(self.beta2) and self.beta2 > 0):
-            raise DomainError(f"beta2 must be positive, got {self.beta2!r}")
+        object.__setattr__(self, "z", unit_open("z", self.z))
+        object.__setattr__(self, "tau", unit_open("tau", self.tau))
+        object.__setattr__(self, "r", nonnegative("r", self.r))
+        object.__setattr__(self, "beta2", positive("beta2", self.beta2))
 
 
 @dataclass(frozen=True)
@@ -115,9 +102,9 @@ def efficiency_ht(z, tau, r):
     outside it.  Raises SingularityError at the pole of the denominator
     (which lies outside the engine region).
     """
-    z = _check_unit_open("z", z)
-    tau = _check_unit_open("tau", tau)
-    g = tau * sech(2.0 * _check_r(r))
+    z = unit_open("z", z)
+    tau = unit_open("tau", tau)
+    g = tau * sech(2.0 * nonnegative("r", r))
     z2 = z * z
     den = 2.0 * z2 - g * (1.0 + z2)
     if den == 0.0:
@@ -132,15 +119,15 @@ def pwc_ht(z, tau, r):
 
     Boundary ties extract zero work and count as non-engine operation.
     """
-    z = _check_unit_open("z", z)
-    tau = _check_unit_open("tau", tau)
-    return z * z > tau * sech(2.0 * _check_r(r))
+    z = unit_open("z", z)
+    tau = unit_open("tau", tau)
+    return z * z > tau * sech(2.0 * nonnegative("r", r))
 
 
 def z_star(tau, r):
     """Compression ratio maximising the extracted work: (tau sech 2r)^{1/4}."""
-    tau = _check_unit_open("tau", tau)
-    return (tau * sech(2.0 * _check_r(r))) ** 0.25
+    tau = unit_open("tau", tau)
+    return (tau * sech(2.0 * nonnegative("r", r))) ** 0.25
 
 
 def z2_of_eta(eta, eta_c, r):
@@ -153,10 +140,9 @@ def z2_of_eta(eta, eta_c, r):
     efficiency.)  Raises NoSolutionError for eta at or above eta_up, where
     the two roots have merged and vanished.
     """
-    eta_c = _check_unit_open("eta_c", eta_c)
-    r = _check_r(r)
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta >= 0.0):
-        raise DomainError(f"eta must be a non-negative finite number, got {eta!r}")
+    eta_c = unit_open("eta_c", eta_c)
+    r = nonnegative("r", r)
+    eta = nonnegative("eta", eta)
     bound = eta_up(eta_c, r)
     if eta >= bound:
         raise NoSolutionError(
@@ -181,8 +167,8 @@ def eta_up(eta_c, r):
     eta_up_thermal(eta_c) at r = 0.  (Past r ~ 370, g underflows and the
     value rounds to the supremum 1/2 itself.)
     """
-    eta_c = _check_unit_open("eta_c", eta_c)
-    g = (1.0 - eta_c) * sech(2.0 * _check_r(r))
+    eta_c = unit_open("eta_c", eta_c)
+    g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
     return (1.0 - g) * (2.0 + g - 2.0 * math.sqrt(2.0 * g)) / (2.0 - g) ** 2
 
 
@@ -191,8 +177,8 @@ def eta_mw(eta_c, r):
 
     Never exceeds eta_up(eta_c, r); reduces to eta_rk(eta_c) at r = 0.
     """
-    eta_c = _check_unit_open("eta_c", eta_c)
-    s = math.sqrt((1.0 - eta_c) * sech(2.0 * _check_r(r)))
+    eta_c = unit_open("eta_c", eta_c)
+    s = math.sqrt((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
     return (1.0 - s) / (2.0 + s)
 
 
@@ -202,8 +188,8 @@ def generalized_carnot(eta_c, r):
     1 - (1 - eta_c) sech(2r): equals eta_c at r = 0, grows monotonically
     with r and tends to 1.
     """
-    eta_c = _check_unit_open("eta_c", eta_c)
-    return 1.0 - (1.0 - eta_c) * sech(2.0 * _check_r(r))
+    eta_c = unit_open("eta_c", eta_c)
+    return 1.0 - (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
 
 
 def eta_up_thermal(eta_c):
@@ -212,30 +198,30 @@ def eta_up_thermal(eta_c):
     [3 - 2 sqrt(2(1 - eta_c)) - eta_c] eta_c / (1 + eta_c)^2, which is
     tighter than eta_c/2 everywhere.
     """
-    eta_c = _check_unit_open("eta_c", eta_c)
+    eta_c = unit_open("eta_c", eta_c)
     return (3.0 - 2.0 * math.sqrt(2.0 * (1.0 - eta_c)) - eta_c) * eta_c / (1.0 + eta_c) ** 2
 
 
 def eta_rk(eta_c):
     """Thermal efficiency at maximum work, (1 - sqrt(1-eta_c))/(2 + sqrt(1-eta_c))."""
-    eta_c = _check_unit_open("eta_c", eta_c)
+    eta_c = unit_open("eta_c", eta_c)
     s = math.sqrt(1.0 - eta_c)
     return (1.0 - s) / (2.0 + s)
 
 
 def ht_regime_ok(beta, omega):
     """Advisory check that beta*omega is small enough for the closed forms."""
-    return beta * omega <= HT_BETA_OMEGA_MAX
+    return positive("beta", beta) * positive("omega", omega) <= HT_BETA_OMEGA_MAX
 
 
 def engine_report(eta_c, r, z=None):
     """Bundle the bounds at (eta_c, r); the PWC flag refers to z, or to the
     work-optimal ratio when z is omitted (where it always holds)."""
-    eta_c = _check_unit_open("eta_c", eta_c)
-    r = _check_r(r)
+    eta_c = unit_open("eta_c", eta_c)
+    r = nonnegative("r", r)
     tau = 1.0 - eta_c
     zs = z_star(tau, r)
-    probe = zs if z is None else _check_unit_open("z", z)
+    probe = zs if z is None else unit_open("z", z)
     # Inline PWC comparison: zs may underflow to 0 for extreme r, where the
     # optimum work diverges and the condition holds in the limit.
     g = tau * sech(2.0 * r)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import math
+import numbers
 
 
 class OttoError(Exception):
@@ -31,3 +34,56 @@ class NoSolutionError(OttoError, ValueError):
 
 class BracketError(OttoError, ValueError):
     """A root bracket does not contain a sign change."""
+
+
+# The one argument-validity layer.  Every check accepts Python ints and
+# floats and numpy real scalars, returns a Python float, and raises
+# DomainError for anything else: bools, strings, None, arrays, NaN, +-inf.
+
+_INF = math.inf
+
+
+def as_real(value):
+    """The type gate: ``value`` as a Python float, or NaN if it is not a real scalar.
+
+    NaN fails every range comparison, so a caller only has to compare.
+    """
+    if type(value) is float:
+        return value
+    if type(value) is bool or not isinstance(value, (int, float, numbers.Real)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:    # an int beyond the double range
+        return math.nan
+
+
+def positive(name, value):
+    """A finite real > 0."""
+    v = value if type(value) is float else as_real(value)
+    if 0.0 < v < _INF:
+        return v
+    raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def nonnegative(name, value):
+    """A finite real >= 0."""
+    v = value if type(value) is float else as_real(value)
+    if 0.0 <= v < _INF:
+        return v
+    raise DomainError(f"{name} must be a non-negative finite number, got {value!r}")
+
+
+def unit_open(name, value):
+    """A real strictly inside (0, 1)."""
+    v = value if type(value) is float else as_real(value)
+    if 0.0 < v < 1.0:
+        return v
+    raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
+def nonnegative_int(name, value):
+    """An integer >= 0 (numpy integers too, not bools or integral floats), as an int."""
+    if type(value) is not bool and isinstance(value, numbers.Integral) and value >= 0:
+        return int(value)
+    raise DomainError(f"{name} must be a non-negative integer, got {value!r}")

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .cycle import classify_mode
-from .errors import DomainError, InfeasibleError, ModeError
+from .errors import (
+    DomainError, InfeasibleError, ModeError, as_real, nonnegative, positive, unit_open,
+)
 from .special import sech
 
 __all__ = [
@@ -38,18 +40,6 @@ __all__ = [
 ]
 
 
-def _check_unit_open(name, value):
-    if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return float(value)
-
-
-def _check_r(r):
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be a non-negative finite number, got {r!r}")
-    return float(r)
-
-
 def _tau_c(tau, r):
     u = sech(2.0 * r)
     return math.inf if u == 0.0 else tau / u
@@ -64,9 +54,9 @@ class FridgeParams:
     r: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _check_unit_open("z", self.z))
-        object.__setattr__(self, "tau", _check_unit_open("tau", self.tau))
-        object.__setattr__(self, "r", _check_r(self.r))
+        object.__setattr__(self, "z", unit_open("z", self.z))
+        object.__setattr__(self, "tau", unit_open("tau", self.tau))
+        object.__setattr__(self, "r", nonnegative("r", self.r))
 
 
 @dataclass(frozen=True)
@@ -88,20 +78,21 @@ def cooling_heat_ht(z, tau, r, beta2=1.0):
     window can be probed; the endpoints bracket where the sign change in r
     sweeps as z runs over the open interval.
     """
-    if not (isinstance(z, (int, float)) and 0.0 <= z <= 1.0):
+    zf = as_real(z)
+    if not 0.0 <= zf <= 1.0:
         raise DomainError(f"z must lie in [0, 1], got {z!r}")
-    tau = _check_unit_open("tau", tau)
-    tc = _tau_c(tau, _check_r(r))
-    return (2.0 * tc - 1.0 - z * z) / (2.0 * beta2)
+    tau = unit_open("tau", tau)
+    tc = _tau_c(tau, nonnegative("r", r))
+    return (2.0 * tc - 1.0 - zf * zf) / (2.0 * positive("beta2", beta2))
 
 
 def hot_heat_ht(z, tau, r, beta2=1.0):
     """Heat exchanged with the hot reservoir: (2 z^2 - tau_c (1 + z^2)) / (2 beta2 z^2)."""
-    z = _check_unit_open("z", z)
-    tau = _check_unit_open("tau", tau)
-    tc = _tau_c(tau, _check_r(r))
+    z = unit_open("z", z)
+    tau = unit_open("tau", tau)
+    tc = _tau_c(tau, nonnegative("r", r))
     z2 = z * z
-    return (2.0 * z2 - tc * (1.0 + z2)) / (2.0 * beta2 * z2)
+    return (2.0 * z2 - tc * (1.0 + z2)) / (2.0 * positive("beta2", beta2) * z2)
 
 
 def extracted_work_ht(z, tau, r, beta2=1.0):
@@ -109,11 +100,11 @@ def extracted_work_ht(z, tau, r, beta2=1.0):
 
     Negative throughout the cooling window (the refrigerator consumes work).
     """
-    z = _check_unit_open("z", z)
-    tau = _check_unit_open("tau", tau)
-    tc = _tau_c(tau, _check_r(r))
+    z = unit_open("z", z)
+    tau = unit_open("tau", tau)
+    tc = _tau_c(tau, nonnegative("r", r))
     z2 = z * z
-    return -(1.0 - z2) * (tc - z2) / (2.0 * beta2 * z2)
+    return -(1.0 - z2) * (tc - z2) / (2.0 * positive("beta2", beta2) * z2)
 
 
 def cop_ht(p):
@@ -142,13 +133,13 @@ def cop_ht(p):
 
 def cop_quasistatic(z):
     """Frequency-ratio COP omega1/(omega2 - omega1) = z/(1 - z)."""
-    z = _check_unit_open("z", z)
+    z = unit_open("z", z)
     return z / (1.0 - z)
 
 
 def zeta_carnot(tau):
     """Carnot COP tau/(1 - tau); grows without bound as tau -> 1."""
-    tau = _check_unit_open("tau", tau)
+    tau = unit_open("tau", tau)
     return tau / (1.0 - tau)
 
 
@@ -158,14 +149,15 @@ def zeta_up_thermal(zeta_c):
     Needs zeta_c > 1 (tau > 1/2); below that the cold reservoir sits under
     half the hot temperature and this machine cannot cool it at all.
     """
-    if not (isinstance(zeta_c, (int, float)) and math.isfinite(zeta_c)):
+    zc = as_real(zeta_c)
+    if not -math.inf < zc < math.inf:
         raise DomainError(f"zeta_c must be finite, got {zeta_c!r}")
-    if zeta_c <= 1.0:
+    if zc <= 1.0:
         raise InfeasibleError(
             f"cooling requires zeta_c > 1 (the cold reservoir cannot sit below "
-            f"half the hot temperature), got zeta_c={zeta_c}"
+            f"half the hot temperature), got zeta_c={zc}"
         )
-    return 1.0 + 3.0 * zeta_c - 2.0 * math.sqrt(2.0 * zeta_c * (1.0 + zeta_c))
+    return 1.0 + 3.0 * zc - 2.0 * math.sqrt(2.0 * zc * (1.0 + zc))
 
 
 def zeta_up(tau, r):
@@ -176,8 +168,8 @@ def zeta_up(tau, r):
     Raises InfeasibleError naming the violated side when tau_c leaves the
     open window (1/2, 1).
     """
-    tau = _check_unit_open("tau", tau)
-    tc = _tau_c(tau, _check_r(r))
+    tau = unit_open("tau", tau)
+    tc = _tau_c(tau, nonnegative("r", r))
     if tc <= 0.5:
         raise InfeasibleError(
             f"tau*cosh(2r) <= 1/2: effective cold temperature at or below half "
@@ -193,7 +185,7 @@ def zeta_up(tau, r):
 
 def tau_window(r):
     """Open interval of temperature ratios with positive cooling: (sech(2r)/2, sech(2r))."""
-    u = sech(2.0 * _check_r(r))
+    u = sech(2.0 * nonnegative("r", r))
     return (0.5 * u, u)
 
 
@@ -203,7 +195,7 @@ def r_window(tau):
     (acosh(1/(2 tau))/2, acosh(1/tau)/2) for tau below 1/2; from tau = 1/2
     upward the lower endpoint is 0 (cooling is already open at r = 0+).
     """
-    tau = _check_unit_open("tau", tau)
+    tau = unit_open("tau", tau)
     hi = 0.5 * math.acosh(1.0 / tau)
     lo = 0.5 * math.acosh(1.0 / (2.0 * tau)) if tau < 0.5 else 0.0
     return (lo, hi)
@@ -211,8 +203,8 @@ def r_window(tau):
 
 def fridge_report(tau, r=0.0):
     """Feasibility report at (tau, r): bound if cooling is possible, reason if not."""
-    tau = _check_unit_open("tau", tau)
-    r = _check_r(r)
+    tau = unit_open("tau", tau)
+    r = nonnegative("r", r)
     try:
         bound = zeta_up(tau, r)
         feasible, reason = True, None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, fridge
-from .errors import DomainError
+from .errors import DomainError, nonnegative_int, positive
 from .oracle import (
     ScalarObjective,
     find_root_scalar,
@@ -81,9 +81,10 @@ def ceiling_check(samples=1_000_000, r_max=10.0, bw_max=10.0, seed=DEFAULT_SEED)
     stays flat.  Passes when every efficiency seen is below 1/2 and the
     supremum still clears 0.45 (the bound is tight).
     """
-    samples = int(samples)
-    if samples < 0:
-        raise DomainError(f"samples must be a non-negative count, got {samples}")
+    samples = nonnegative_int("samples", samples)
+    seed = nonnegative_int("seed", seed)
+    r_max = positive("r_max", r_max)
+    bw_max = positive("bw_max", bw_max)
     report = sup_constrained_grid(
         exact_efficiency,
         bounds=[(1e-4, bw_max), (1e-4, bw_max), (1e-4, 0.9999), (0.0, r_max)],

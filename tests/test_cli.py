@@ -59,6 +59,8 @@ def test_eval_usage_errors_exit_2():
                    "--r", "-1").returncode == 2
     assert run_cli("eval", "--w1", "1", "--w2", "2", "--b1", "0.1", "--b2", "0.2").returncode == 2
     assert run_cli("eval", "--w1", "1", "--w2", "2", "--b1", "2", "--b2", "0.2",
+                   "--r", "inf").returncode == 2
+    assert run_cli("eval", "--w1", "1", "--w2", "2", "--b1", "2", "--b2", "0.2",
                    "--mode", "custom").returncode == 2
     assert run_cli("eval", "--w1", "1", "--w2", "2", "--b1", "2", "--b2", "0.2",
                    "--lam", "2").returncode == 2
@@ -125,6 +127,9 @@ def test_fig2_usage_errors():
     assert run_cli("fig2", "--eta-c", "1.2").returncode == 2
     assert run_cli("fig2", "--eta-c", "0.2", "--r-start", "2", "--r-stop", "1").returncode == 2
     assert run_cli("fig2", "--eta-c", "0.2", "--count", "0").returncode == 2
+    # 0 * inf made the first point NaN, which used to exit 1.
+    assert run_cli("fig2", "--eta-c", "0.2", "--r-stop", "inf").returncode == 2
+    assert run_cli("fig2", "--eta-c", "0.2", "--r-start", "nan").returncode == 2
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +186,13 @@ def test_fridge_reports_the_documented_half_window():
     lo, hi = payload["r_window"]
     assert lo == 0.0
     assert abs(hi - HALF_ACOSH_2) < 1e-12
+
+
+def test_fridge_usage_errors():
+    # --r inf used to exit 1 from inside the report.
+    for r in ("-1", "nan", "inf"):
+        assert run_cli("fridge", "--tau", "0.5", "--r", r).returncode == 2
+    assert run_cli("fridge", "--tau", "1").returncode == 2
 
 
 # ---------------------------------------------------------------------------

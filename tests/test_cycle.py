@@ -453,3 +453,33 @@ def test_effective_temperature_inverts_the_squeezed_occupation():
 @given(beta=st.floats(0.05, 10.0), omega=st.floats(0.05, 5.0), r=st.floats(1e-4, 5.0))
 def test_effective_temperature_exceeds_bath_temperature(beta, omega, r):
     assert effective_temperature(beta, omega, r) > 1.0 / beta
+
+
+# ---------------------------------------------------------------------------
+# Argument types: each call raises DomainError (want None) or equals the
+# call with plain floats.  Earlier releases took bools and strings here and
+# turned numpy scalars away.
+
+
+@pytest.mark.parametrize("call, want", [
+    pytest.param(lambda: BathSpec(True), None, id="BathSpec(True)"),
+    pytest.param(lambda: BathSpec(0.5, "0"), None, id="BathSpec(r='0')"),
+    pytest.param(lambda: AdiabaticityMode.custom("2"), None, id="custom('2')"),
+    pytest.param(lambda: AdiabaticityMode("custom", "x"), None, id="custom-kind-'x'"),
+    pytest.param(lambda: AdiabaticityMode.custom(True), None, id="custom(True)"),
+    pytest.param(lambda: AdiabaticityMode("custom"), None, id="custom-without-factor"),
+    pytest.param(lambda: BathSpec(np.float32(0.2)), lambda: BathSpec(float(np.float32(0.2))),
+                 id="BathSpec(float32)"),
+    pytest.param(lambda: BathSpec(np.int64(2)), lambda: BathSpec(2.0), id="BathSpec(int64)"),
+    pytest.param(lambda: AdiabaticityMode.custom(np.int64(2)), lambda: AdiabaticityMode.custom(2.0),
+                 id="custom(int64)"),
+    pytest.param(lambda: delta_h(np.float64(1.0), 1, np.float32(0.5)),
+                 lambda: delta_h(1.0, 1.0, float(np.float32(0.5))), id="delta_h(numpy)"),
+])
+def test_argument_types(call, want):
+    if want is None:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        got, ref = call(), want()
+        assert got == ref and repr(got) == repr(ref)   # repr tells np.float64(2.0) from 2.0

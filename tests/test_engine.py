@@ -325,3 +325,31 @@ def test_engine_report_bundles_consistent_fields():
 def test_ht_regime_advisory_threshold():
     assert ht_regime_ok(0.3, 1.0)
     assert not ht_regime_ok(0.31, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Argument types: each call raises DomainError (want None) or equals the
+# call with plain floats.  Earlier releases took bools and strings here and
+# turned numpy scalars away.
+
+
+@pytest.mark.parametrize("call, want", [
+    pytest.param(lambda: eta_up(0.2, True), None, id="eta_up(r=True)"),
+    pytest.param(lambda: z2_of_eta(True, 0.5, 1), None, id="z2_of_eta(eta=True)"),
+    pytest.param(lambda: EngineParams(0.5, 0.5, 0, "1"), None, id="EngineParams(beta2='1')"),
+    pytest.param(lambda: EngineParams(0.5, 0.5, 0, True), None, id="EngineParams(beta2=True)"),
+    pytest.param(lambda: ht_regime_ok("x", 1.0), None, id="ht_regime_ok('x')"),
+    pytest.param(lambda: engine_report(0.2, 1, z=np.float32(0.5)),
+                 lambda: engine_report(0.2, 1.0, z=float(np.float32(0.5))), id="engine_report(z=float32)"),
+    pytest.param(lambda: EngineParams(0.5, 0.5, 0, np.int64(2)), lambda: EngineParams(0.5, 0.5, 0.0, 2.0),
+                 id="EngineParams(beta2=int64)"),
+    pytest.param(lambda: eta_up(np.float64(0.2), np.int64(1)), lambda: eta_up(0.2, 1.0),
+                 id="eta_up(numpy)"),
+])
+def test_argument_types(call, want):
+    if want is None:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        got, ref = call(), want()
+        assert got == ref and repr(got) == repr(ref)   # repr tells np.float64(2.0) from 2.0

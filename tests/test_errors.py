@@ -1,0 +1,103 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ottobounds import cycle, engine, fridge, verify
+from ottobounds.errors import DomainError, as_real, nonnegative, nonnegative_int, positive, unit_open
+
+# ---------------------------------------------------------------------------
+# The checks themselves
+
+
+@pytest.mark.parametrize("value", [0.25, 3, np.float64(0.25), np.float32(0.25), np.int64(3), np.uint8(3)])
+def test_real_scalars_come_back_as_python_floats(value):
+    for check in (positive, nonnegative):
+        got = check("x", value)
+        assert type(got) is float and got == float(value)
+    assert type(as_real(value)) is float
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, math.nan, math.inf,
+                                   -math.inf, np.array(0.5), [0.5], 10**400])
+def test_everything_else_is_a_domain_error(value):
+    for check in (positive, nonnegative, unit_open):
+        with pytest.raises(DomainError, match="^x must "):
+            check("x", value)
+
+
+def test_ranges_and_messages():
+    assert nonnegative("r", 0) == 0.0
+    with pytest.raises(DomainError, match="r must be a positive finite number, got 0"):
+        positive("r", 0)
+    with pytest.raises(DomainError, match=r"r must be a non-negative finite number, got -0.1"):
+        nonnegative("r", -0.1)
+    for edge in (0.0, 1.0):
+        with pytest.raises(DomainError, match=r"z must lie strictly inside \(0, 1\)"):
+            unit_open("z", edge)
+
+
+def test_nonnegative_int():
+    assert nonnegative_int("n", 0) == 0
+    got = nonnegative_int("n", np.int64(7))
+    assert type(got) is int and got == 7
+    for bad in (-1, 1.5, 2.0, True, "3", None, np.float64(3.0)):
+        with pytest.raises(DomainError, match="n must be a non-negative integer"):
+            nonnegative_int("n", bad)
+
+
+# ---------------------------------------------------------------------------
+# Every public scalar function goes through them
+
+# (function, valid arguments); each argument in turn is replaced by a bad value.
+PUBLIC_SCALAR_CALLS = [
+    (cycle.thermal_occupation, (1.0, 1.0)),
+    (cycle.squeezed_occupation, (1.0, 1.0, 0.5)),
+    (cycle.delta_h, (1.0, 1.0, 0.5)),
+    (cycle.effective_temperature, (1.0, 1.0, 0.5)),
+    (cycle.BathSpec, (1.0, 0.5)),
+    (cycle.FrequencyPair, (1.0, 2.0)),
+    (cycle.AdiabaticityMode.custom, (1.5,)),
+    (engine.EngineParams, (0.5, 0.5, 0.5, 1.0)),
+    (engine.efficiency_ht, (0.8, 0.3, 0.5)),
+    (engine.pwc_ht, (0.8, 0.3, 0.5)),
+    (engine.z_star, (0.3, 0.5)),
+    (engine.z2_of_eta, (0.1, 0.5, 0.5)),
+    (engine.eta_up, (0.3, 0.5)),
+    (engine.eta_mw, (0.3, 0.5)),
+    (engine.generalized_carnot, (0.3, 0.5)),
+    (engine.eta_up_thermal, (0.3,)),
+    (engine.eta_rk, (0.3,)),
+    (engine.ht_regime_ok, (0.1, 1.0)),
+    (engine.engine_report, (0.3, 0.5, 0.6)),
+    (fridge.FridgeParams, (0.5, 0.6, 0.1)),
+    (fridge.cooling_heat_ht, (0.5, 0.6, 0.1, 1.0)),
+    (fridge.hot_heat_ht, (0.5, 0.6, 0.1, 1.0)),
+    (fridge.extracted_work_ht, (0.5, 0.6, 0.1, 1.0)),
+    (fridge.cop_quasistatic, (0.5,)),
+    (fridge.zeta_carnot, (0.6,)),
+    (fridge.zeta_up_thermal, (2.0,)),
+    (fridge.zeta_up, (0.6, 0.1)),
+    (fridge.tau_window, (0.1,)),
+    (fridge.r_window, (0.6,)),
+    (fridge.fridge_report, (0.6, 0.1)),
+    (verify.ceiling_check, (0, 10.0, 10.0, 1)),
+]
+
+NOT_FINITE_REALS = st.one_of(
+    st.booleans(), st.text(max_size=4), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@pytest.mark.parametrize("fn, args", [pytest.param(*c, id=c[0].__qualname__) for c in PUBLIC_SCALAR_CALLS])
+@given(bad=NOT_FINITE_REALS, pos=st.integers(0, 3))
+def test_non_finite_reals_raise_domain_error(fn, args, bad, pos):
+    pos %= len(args)
+    if fn is engine.engine_report and pos == 2 and bad is None:
+        return   # z=None means the work-optimal ratio
+    call = list(args)
+    call[pos] = bad
+    with pytest.raises(DomainError):
+        fn(*call)

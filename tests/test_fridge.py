@@ -288,3 +288,32 @@ def test_fridge_report_boundary_tau_is_infeasible():
     rep = fridge_report(0.5, 0.0)
     assert not rep.cooling_feasible
     assert math.isclose(rep.r_window[1], HALF_ACOSH_2, rel_tol=REL)
+
+
+# ---------------------------------------------------------------------------
+# Argument types: each call raises DomainError (want None) or equals the
+# call with plain floats.  Earlier releases let a bad beta2 through to a raw
+# ZeroDivisionError, a TypeError or a silent value, and turned numpy scalars
+# away.
+
+
+@pytest.mark.parametrize("call, want", [
+    pytest.param(lambda: cooling_heat_ht(0.5, 0.5, 0.1, beta2=0), None, id="cooling(beta2=0)"),
+    pytest.param(lambda: hot_heat_ht(0.5, 0.5, 0.1, beta2=-1), None, id="hot(beta2=-1)"),
+    pytest.param(lambda: extracted_work_ht(0.5, 0.5, 0.1, beta2="x"), None, id="work(beta2='x')"),
+    pytest.param(lambda: cooling_heat_ht(True, 0.5, 0.1), None, id="cooling(z=True)"),
+    pytest.param(lambda: zeta_up_thermal(True), None, id="zeta_up_thermal(True)"),
+    pytest.param(lambda: fridge_report(0.4, np.float32(0.6)),
+                 lambda: fridge_report(0.4, float(np.float32(0.6))), id="fridge_report(r=float32)"),
+    pytest.param(lambda: cooling_heat_ht(np.int64(1), 0.75, 0), lambda: cooling_heat_ht(1.0, 0.75, 0.0),
+                 id="cooling(z=int64)"),
+    pytest.param(lambda: zeta_up_thermal(np.float32(2.0)), lambda: zeta_up_thermal(2.0),
+                 id="zeta_up_thermal(float32)"),
+])
+def test_argument_types(call, want):
+    if want is None:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        got, ref = call(), want()
+        assert got == ref and repr(got) == repr(ref)   # repr tells np.float64(2.0) from 2.0

@@ -67,23 +67,34 @@ def test_chunked_draws_reproduce_a_one_shot_draw():
 
 
 def test_zero_budget_runs_the_grid_alone():
-    (check,) = verify.run_suite("ceiling", budget=0)
-    assert check.evaluations == GRID_EVALUATIONS
-    assert "plus 0 seeded draws" in check.detail
-    assert check.passed
+    for budget in (0, np.int64(0)):
+        (check,) = verify.run_suite("ceiling", budget=budget)
+        assert check.evaluations == GRID_EVALUATIONS
+        assert "plus 0 seeded draws" in check.detail
+        assert check.passed
 
 
 def test_negative_budget_is_a_domain_error():
+    # Non-integral budgets too: int() used to truncate 1.5 and 2.9 silently,
+    # and True ran one draw.
+    for bad in (-5, -1, 1.5, 2.9, 3.0, True, "10"):
+        with pytest.raises(DomainError):
+            verify.ceiling_check(samples=bad)
+        with pytest.raises(DomainError):
+            verify.run_suite("ceiling", budget=bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_is_a_domain_error(seed):
     with pytest.raises(DomainError):
-        verify.ceiling_check(samples=-5)
-    with pytest.raises(DomainError):
-        verify.run_suite("ceiling", budget=-1)
+        verify.ceiling_check(samples=0, seed=seed)
 
 
 def test_cli_budget_zero_and_negative():
-    res = run_cli("verify", "--suite", "ceiling", "--budget", "-5")
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
+    for flags in (("--budget", "-5"), ("--seed", "-1")):
+        res = run_cli("verify", "--suite", "ceiling", *flags)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
     res = run_cli("verify", "--suite", "ceiling", "--budget", "0")
     assert res.returncode == 0
     assert "plus 0 seeded draws" in res.stdout
