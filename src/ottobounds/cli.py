@@ -28,6 +28,7 @@ from .cycle import (
     heats_work,
 )
 from .errors import DomainError, OttoError, nonnegative, nonnegative_int, unit_open
+from .oracle import axis_points
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,11 @@ _NONNEG = _checked(nonnegative)
 
 
 def _sweep(parser, start, stop, count):
-    """count points start + i*step, the last exactly stop; a single point needs stop == start."""
+    """count points from start to stop (oracle.axis_points); a single point needs stop == start."""
     if not (count > 1 and start < stop or count == 1 and stop == start):
         parser.error(f"need count >= 2 and start < stop, or count = 1 and stop = start; "
                      f"got count={count}, [{start}, {stop}]")
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count - 1)] + [stop]
+    return axis_points(start, stop, count)
 
 
 def build_parser():

@@ -139,6 +139,12 @@ def z2_of_eta(eta, eta_c, r):
     degenerate ratio z = 1 there; for eta > 0 both roots realise the same
     efficiency.)  Raises NoSolutionError for eta at or above eta_up, where
     the two roots have merged and vanished.
+
+    The smaller root of z^4 - b z^2 + c, c = g (1 - eta), is evaluated as
+    2c / (b + sqrt(b^2 - 4c)), the product of the roots over the larger one.
+    b > 0 for every eta < 1/2, so nothing cancels; the textbook
+    (b - sqrt(b^2 - 4c)) / 2 loses every digit once g is small against
+    (1 - 2 eta)^2.
     """
     eta_c = unit_open("eta_c", eta_c)
     r = nonnegative("r", r)
@@ -156,7 +162,7 @@ def z2_of_eta(eta, eta_c, r):
         raise NoSolutionError(
             f"inversion discriminant negative at eta={eta}, eta_c={eta_c}, r={r}"
         )
-    return 0.5 * (b - math.sqrt(disc))
+    return 2.0 * g * (1.0 - eta) / (b + math.sqrt(disc))
 
 
 def eta_up(eta_c, r):

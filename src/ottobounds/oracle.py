@@ -5,19 +5,20 @@ Three primitives: golden-section maximisation of unimodal scalar objectives
 grids, and bisection root location.  All three are fully deterministic:
 identical inputs produce bitwise-identical reports, grid reductions break
 ties on the lowest lexicographic input, and no randomness enters anywhere.
+numpy is imported by the functions that compute on arrays, not by this
+module, so the scalar paths of the package start without it.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import BracketError, DomainError
 
 __all__ = [
     "ScalarObjective",
     "SupremumReport",
+    "axis_points",
     "find_root_scalar",
     "maximize_scalar",
     "refine_parabolic",
@@ -59,7 +60,19 @@ class SupremumReport:
     method: str
 
 
+def axis_points(start, stop, count):
+    """count evenly spaced floats from start to stop, the last exactly stop.
+
+    The arithmetic of np.linspace, i*step + start, on plain floats.
+    """
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [i * step + start for i in range(count - 1)] + [stop]
+
+
 def _eval_finite(fn, x):
+    import numpy as np
     y = fn(x)
     if not np.isfinite(y).all():
         raise DomainError(f"objective returned a non-finite value {y!r} at x={x}")
@@ -67,11 +80,13 @@ def _eval_finite(fn, x):
 
 
 def _pick(cond, x, y):
+    import numpy as np
     # [()] makes a 0-d result a numpy scalar, so one-lane objectives get floats.
     return np.where(cond, x, y)[()]
 
 
 def _out(v):
+    import numpy as np
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -85,6 +100,7 @@ def maximize_scalar(obj):
     ScalarObjective) run in lockstep, one call per step, and each gets
     bitwise the result of its own one-lane search; evaluations counts all.
     """
+    import numpy as np
     a, b = obj.lo, obj.hi
     h = b - a
     if h <= obj.tol:
@@ -130,6 +146,7 @@ def refine_parabolic(fn, x, h=1e-5):
     x unchanged if the three points are not locally concave at this scale.
     ``x`` may be an array of lane points.
     """
+    import numpy as np
     f0 = _eval_finite(fn, x)
     fp = _eval_finite(fn, x + h)
     fm = _eval_finite(fn, x - h)
@@ -159,6 +176,7 @@ def _grid_scan(objective, axes):
     chunks win ties, and np.argmax already returns the first maximum within
     a chunk.
     """
+    import numpy as np
     best_val = -math.inf
     best_point = None
     evaluations = 0
@@ -202,6 +220,7 @@ def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
     per axis and re-scanned on a 10x finer local grid; this buys accuracy
     cheaply without any claim of convergence.
     """
+    import numpy as np
     k = len(bounds)
     if not 1 <= k <= 5:
         raise DomainError(f"grid search supports 1 to 5 axes, got {k}")

@@ -5,18 +5,18 @@ independent numerical route (grid supremum, golden-section optimum,
 bisection-located sign change) and reports the worst deviation it saw.
 The exact-efficiency objective used by the ceiling suite is written here
 from scratch, in vectorised numpy, rather than reusing the scalar cycle
-code: the two routes share nothing but the inputs.
+code: the two routes share nothing but the inputs.  Only the ceiling and
+optimality suites need numpy, and they import it when they run.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import engine, fridge
 from .errors import DomainError, nonnegative_int, positive
 from .oracle import (
     ScalarObjective,
+    axis_points,
     find_root_scalar,
     maximize_scalar,
     refine_parabolic,
@@ -59,6 +59,7 @@ def exact_efficiency(a, b, z, r):
     route in `cycle`.  The inputs broadcast; the result is -inf off the engine
     region, i.e. unless x > 1 (positive work) and a > b z (beta_cold > beta_hot).
     """
+    import numpy as np
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -81,6 +82,7 @@ def ceiling_check(samples=1_000_000, r_max=10.0, bw_max=10.0, seed=DEFAULT_SEED)
     stays flat.  Passes when every efficiency seen is below 1/2 and the
     supremum still clears 0.45 (the bound is tight).
     """
+    import numpy as np
     samples = nonnegative_int("samples", samples)
     seed = nonnegative_int("seed", seed)
     r_max = positive("r_max", r_max)
@@ -128,6 +130,7 @@ def work_argmax(tau, r):
     work objective is unimodal in z on (0, 1): it decomposes into a
     constant minus the square of a quantity strictly monotone in z.
     """
+    import numpy as np
     if not (np.all((tau > 0.0) & (tau < 1.0)) and np.all(np.isfinite(r) & (r >= 0.0))):
         raise DomainError(f"need 0 < tau < 1 and finite r >= 0, got tau={tau}, r={r}")
     u = np.vectorize(sech, otypes=[float])(2.0 * np.asarray(r, dtype=float))
@@ -141,6 +144,12 @@ def work_argmax(tau, r):
 def optimality_check(n_eta=20, n_r=20, tol_z=1e-8, tol_eta=1e-10):
     """Numerical work optimum against the closed forms on an (eta_c, r) grid,
     searched in lockstep with one lane per grid point."""
+    import numpy as np
+    n_eta, n_r = nonnegative_int("n_eta", n_eta), nonnegative_int("n_r", n_r)
+    if n_eta == 0 or n_r == 0:   # an empty grid would pass without checking anything
+        raise DomainError(f"the grid needs n_eta, n_r >= 1, got {n_eta}x{n_r}")
+    tol_z = positive("tol_z", tol_z)
+    tol_eta = positive("tol_eta", tol_eta)
     eta_c, r = (g.ravel() for g in np.meshgrid(
         np.linspace(0.05, 0.95, n_eta), np.linspace(0.0, 5.0, n_r), indexing="ij"))
     tau = 1.0 - eta_c
@@ -167,10 +176,11 @@ def optimality_check(n_eta=20, n_r=20, tol_z=1e-8, tol_eta=1e-10):
 def identities_check(tol=1e-12):
     """Reduction identities: squeezed bounds equal thermal bounds at the
     generalized Carnot point, and the fridge bound collapses the same way."""
+    tol = positive("tol", tol)
     worst = 0.0
     evaluations = 0
-    for eta_c in np.linspace(0.05, 0.95, 19):
-        for r in np.linspace(0.0, 5.0, 11):
+    for eta_c in axis_points(0.05, 0.95, 19):
+        for r in axis_points(0.0, 5.0, 11):
             gen = engine.generalized_carnot(eta_c, r)
             a = engine.eta_up(eta_c, r)
             b = engine.eta_up_thermal(gen)
@@ -179,8 +189,8 @@ def identities_check(tol=1e-12):
             b = engine.eta_rk(gen)
             worst = max(worst, abs(a - b) / abs(a))
             evaluations += 2
-    for r in np.linspace(0.0, 3.0, 13):
-        for frac in np.linspace(0.55, 0.98, 10):
+    for r in axis_points(0.0, 3.0, 13):
+        for frac in axis_points(0.55, 0.98, 10):
             tau = frac * (1.0 / math.cosh(2.0 * r))
             a = fridge.zeta_up(tau, r)
             b = fridge.zeta_up_thermal(frac / (1.0 - frac))
@@ -204,6 +214,7 @@ def windows_check(tol=1e-9):
     Lower endpoints that sit at 0 have no sign change; there the check is
     that cooling is already open at r = 0+.
     """
+    tol = positive("tol", tol)
     worst = 0.0
     calls = [0]
 

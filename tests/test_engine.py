@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -179,6 +181,32 @@ def test_z2_of_eta_rejects_unreachable_efficiencies():
         z2_of_eta(bound + 1e-9, 0.3, 1.0)
     with pytest.raises(DomainError):
         z2_of_eta(-0.1, 0.3, 1.0)
+
+
+def _z2_mpmath(eta, eta_c, r):
+    """(smaller root, b / sqrt(disc)) at 50 digits, for the exact float inputs."""
+    with mpmath.workdps(50):
+        eta, eta_c, r = map(mpmath.mpf, (eta, eta_c, r))
+        g = (1 - eta_c) * mpmath.sech(2 * r)
+        b = (1 - 2 * eta) + g * (1 + eta)
+        root = mpmath.sqrt(b * b - 4 * g * (1 - eta))
+        return 2 * g * (1 - eta) / (b + root), b / root
+
+
+@pytest.mark.parametrize("eta_c", [0.02, 0.3, 0.5, 0.6, 0.9, 0.99])
+def test_z2_of_eta_matches_mpmath_out_to_the_saturated_bath(eta_c):
+    # Relative budget 8 eps (1 + b / sqrt(disc)): the b / sqrt(disc) term is
+    # the conditioning of the root as the two roots merge at eta -> eta_up
+    # (about 450 at 0.999 eta_up).  The textbook 0.5 (b - sqrt(disc)) missed
+    # this by 0.26 at (eta_c, r, eta/eta_up) = (0.6, 20, 0.9) and returned
+    # 0.0 at r = 300.
+    eps = sys.float_info.epsilon
+    for r in (0.0, 0.01, 0.5, 2.0, 5.0, 20.0, 60.0, 150.0, 300.0, 350.0):
+        for frac in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999):
+            eta = frac * eta_up(eta_c, r)
+            got = z2_of_eta(eta, eta_c, r)
+            ref, cond = _z2_mpmath(eta, eta_c, r)
+            assert abs(got - ref) <= 8 * eps * (1 + cond) * ref, (eta_c, r, frac, got)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ottobounds import cycle, engine, fridge, verify
+from ottobounds import cycle, engine, fridge, special, verify
 from ottobounds.errors import DomainError, as_real, nonnegative, nonnegative_int, positive, unit_open
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,8 @@ def test_nonnegative_int():
 
 # (function, valid arguments); each argument in turn is replaced by a bad value.
 PUBLIC_SCALAR_CALLS = [
+    (special.coth, (0.5,)),
+    (special.sech, (0.5,)),
     (cycle.thermal_occupation, (1.0, 1.0)),
     (cycle.squeezed_occupation, (1.0, 1.0, 0.5)),
     (cycle.delta_h, (1.0, 1.0, 0.5)),
@@ -86,6 +88,11 @@ PUBLIC_SCALAR_CALLS = [
     (verify.ceiling_check, (0, 10.0, 10.0, 1)),
 ]
 
+# Infinite arguments of the hyperbolic helpers have exact limits, not errors:
+# a product such as 2r or beta*omega/2 may overflow to inf on valid inputs.
+INFINITE_LIMITS = {(special.coth, math.inf): 1.0, (special.sech, math.inf): 0.0,
+                   (special.sech, -math.inf): 0.0}
+
 NOT_FINITE_REALS = st.one_of(
     st.booleans(), st.text(max_size=4), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
 )
@@ -99,5 +106,8 @@ def test_non_finite_reals_raise_domain_error(fn, args, bad, pos):
         return   # z=None means the work-optimal ratio
     call = list(args)
     call[pos] = bad
+    if (fn, bad) in INFINITE_LIMITS:
+        assert fn(*call) == INFINITE_LIMITS[fn, bad]
+        return
     with pytest.raises(DomainError):
         fn(*call)

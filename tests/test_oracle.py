@@ -10,6 +10,7 @@ from ottobounds.fridge import FridgeParams, cooling_heat_ht, cop_ht
 from ottobounds.oracle import (
     INV_PHI,
     ScalarObjective,
+    axis_points,
     find_root_scalar,
     maximize_scalar,
     refine_parabolic,
@@ -307,3 +308,13 @@ def test_reports_are_frozen_dataclasses():
     rep = maximize_scalar(ScalarObjective(lambda x: -x * x, -1.0, 1.0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.best_value = 0.0
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.05, 0.95, 19), (0.0, 5.0, 11), (0.55, 0.98, 10), (0.0, 6.0, 121), (0.01, 0.99, 99),
+    (1e-4, 0.9999, 48), (0.3, 0.3, 1), (-2.5, 7.125, 2001),
+])
+def test_axis_points_are_the_bits_of_linspace(start, stop, count):
+    got = axis_points(start, stop, count)
+    assert all(type(x) is float for x in got)
+    assert got == np.linspace(start, stop, count).tolist()

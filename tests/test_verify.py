@@ -90,6 +90,27 @@ def test_bad_seed_is_a_domain_error(seed):
         verify.ceiling_check(samples=0, seed=seed)
 
 
+@pytest.mark.parametrize("suite, kwargs", [
+    (verify.identities_check, {"tol": "x"}),
+    (verify.identities_check, {"tol": float("nan")}),
+    (verify.identities_check, {"tol": 0.0}),
+    (verify.windows_check, {"tol": True}),
+    (verify.windows_check, {"tol": -1e-9}),
+    (verify.windows_check, {"tol": None}),
+    (verify.optimality_check, {"n_eta": 0}),
+    (verify.optimality_check, {"n_r": 0}),
+    (verify.optimality_check, {"n_eta": 2.0}),
+    (verify.optimality_check, {"n_r": -3}),
+    (verify.optimality_check, {"n_eta": True}),
+    (verify.optimality_check, {"tol_z": "1e-8"}),
+    (verify.optimality_check, {"tol_eta": float("inf")}),
+])
+def test_bad_suite_arguments_are_domain_errors(suite, kwargs):
+    # n_eta = 0 used to make an empty grid that passed without checking anything.
+    with pytest.raises(DomainError):
+        suite(**kwargs)
+
+
 def test_cli_budget_zero_and_negative():
     for flags in (("--budget", "-5"), ("--seed", "-1")):
         res = run_cli("verify", "--suite", "ceiling", *flags)
