@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, as_real, positive
 
 __all__ = [
     "ScalarObjective",
@@ -44,10 +44,18 @@ class ScalarObjective:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
-        if not self.tol > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
+        lo, hi = _finite_interval(self.lo, self.hi, "interval")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "tol", positive("tol", self.tol))
+
+
+def _finite_interval(lo, hi, what):
+    """(lo, hi) as Python floats with -inf < lo < hi < inf, else DomainError."""
+    a, b = as_real(lo), as_real(hi)
+    if -math.inf < a < b < math.inf:
+        return a, b
+    raise DomainError(f"{what} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,9 @@ def _grid_scan(objective, axes):
         nonlocal best_val, best_point, evaluations
         shape = tuple(len(ax) for ax in block_axes)
         coords = np.meshgrid(*block_axes, indexing="ij", sparse=True)
-        vals = np.broadcast_to(np.asarray(objective(*coords), dtype=float), shape)
+        vals = np.asarray(objective(*coords), dtype=float)
+        if vals.shape != shape:   # a lower-rank result; argmax copies this read-only view
+            vals = np.broadcast_to(vals, shape)
         flat = int(np.argmax(vals))   # argmax stops at the first NaN
         val = float(vals.flat[flat])
         idx = np.unravel_index(flat, shape)
@@ -212,9 +222,11 @@ def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
     indexing="ij", sparse=True)``, chunked over the first axis), so work on
     one axis is done once per axis value; its result is broadcast to the
     chunk.  It returns -inf at infeasible points, which ``evaluations`` does
-    not count, and a NaN raises DomainError.  An empty feasible set is an
-    answer, not an error: the report comes back with None fields and zero
-    evaluations.
+    not count, and a NaN raises DomainError.  Each result is read in full
+    before the objective is called again and no reference to it is kept, so
+    an objective may return the same scratch buffer on every call.  An empty
+    feasible set is an answer, not an error: the report comes back with None
+    fields and zero evaluations.
 
     With ``refine`` the coarse best point is re-bracketed by one coarse step
     per axis and re-scanned on a 10x finer local grid; this buys accuracy
@@ -252,9 +264,9 @@ def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
 
 def find_root_scalar(g, bracket, tol=1e-12):
     """Bisection root of a continuous function with a sign change on the bracket."""
-    a, b = bracket
-    if not a < b:
-        raise DomainError(f"empty bracket [{a}, {b}]")
+    lo, hi = bracket
+    a, b = _finite_interval(lo, hi, "bracket")
+    tol = positive("tol", tol)
     fa = g(a)
     fb = g(b)
     if fa == 0.0:

@@ -77,10 +77,16 @@ def test_maximize_propagates_non_finite_values():
 
 
 def test_objective_validation():
-    with pytest.raises(DomainError):
-        ScalarObjective(lambda x: x, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        ScalarObjective(lambda x: x, 0.0, 1.0, tol=0.0)
+    # Strings and None used to raise raw TypeErrors, and an infinite end was accepted.
+    for lo, hi, tol in [(1.0, 0.0, 1e-10), (0.0, 1.0, 0.0), ("a", 1.0, 1e-10),
+                        (0.0, None, 1e-10), (True, 2.0, 1e-10), (0.0, math.inf, 1e-10),
+                        (-math.inf, 0.0, 1e-10), (math.nan, 1.0, 1e-10), (0.0, 1.0, math.nan),
+                        (0.0, 1.0, math.inf), (0.0, 1.0, "1e-3")]:
+        with pytest.raises(DomainError):
+            ScalarObjective(lambda x: x, lo, hi, tol=tol)
+    obj = ScalarObjective(lambda x: x, np.float64(0.25), 1, tol=np.float32(0.5))
+    assert (obj.lo, obj.hi, obj.tol) == (0.25, 1.0, 0.5)
+    assert all(type(v) is float for v in (obj.lo, obj.hi, obj.tol))
 
 
 def test_lockstep_lanes_equal_one_lane_searches_bitwise():
@@ -247,6 +253,27 @@ def test_grid_does_not_count_minus_inf_points():
     assert rep.best_input == (1.0, 0.125)
 
 
+def test_grid_objective_may_return_one_buffer_for_every_call():
+    # The oracle reads each result in full before the next call and keeps
+    # no reference to it, so a reused scratch buffer gives the same report.
+    def fresh(x, y, z):
+        return np.where(x + y > z, np.sin(3.0 * x) * np.cos(2.0 * y) - z * z, -np.inf)
+
+    buffers = {}
+
+    def reused(x, y, z):
+        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+        buf = buffers.setdefault(shape, np.empty(shape))
+        buf[...] = fresh(x, y, z)
+        return buf
+
+    bounds = [(0.0, 1.0), (-0.5, 0.5), (0.0, 0.8)]
+    want = sup_constrained_grid(fresh, bounds, resolution=[9, 11, 13], refine=True)
+    got = sup_constrained_grid(reused, bounds, resolution=[9, 11, 13], refine=True)
+    assert got == want
+    assert sorted(buffers) == [(1, 11, 13), (1, 21, 21)]
+
+
 def test_grid_receives_open_coordinates():
     shapes = []
 
@@ -289,6 +316,19 @@ def test_find_root_linear():
 def test_find_root_requires_a_sign_change():
     with pytest.raises(BracketError):
         find_root_scalar(lambda x: 1.0 + x * x, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("bracket, tol", [
+    ((1.0, 0.0), 1e-12), ((0.5, 0.5), 1e-12), (("a", 1.0), 1e-12), ((0.0, None), 1e-12),
+    ((False, 1.0), 1e-12), ((-math.inf, 1.0), 1e-12), ((0.0, math.inf), 1e-12),
+    ((math.nan, 1.0), 1e-12), ((0.0, 1.0), math.nan), ((0.0, 1.0), 0.0),
+    ((0.0, 1.0), -1e-12), ((0.0, 1.0), math.inf), ((0.0, 1.0), "1e-12"),
+])
+def test_find_root_rejects_bad_brackets_and_tolerances(bracket, tol):
+    # tol = nan used to return the midpoint 0.5 without one bisection step,
+    # and a string end raised a raw TypeError.
+    with pytest.raises(DomainError):
+        find_root_scalar(lambda x: x - 0.9, bracket, tol=tol)
 
 
 def test_find_root_exact_endpoint():

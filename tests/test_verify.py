@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +43,79 @@ def test_seed_7_ceiling_report_is_byte_identical():
     assert res.stdout == (GOLDEN / "verify_seed7_ceiling.json").read_text()
 
 
+def _textbook_efficiency(a, b, z, r):
+    """Reference for `verify.exact_efficiency`: the formula as written, with
+    fresh temporaries for every step and np.where for the engine region."""
+    a, b, z, r = (np.asarray(v, dtype=float) for v in (a, b, z, r))
+    dh = 1.0 + (2.0 + np.expm1(b)) * np.sinh(r) ** 2
+    x = z * dh * np.tanh(0.5 * a) / np.tanh(0.5 * b)
+    with np.errstate(divide="ignore"):
+        eta = 1.0 / (2.0 / (1.0 - z * z) + 1.0 / (x - 1.0))
+    return np.where((x > 1.0) & (a > b * z), eta, -np.inf)
+
+
 def _one_shot_draws(samples, seed):
-    """The draw leg as one samples x 4 batch, feasibility judged separately."""
+    """The draw leg as one samples x 4 batch through the textbook formula."""
     rng = np.random.default_rng(seed)
     a, b, z, r = rng.uniform(
         low=[1e-4, 1e-4, 1e-4, 0.0], high=[10.0, 10.0, 0.9999, 10.0], size=(samples, 4)
     ).T
-    dh = 1.0 + (2.0 + np.expm1(b)) * np.sinh(r) ** 2
-    x = z * dh * np.tanh(0.5 * a) / np.tanh(0.5 * b)
-    feasible = (x > 1.0) & (a > b * z)
-    z, x = z[feasible], x[feasible]
-    eta = 1.0 / (2.0 / (1.0 - z * z) + 1.0 / (x - 1.0))
-    return float(eta.max()), int(feasible.sum())
+    eta = _textbook_efficiency(a, b, z, r)
+    return float(eta.max()), int(np.count_nonzero(eta > -np.inf))
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(2024)
+    a, b = rng.uniform(1e-4, 10.0, size=(2, 200_000))
+    z = rng.uniform(1e-4, 0.9999, size=200_000)
+    r = rng.uniform(0.0, 10.0, size=200_000)
+    yield "random", (a, b, z, r)
+    for n, lo in ((48, 1e-4), (21, 2.1)):   # the grid's block shapes: full and refine
+        axes = [[3.7], np.linspace(lo, 10.0, n), np.linspace(lo / 10.0, 0.9999, n),
+                np.linspace(0.0, 10.0, n)]
+        yield f"block-{n}", tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+    yield "broadcast", (rng.uniform(0.1, 9.0, size=(5, 1, 1)), 0.4,
+                        rng.uniform(0.05, 0.95, size=(1, 6, 1)), rng.uniform(0.0, 3.0, size=7))
+    for point in ((5.0, 0.1, 0.5, 1.0), (0.1, 5.0, 0.5, 0.0), (2.0, 1.0, 0.9, 0.0)):
+        yield f"0-d {point}", point
+
+
+@pytest.mark.parametrize("name, args", list(_bit_identity_cases()),
+                         ids=[name for name, _ in _bit_identity_cases()])
+def test_exact_efficiency_has_the_bits_of_the_textbook_formula(name, args):
+    want = _textbook_efficiency(*args)
+    if name == "random":
+        assert 0 < np.count_nonzero(want > -np.inf) < want.size   # both regions seen
+    got = verify.exact_efficiency(*args)
+    buf = np.full(want.shape, np.nan)
+    into = verify.exact_efficiency(*args, out=buf)
+    assert into is buf
+    for result in (got, into):
+        assert type(result) is type(want) and result.shape == want.shape
+        assert result.tobytes() == want.tobytes()
+
+
+def test_exact_efficiency_rejects_a_mismatched_out():
+    for out in (np.empty(3), np.empty((1, 2, 2)), np.empty((2, 1)),
+                np.empty((2, 2), dtype=np.float32), [[0.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(DomainError):
+            verify.exact_efficiency([1.0, 2.0], 0.5, 0.5, [[0.0], [1.0]], out=out)
+
+
+def test_ceiling_memory_does_not_grow_with_the_budget():
+    # Four times the draws, the same peak.  CPython's free lists make the
+    # traced bytes of two identical calls differ by a few dozen, hence the
+    # 1 KiB slack; one more chunk held at once would add hundreds of KiB.
+    verify.ceiling_check(samples=verify.DRAW_CHUNK + 7)   # first-call caches
+    peaks = []
+    for k in (2, 8):
+        tracemalloc.start()
+        try:
+            verify.ceiling_check(samples=k * verify.DRAW_CHUNK + 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) <= 1024 and max(peaks) < 2.5 * 2**20
 
 
 def test_chunked_draws_reproduce_a_one_shot_draw():
