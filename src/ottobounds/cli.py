@@ -7,16 +7,16 @@ Subcommands:
     fridge  refrigerator feasibility report at (tau, r), JSON out
     verify  run the built-in oracle suites, JSON out
 
-Exit codes: 0 for success (an infeasible refrigerator regime is an answer,
-not a failure), 1 for domain errors during computation, 2 for usage errors.
-CSV floats are printed with 12 significant digits so identical invocations
-are byte-identical.
+Each command returns a plain payload dict; ``main`` alone renders and writes
+it (``_emit``).  Exit codes: 0 for success (an infeasible refrigerator regime
+is an answer, not a failure), 1 for domain errors during computation or a
+failed verify check, 2 for usage errors.  CSV floats are printed with 12
+significant digits so identical invocations are byte-identical.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__, engine, fridge, verify
 from .cycle import (
@@ -31,47 +31,31 @@ from .errors import DomainError, OttoError, nonnegative, nonnegative_int, unit_o
 from .oracle import axis_points
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one sweep invocation produced, ready to render."""
-
-    version: str
-    inputs: dict
-    columns: tuple
-    rows: list
-    warnings: list
-
-    def to_csv(self):
-        lines = [",".join(self.columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self):
-        payload = {
-            "version": self.version,
-            "inputs": self.inputs,
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-            "warnings": self.warnings,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-
 def _fmt(x):
     return format(x, ".12g")
 
 
-def _emit(text, out):
-    if out is None:
+def _render(payload, fmt):
+    """The one encoder: a table payload as CSV, anything else as indented JSON."""
+    if fmt == "csv":
+        lines = [",".join(payload["columns"])]
+        lines += [",".join(_fmt(v) for v in row) for row in payload["rows"]]
+        return "\n".join(lines) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _emit(args, payload):
+    """The one writer: stamp the version, render in ``args.format``, write to --out or stdout."""
+    text = _render({"version": __version__, **payload}, getattr(args, "format", "json"))
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _error_payload(exc):
-    kind = type(exc).__name__.removesuffix("Error").lower() or "error"
-    return json.dumps({"error": {"kind": kind, "message": str(exc)}}, indent=2) + "\n"
+def _table(inputs, columns, rows):
+    return {"inputs": inputs, "columns": columns, "rows": rows, "warnings": []}
 
 
 def _checked(check, parse=float):
@@ -120,7 +104,6 @@ def build_parser():
                    help="adiabaticity factor >= 1, required with --mode custom")
     p.add_argument("--placement", choices=("hot", "cold"), default="hot",
                    help="which bath carries the squeezing (default hot)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("fig2", help="squeezed engine bounds swept over r (CSV)")
     p.add_argument("--eta-c", dest="eta_c", type=_UNIT, action="append", required=True,
@@ -129,28 +112,26 @@ def build_parser():
     p.add_argument("--r-stop", type=_NONNEG, default=6.0)
     p.add_argument("--count", type=int, default=121, help="points per curve (default 121)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("fig3", help="thermal bounds swept over the Carnot efficiency (CSV)")
     p.add_argument("--start", type=_UNIT, default=0.01)
     p.add_argument("--stop", type=_UNIT, default=0.99)
     p.add_argument("--count", type=int, default=99)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("fridge", help="refrigerator feasibility report (JSON)")
     p.add_argument("--tau", type=_UNIT, required=True,
                    help="temperature ratio beta_hot/beta_cold")
     p.add_argument("--r", type=_NONNEG, default=0.0, help="cold-bath squeezing (default 0)")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the built-in oracle suites (JSON)")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
     p.add_argument("--budget", type=_checked(nonnegative_int, int), default=1_000_000,
                    help="random sample count for the ceiling suite (default 1e6; 0: grid only)")
     p.add_argument("--seed", type=_checked(nonnegative_int, int), default=verify.DEFAULT_SEED)
-    p.add_argument("--out", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -186,7 +167,7 @@ def _ht_warnings(spec):
         ("beta1*omega1", spec.cold.beta, spec.freqs.omega1),
         ("beta2*omega2", spec.hot.beta, spec.freqs.omega2),
     ):
-        if not engine.ht_regime_ok(beta, omega):
+        if beta * omega > engine.HT_BETA_OMEGA_MAX:
             warnings.append(
                 f"{label} = {_fmt(beta * omega)} exceeds {engine.HT_BETA_OMEGA_MAX}; "
                 f"the high-temperature closed forms (fig2/fig3/fridge bounds) are "
@@ -198,8 +179,7 @@ def _ht_warnings(spec):
 def cmd_eval(args, parser):
     spec = _build_cycle_spec(args, parser)
     perf = heats_work(spec)
-    payload = {
-        "version": __version__,
+    return {
         "inputs": {
             "w1": args.w1, "w2": args.w2, "b1": args.b1, "b2": args.b2,
             "r": args.r, "mode": args.mode, "lam": spec.mode.lambda_for(spec.freqs),
@@ -212,8 +192,6 @@ def cmd_eval(args, parser):
         "mode": perf.mode_label.value,
         "warnings": _ht_warnings(spec),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
 
 
 def cmd_fig2(args, parser):
@@ -223,16 +201,11 @@ def cmd_fig2(args, parser):
         for r in points:
             rep = engine.engine_report(eta_c, r)
             rows.append((r, eta_c, rep.eta_up, rep.eta_mw, rep.eta_c_gen))
-    report = RunReport(
-        version=__version__,
-        inputs={"eta_c": args.eta_c, "r_start": args.r_start,
-                "r_stop": args.r_stop, "count": args.count},
-        columns=("r", "eta_c", "eta_up", "eta_mw", "eta_c_gen"),
-        rows=rows,
-        warnings=[],
+    return _table(
+        {"eta_c": args.eta_c, "r_start": args.r_start, "r_stop": args.r_stop, "count": args.count},
+        ("r", "eta_c", "eta_up", "eta_mw", "eta_c_gen"),
+        rows,
     )
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-    return 0
 
 
 def cmd_fig3(args, parser):
@@ -240,21 +213,16 @@ def cmd_fig3(args, parser):
         (x, engine.eta_up_thermal(x), engine.eta_rk(x), 0.5 * x)
         for x in _sweep(parser, args.start, args.stop, args.count)
     ]
-    report = RunReport(
-        version=__version__,
-        inputs={"start": args.start, "stop": args.stop, "count": args.count},
-        columns=("eta_c", "eta_up_th", "eta_rk", "half_eta_c"),
-        rows=rows,
-        warnings=[],
+    return _table(
+        {"start": args.start, "stop": args.stop, "count": args.count},
+        ("eta_c", "eta_up_th", "eta_rk", "half_eta_c"),
+        rows,
     )
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-    return 0
 
 
 def cmd_fridge(args, parser):
     rep = fridge.fridge_report(args.tau, args.r)
-    payload = {
-        "version": __version__,
+    return {
         "inputs": {"tau": args.tau, "r": args.r},
         "zeta_c": rep.zeta_c,
         "zeta_up": rep.zeta_up,
@@ -263,31 +231,17 @@ def cmd_fridge(args, parser):
         "tau_window": list(rep.tau_window),
         "r_window": list(rep.r_window),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
 
 
 def cmd_verify(args, parser):
     checks = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
-    passed = all(c.passed for c in checks)
-    payload = {
-        "version": __version__,
+    return {
         "suite": args.suite,
         "seed": args.seed,
-        "passed": passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "worst": c.worst,
-                "evaluations": c.evaluations,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
+        "passed": all(c.passed for c in checks),
+        "checks": [{"name": c.name, "passed": c.passed, "worst": c.worst,
+                    "evaluations": c.evaluations, "detail": c.detail} for c in checks],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if passed else 1
 
 
 _COMMANDS = {
@@ -303,10 +257,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        payload = _COMMANDS[args.command](args, parser)
     except OttoError as exc:
-        sys.stdout.write(_error_payload(exc))
+        kind = type(exc).__name__.removesuffix("Error").lower() or "error"
+        sys.stdout.write(_render({"error": {"kind": kind, "message": str(exc)}}, "json"))
         return 1
+    _emit(args, payload)
+    return 1 if payload.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -4,8 +4,11 @@ The working fluid is a harmonic oscillator driven around a cycle of two
 frequency strokes (omega1 <-> omega2) and two heat-exchange strokes, one
 against a cold thermal reservoir and one against a hot reservoir; either
 reservoir may be squeezed.  Everything here is evaluated at finite
-temperature with no high-temperature approximation.  Units: hbar = k_B = 1,
-so frequencies, inverse temperatures and energies share one energy scale.
+temperature with no high-temperature approximation, except for one
+convention: the squeezed corners are scaled by the occupation ratio
+delta_h = N/n (``delta_h``), which tends to the squeezed state's energy
+ratio cosh 2r only as beta*omega -> 0.  Units: hbar = k_B = 1, so
+frequencies, inverse temperatures and energies share one energy scale.
 
 Sign convention: heat absorbed by the oscillator is positive, and
 ``w_ext = q2 + q4`` is the net extracted work (positive when the cycle runs
@@ -273,17 +276,14 @@ def cycle_energies(spec):
     c_cold = coth(0.5 * spec.cold.beta * w1)
     c_hot = coth(0.5 * spec.hot.beta * w2)
     if spec.placement is SqueezePlacement.HOT_BATH:
-        f = delta_h(spec.hot.beta, w2, spec.hot.r)
-        h_a = 0.5 * w1 * c_cold
-        h_b = 0.5 * w2 * lam * c_cold
-        h_c = 0.5 * w2 * c_hot * f
-        h_d = 0.5 * w1 * lam * c_hot * f
+        f_cold, f_hot = 1.0, delta_h(spec.hot.beta, w2, spec.hot.r)
     else:
-        f = delta_h(spec.cold.beta, w1, spec.cold.r)
-        h_a = 0.5 * w1 * c_cold * f
-        h_b = 0.5 * w2 * lam * c_cold * f
-        h_c = 0.5 * w2 * c_hot
-        h_d = 0.5 * w1 * lam * c_hot
+        f_cold, f_hot = delta_h(spec.cold.beta, w1, spec.cold.r), 1.0
+    # The idle side's factor is 1.0, and x * 1.0 is exactly x.
+    h_a = 0.5 * w1 * c_cold * f_cold
+    h_b = 0.5 * w2 * lam * c_cold * f_cold
+    h_c = 0.5 * w2 * c_hot * f_hot
+    h_d = 0.5 * w1 * lam * c_hot * f_hot
     return h_a, h_b, h_c, h_d
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketError, DomainError, as_real, positive
+from .errors import BracketError, DomainError, as_real, nonnegative_int, positive
 
 __all__ = [
     "ScalarObjective",
@@ -71,10 +71,12 @@ class SupremumReport:
 def axis_points(start, stop, count):
     """count evenly spaced floats from start to stop, the last exactly stop.
 
-    The arithmetic of np.linspace, i*step + start, on plain floats.
+    The arithmetic of np.linspace, i*step + start, on plain floats; a count
+    of 0 gives no points, as np.linspace does.
     """
-    if count == 1:
-        return [start]
+    count = nonnegative_int("count", count)
+    if count < 2:
+        return [start] * count
     step = (stop - start) / (count - 1)
     return [i * step + start for i in range(count - 1)] + [stop]
 
@@ -164,12 +166,14 @@ def refine_parabolic(fn, x, h=1e-5):
 
 
 def _as_resolutions(resolution, k):
-    if isinstance(resolution, int):
+    """Points per axis: one integer for every axis, or a sequence of k integers, each >= 2."""
+    try:
+        res = list(resolution)
+    except TypeError:   # a single count
         res = [resolution] * k
-    else:
-        res = [int(n) for n in resolution]
-        if len(res) != k:
-            raise DomainError(f"got {len(res)} resolutions for {k} axes")
+    if len(res) != k:
+        raise DomainError(f"got {len(res)} resolutions for {k} axes")
+    res = [nonnegative_int("resolution", n) for n in res]
     for n in res:
         if n < 2:
             raise DomainError(f"resolution must be >= 2 per axis, got {n}")
@@ -236,10 +240,8 @@ def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
     k = len(bounds)
     if not 1 <= k <= 5:
         raise DomainError(f"grid search supports 1 to 5 axes, got {k}")
+    bounds = [_finite_interval(lo, hi, "grid axis") for lo, hi in bounds]
     res = _as_resolutions(resolution, k)
-    for (lo, hi) in bounds:
-        if not lo < hi:
-            raise DomainError(f"empty axis [{lo}, {hi}]")
 
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, res)]
     best_point, best_val, evaluations = _grid_scan(objective, axes)

@@ -291,7 +291,7 @@ SUITES = ("ceiling", "optimality", "identities", "windows", "all")
 def run_suite(name, budget=None, seed=DEFAULT_SEED):
     """Run one named suite (or all of them) and return the check results."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
     checks = []
     if name in ("ceiling", "all"):
         checks.append(ceiling_check(1_000_000 if budget is None else budget, seed=seed))

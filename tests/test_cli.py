@@ -66,6 +66,17 @@ def test_eval_usage_errors_exit_2():
                    "--lam", "2").returncode == 2
 
 
+def test_eval_ht_warning_threshold_is_inclusive(capsys):
+    from ottobounds import cli
+
+    base = ["eval", "--w1", "1", "--w2", "2", "--b2", "0.1"]
+    assert cli.main(base + ["--b1", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
+    assert cli.main(base + ["--b1", "0.31"]) == 0
+    [warning] = json.loads(capsys.readouterr().out)["warnings"]
+    assert warning.startswith("beta1*omega1 = 0.31 exceeds 0.3;")
+
+
 def test_eval_custom_lambda():
     res = run_cli("eval", "--w1", "1", "--w2", "2", "--b1", "2", "--b2", "0.2",
                   "--mode", "custom", "--lam", "1.25")

@@ -16,7 +16,6 @@ from ottobounds.engine import (
     eta_up,
     eta_up_thermal,
     generalized_carnot,
-    ht_regime_ok,
     pwc_ht,
     work_ht,
     z2_of_eta,
@@ -350,11 +349,6 @@ def test_engine_report_bundles_consistent_fields():
     assert not engine_report(0.2, 0.0, z=0.3).pwc_satisfied
 
 
-def test_ht_regime_advisory_threshold():
-    assert ht_regime_ok(0.3, 1.0)
-    assert not ht_regime_ok(0.31, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Argument types: each call raises DomainError (want None) or equals the
 # call with plain floats.  Earlier releases took bools and strings here and
@@ -366,7 +360,6 @@ def test_ht_regime_advisory_threshold():
     pytest.param(lambda: z2_of_eta(True, 0.5, 1), None, id="z2_of_eta(eta=True)"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, "1"), None, id="EngineParams(beta2='1')"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, True), None, id="EngineParams(beta2=True)"),
-    pytest.param(lambda: ht_regime_ok("x", 1.0), None, id="ht_regime_ok('x')"),
     pytest.param(lambda: engine_report(0.2, 1, z=np.float32(0.5)),
                  lambda: engine_report(0.2, 1.0, z=float(np.float32(0.5))), id="engine_report(z=float32)"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, np.int64(2)), lambda: EngineParams(0.5, 0.5, 0.0, 2.0),

@@ -72,7 +72,6 @@ PUBLIC_SCALAR_CALLS = [
     (engine.generalized_carnot, (0.3, 0.5)),
     (engine.eta_up_thermal, (0.3,)),
     (engine.eta_rk, (0.3,)),
-    (engine.ht_regime_ok, (0.1, 1.0)),
     (engine.engine_report, (0.3, 0.5, 0.6)),
     (fridge.FridgeParams, (0.5, 0.6, 0.1)),
     (fridge.cooling_heat_ht, (0.5, 0.6, 0.1, 1.0)),

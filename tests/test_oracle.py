@@ -292,6 +292,14 @@ def test_grid_validation():
         sup_constrained_grid(lambda x: x, bounds=[(0.0, 1.0)], resolution=1)
     with pytest.raises(DomainError):
         sup_constrained_grid(lambda x: x, bounds=[(1.0, 0.0)])
+    # An infinite end used to warn and then report NaN at (nan,), a string end
+    # and a float resolution raised raw TypeErrors, and [2.7] was truncated to 2.
+    for bounds in ([(0.0, math.inf)], [("a", 1.0)], [(math.nan, 1.0)], [(0.0, None)]):
+        with pytest.raises(DomainError):
+            sup_constrained_grid(lambda x: x, bounds=bounds)
+    for resolution in (2.5, [2.7], [True], "5", [5, 5], 1.0e6):
+        with pytest.raises(DomainError):
+            sup_constrained_grid(lambda x: x, bounds=[(0.0, 1.0)], resolution=resolution)
 
 
 def test_grid_mixed_resolutions():
@@ -352,9 +360,15 @@ def test_reports_are_frozen_dataclasses():
 
 @pytest.mark.parametrize("start, stop, count", [
     (0.05, 0.95, 19), (0.0, 5.0, 11), (0.55, 0.98, 10), (0.0, 6.0, 121), (0.01, 0.99, 99),
-    (1e-4, 0.9999, 48), (0.3, 0.3, 1), (-2.5, 7.125, 2001),
+    (1e-4, 0.9999, 48), (0.3, 0.3, 1), (-2.5, 7.125, 2001), (0.0, 1.0, 0),
 ])
 def test_axis_points_are_the_bits_of_linspace(start, stop, count):
     got = axis_points(start, stop, count)
     assert all(type(x) is float for x in got)
     assert got == np.linspace(start, stop, count).tolist()
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, True, None, "3"])
+def test_axis_points_rejects_bad_counts(count):
+    with pytest.raises(DomainError):
+        axis_points(0.0, 1.0, count)

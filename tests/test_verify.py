@@ -166,6 +166,7 @@ def test_bad_seed_is_a_domain_error(seed):
     (verify.optimality_check, {"n_eta": True}),
     (verify.optimality_check, {"tol_z": "1e-8"}),
     (verify.optimality_check, {"tol_eta": float("inf")}),
+    (verify.run_suite, {"name": "bogus"}),
 ])
 def test_bad_suite_arguments_are_domain_errors(suite, kwargs):
     # n_eta = 0 used to make an empty grid that passed without checking anything.
