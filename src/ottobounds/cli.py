@@ -38,8 +38,10 @@ def _fmt(x):
 def _render(payload, fmt):
     """The one encoder: a table payload as CSV, anything else as indented JSON."""
     if fmt == "csv":
+        # One %-format per row; "%.12g" gives the bytes of format(v, ".12g").
+        row_fmt = ",".join(["%.12g"] * len(payload["columns"]))
         lines = [",".join(payload["columns"])]
-        lines += [",".join(_fmt(v) for v in row) for row in payload["rows"]]
+        lines += [row_fmt % tuple(row) for row in payload["rows"]]
         return "\n".join(lines) + "\n"
     return json.dumps(payload, indent=2) + "\n"
 
@@ -262,7 +264,12 @@ def main(argv=None):
         kind = type(exc).__name__.removesuffix("Error").lower() or "error"
         sys.stdout.write(_render({"error": {"kind": kind, "message": str(exc)}}, "json"))
         return 1
-    _emit(args, payload)
+    try:
+        _emit(args, payload)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        parser.error(f"argument --out: {exc}")
     return 1 if payload.get("passed") is False else 0
 
 

@@ -17,9 +17,9 @@ as ``-w_ext``.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import DomainError, ModeError, as_real, nonnegative, positive
 from .special import coth
 
@@ -96,20 +96,14 @@ def lambda_sudden(freqs):
     return (w1 * w1 + w2 * w2) / (2.0 * w1 * w2)
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """One reservoir: inverse temperature and squeezing strength."""
+class BathSpec(Record):
+    """One reservoir: inverse temperature ``beta`` and squeezing strength ``r``."""
 
-    beta: float
-    r: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", positive("beta", self.beta))
-        object.__setattr__(self, "r", nonnegative("r", self.r))
+    def __init__(self, beta, r=0.0):
+        self.__dict__.update(beta=positive("beta", beta), r=nonnegative("r", r))
 
 
-@dataclass(frozen=True)
-class FrequencyPair:
+class FrequencyPair(Record):
     """The two stroke frequencies, strictly ordered omega1 < omega2.
 
     Equal frequencies are rejected outright: every downstream expression
@@ -117,16 +111,14 @@ class FrequencyPair:
     cycle would only ever surface as spurious 0/0 noise.
     """
 
-    omega1: float
-    omega2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega1", positive("omega1", self.omega1))
-        object.__setattr__(self, "omega2", positive("omega2", self.omega2))
-        if not self.omega1 < self.omega2:
+    def __init__(self, omega1, omega2):
+        omega1 = positive("omega1", omega1)
+        omega2 = positive("omega2", omega2)
+        if not omega1 < omega2:
             raise DomainError(
-                f"need omega1 < omega2 strictly, got omega1={self.omega1}, omega2={self.omega2}"
+                f"need omega1 < omega2 strictly, got omega1={omega1}, omega2={omega2}"
             )
+        self.__dict__.update(omega1=omega1, omega2=omega2)
 
     @property
     def ratio(self):
@@ -134,30 +126,27 @@ class FrequencyPair:
         return self.omega1 / self.omega2
 
 
-@dataclass(frozen=True)
-class AdiabaticityMode:
-    """How the frequency strokes are driven.
+class AdiabaticityMode(Record):
+    """How the frequency strokes are driven: a ``kind`` and, for custom, ``lam``.
 
     ``adiabatic()`` is the quasi-static limit (factor 1), ``sudden_switch()``
     the instantaneous quench, and ``custom(lam)`` accepts an externally
     computed factor lam >= 1 for any other ramp.
     """
 
-    kind: str
-    lam: float | None = None
-
     _KINDS = ("adiabatic", "sudden", "custom")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise DomainError(f"unknown adiabaticity kind {self.kind!r}")
-        if self.kind == "custom":
-            lam = as_real(self.lam)
-            if not 1.0 <= lam < math.inf:
-                raise DomainError(f"custom adiabaticity factor must be >= 1, got {self.lam!r}")
-            object.__setattr__(self, "lam", lam)
-        elif self.lam is not None:
-            raise DomainError(f"{self.kind!r} mode does not take an explicit factor")
+    def __init__(self, kind, lam=None):
+        if kind not in self._KINDS:
+            raise DomainError(f"unknown adiabaticity kind {kind!r}")
+        if kind == "custom":
+            factor = as_real(lam)
+            if not 1.0 <= factor < math.inf:
+                raise DomainError(f"custom adiabaticity factor must be >= 1, got {lam!r}")
+            lam = factor
+        elif lam is not None:
+            raise DomainError(f"{kind!r} mode does not take an explicit factor")
+        self.__dict__.update(kind=kind, lam=lam)
 
     @classmethod
     def adiabatic(cls):
@@ -196,9 +185,8 @@ class OperatingMode(Enum):
     ACCELERATOR = "accelerator"
 
 
-@dataclass(frozen=True)
-class CycleSpec:
-    """Full cycle configuration.
+class CycleSpec(Record):
+    """Full cycle configuration: ``cold``, ``hot``, ``freqs``, ``mode``, ``placement``.
 
     ``cold`` contacts the oscillator at omega1, ``hot`` at omega2, and the
     cold bath must be genuinely colder (cold.beta > hot.beta).  Exactly one
@@ -206,32 +194,26 @@ class CycleSpec:
     have r = 0.
     """
 
-    cold: BathSpec
-    hot: BathSpec
-    freqs: FrequencyPair
-    mode: AdiabaticityMode
-    placement: SqueezePlacement = SqueezePlacement.HOT_BATH
-
-    def __post_init__(self):
-        if not self.cold.beta > self.hot.beta:
+    def __init__(self, cold, hot, freqs, mode, placement=SqueezePlacement.HOT_BATH):
+        if not cold.beta > hot.beta:
             raise DomainError(
                 f"cold bath must be colder: need cold.beta > hot.beta, "
-                f"got {self.cold.beta} <= {self.hot.beta}"
+                f"got {cold.beta} <= {hot.beta}"
             )
-        idle = self.cold if self.placement is SqueezePlacement.HOT_BATH else self.hot
+        idle = cold if placement is SqueezePlacement.HOT_BATH else hot
         if idle.r != 0.0:
             raise DomainError(
-                f"the non-squeezed ({'cold' if idle is self.cold else 'hot'}) bath must have r = 0, "
+                f"the non-squeezed ({'cold' if idle is cold else 'hot'}) bath must have r = 0, "
                 f"got r={idle.r}"
             )
+        self.__dict__.update(cold=cold, hot=hot, freqs=freqs, mode=mode, placement=placement)
 
     @property
     def squeezed_bath(self):
         return self.hot if self.placement is SqueezePlacement.HOT_BATH else self.cold
 
 
-@dataclass(frozen=True)
-class CyclePerformance:
+class CyclePerformance(Record):
     """Corner energies, heats, net work and the operating-mode label.
 
     ``eta`` is populated only in engine mode, ``cop`` only in refrigerator
@@ -239,16 +221,9 @@ class CyclePerformance:
     as does the first-law closure ``w_ext = q2 + q4``.
     """
 
-    h_a: float
-    h_b: float
-    h_c: float
-    h_d: float
-    q2: float
-    q4: float
-    w_ext: float
-    mode_label: OperatingMode
-    eta: float | None = None
-    cop: float | None = None
+    def __init__(self, h_a, h_b, h_c, h_d, q2, q4, w_ext, mode_label, eta=None, cop=None):
+        self.__dict__.update(h_a=h_a, h_b=h_b, h_c=h_c, h_d=h_d, q2=q2, q4=q4, w_ext=w_ext,
+                             mode_label=mode_label, eta=eta, cop=cop)
 
     @property
     def work_input(self):
@@ -313,11 +288,7 @@ def heats_work(spec):
     mode = classify_mode(q2, q4, w_ext)
     eta = w_ext / q2 if mode is OperatingMode.ENGINE else None
     cop = q4 / -w_ext if mode is OperatingMode.REFRIGERATOR else None
-    return CyclePerformance(
-        h_a=h_a, h_b=h_b, h_c=h_c, h_d=h_d,
-        q2=q2, q4=q4, w_ext=w_ext,
-        mode_label=mode, eta=eta, cop=cop,
-    )
+    return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
 
 
 def efficiency_sudden(spec):

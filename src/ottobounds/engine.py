@@ -13,8 +13,8 @@ effective temperature.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NoSolutionError, SingularityError, nonnegative, positive, unit_open
 from .special import sech
 
@@ -44,32 +44,20 @@ __all__ = [
 HT_BETA_OMEGA_MAX = 0.3
 
 
-@dataclass(frozen=True)
-class EngineParams:
-    """Engine operating point; beta2 only sets the scale of work values."""
+class EngineParams(Record):
+    """Engine operating point ``z``, ``tau``, ``r``; ``beta2`` only sets the scale of work values."""
 
-    z: float
-    tau: float
-    r: float = 0.0
-    beta2: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", unit_open("z", self.z))
-        object.__setattr__(self, "tau", unit_open("tau", self.tau))
-        object.__setattr__(self, "r", nonnegative("r", self.r))
-        object.__setattr__(self, "beta2", positive("beta2", self.beta2))
+    def __init__(self, z, tau, r=0.0, beta2=1.0):
+        self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau),
+                             r=nonnegative("r", r), beta2=positive("beta2", beta2))
 
 
-@dataclass(frozen=True)
-class EngineBoundsReport:
+class EngineBoundsReport(Record):
     """Bounds at one (eta_c, r) point, plus the work-optimal ratio."""
 
-    eta_c: float
-    eta_c_gen: float
-    eta_up: float
-    eta_mw: float
-    z_star: float
-    pwc_satisfied: bool
+    def __init__(self, eta_c, eta_c_gen, eta_up, eta_mw, z_star, pwc_satisfied):
+        self.__dict__.update(eta_c=eta_c, eta_c_gen=eta_c_gen, eta_up=eta_up, eta_mw=eta_mw,
+                             z_star=z_star, pwc_satisfied=pwc_satisfied)
 
 
 def work_ht(p):
@@ -176,7 +164,10 @@ def eta_up(eta_c, r):
     value rounds to the supremum 1/2 itself.)
     """
     eta_c = unit_open("eta_c", eta_c)
-    g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
+    return _eta_up((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
+
+
+def _eta_up(g):
     return (1.0 - g) * (2.0 + g - 2.0 * math.sqrt(2.0 * g)) / (2.0 - g) ** 2
 
 
@@ -186,7 +177,11 @@ def eta_mw(eta_c, r):
     Never exceeds eta_up(eta_c, r); reduces to eta_rk(eta_c) at r = 0.
     """
     eta_c = unit_open("eta_c", eta_c)
-    s = math.sqrt((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
+    return _eta_mw((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
+
+
+def _eta_mw(g):
+    s = math.sqrt(g)
     return (1.0 - s) / (2.0 + s)
 
 
@@ -219,21 +214,16 @@ def eta_rk(eta_c):
 
 def engine_report(eta_c, r, z=None):
     """Bundle the bounds at (eta_c, r); the PWC flag refers to z, or to the
-    work-optimal ratio when z is omitted (where it always holds)."""
+    work-optimal ratio when z is omitted (where it always holds).
+
+    Every field comes from one g = (1 - eta_c) sech(2r), with the same
+    expressions as generalized_carnot, eta_up, eta_mw and z_star.
+    """
     eta_c = unit_open("eta_c", eta_c)
-    r = nonnegative("r", r)
-    tau = 1.0 - eta_c
-    zs = z_star(tau, r)
+    g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
+    zs = g ** 0.25
     probe = zs if z is None else unit_open("z", z)
     # Inline PWC comparison: zs may underflow to 0 for extreme r, where the
     # optimum work diverges and the condition holds in the limit.
-    g = tau * sech(2.0 * r)
     pwc = probe * probe > g if probe > 0.0 else True
-    return EngineBoundsReport(
-        eta_c=eta_c,
-        eta_c_gen=generalized_carnot(eta_c, r),
-        eta_up=eta_up(eta_c, r),
-        eta_mw=eta_mw(eta_c, r),
-        z_star=zs,
-        pwc_satisfied=pwc,
-    )
+    return EngineBoundsReport(eta_c, 1.0 - g, _eta_up(g), _eta_mw(g), zs, pwc)

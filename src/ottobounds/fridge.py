@@ -15,8 +15,8 @@ expression; it is exposed separately and is *not* bounded by zeta_up.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .cycle import classify_mode
 from .errors import (
     DomainError, InfeasibleError, ModeError, as_real, nonnegative, positive, unit_open,
@@ -45,30 +45,32 @@ def _tau_c(tau, r):
     return math.inf if u == 0.0 else tau / u
 
 
-@dataclass(frozen=True)
-class FridgeParams:
-    """Refrigerator operating point (dimensionless; heats scale with 1/beta2)."""
+class FridgeParams(Record):
+    """Refrigerator operating point ``z``, ``tau``, ``r`` (dimensionless; heats scale with 1/beta2)."""
 
-    z: float
-    tau: float
-    r: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", unit_open("z", self.z))
-        object.__setattr__(self, "tau", unit_open("tau", self.tau))
-        object.__setattr__(self, "r", nonnegative("r", self.r))
+    def __init__(self, z, tau, r=0.0):
+        self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau), r=nonnegative("r", r))
 
 
-@dataclass(frozen=True)
-class FridgeBoundsReport:
+class FridgeBoundsReport(Record):
     """Carnot COP, the squeezed bound (None when infeasible) and both windows."""
 
-    zeta_c: float
-    zeta_up: float | None
-    tau_window: tuple[float, float]
-    r_window: tuple[float, float]
-    cooling_feasible: bool
-    reason: str | None = None
+    def __init__(self, zeta_c, zeta_up, tau_window, r_window, cooling_feasible, reason=None):
+        self.__dict__.update(zeta_c=zeta_c, zeta_up=zeta_up, tau_window=tau_window,
+                             r_window=r_window, cooling_feasible=cooling_feasible, reason=reason)
+
+
+def _heats(z2, tc, beta2):
+    """The heats and work (q4, q2, w_ext) at z^2, tau_c and beta2.
+
+    At z^2 = 0 (z = 0, or z below ~1.5e-162) q2 and w_ext take their limit
+    -inf, since tau_c > 0; q4 stays finite there.
+    """
+    q4 = (2.0 * tc - 1.0 - z2) / (2.0 * beta2)
+    if z2 == 0.0:
+        return q4, -math.inf, -math.inf
+    den = 2.0 * beta2 * z2
+    return q4, (2.0 * z2 - tc * (1.0 + z2)) / den, -(1.0 - z2) * (tc - z2) / den
 
 
 def cooling_heat_ht(z, tau, r, beta2=1.0):
@@ -83,7 +85,7 @@ def cooling_heat_ht(z, tau, r, beta2=1.0):
         raise DomainError(f"z must lie in [0, 1], got {z!r}")
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
-    return (2.0 * tc - 1.0 - zf * zf) / (2.0 * positive("beta2", beta2))
+    return _heats(zf * zf, tc, positive("beta2", beta2))[0]
 
 
 def hot_heat_ht(z, tau, r, beta2=1.0):
@@ -91,8 +93,7 @@ def hot_heat_ht(z, tau, r, beta2=1.0):
     z = unit_open("z", z)
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
-    z2 = z * z
-    return (2.0 * z2 - tc * (1.0 + z2)) / (2.0 * positive("beta2", beta2) * z2)
+    return _heats(z * z, tc, positive("beta2", beta2))[1]
 
 
 def extracted_work_ht(z, tau, r, beta2=1.0):
@@ -103,32 +104,31 @@ def extracted_work_ht(z, tau, r, beta2=1.0):
     z = unit_open("z", z)
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
-    z2 = z * z
-    return -(1.0 - z2) * (tc - z2) / (2.0 * positive("beta2", beta2) * z2)
+    return _heats(z * z, tc, positive("beta2", beta2))[2]
 
 
 def cop_ht(p):
     """Coefficient of performance Q_cold / W_in at one operating point.
 
-    Computed from the high-temperature heats; raises ModeError, naming the
-    actual operating mode, whenever the point does not cool (q4 <= 0,
-    including the exact window boundary where cooling vanishes).
+    Computed from the high-temperature heats of the validated FridgeParams;
+    raises ModeError, naming the actual operating mode, whenever the point
+    does not cool (q4 <= 0, including the exact window boundary where
+    cooling vanishes).
     """
-    q4 = cooling_heat_ht(p.z, p.tau, p.r)
+    q4, q2, w_ext = _heats(p.z * p.z, _tau_c(p.tau, p.r), 1.0)
     if not math.isfinite(q4):
         raise DomainError(
             f"tau*cosh(2r) exceeds the double range at r={p.r}; "
             f"the heats are no longer representable"
         )
     if q4 <= 0.0:
-        q2 = hot_heat_ht(p.z, p.tau, p.r)
         mode = classify_mode(q2, q4, q2 + q4)
         raise ModeError(
             f"no cooling at z={p.z}, tau={p.tau}, r={p.r}: "
             f"the cycle operates as a {mode.value}",
             mode=mode,
         )
-    return q4 / -extracted_work_ht(p.z, p.tau, p.r)
+    return q4 / -w_ext
 
 
 def cop_quasistatic(z):

@@ -10,9 +10,8 @@ module, so the scalar paths of the package start without it.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
+from ._record import Record
 from .errors import BracketError, DomainError, as_real, nonnegative_int, positive
 
 __all__ = [
@@ -29,25 +28,17 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
 
 
-@dataclass(frozen=True)
-class ScalarObjective:
-    """A scalar function to maximise on [lo, hi], assumed unimodal there.
+class ScalarObjective(Record):
+    """A scalar function ``fn`` to maximise on [lo, hi] to ``tol``, assumed unimodal there.
 
     ``fn`` maps a float to a float, or an array of lane points to lane values.
     Unimodality is the caller's responsibility; each use in this package
     documents why it holds (and the tests check it by second differences).
     """
 
-    fn: Callable
-    lo: float
-    hi: float
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        lo, hi = _finite_interval(self.lo, self.hi, "interval")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "tol", positive("tol", self.tol))
+    def __init__(self, fn, lo, hi, tol=1e-10):
+        lo, hi = _finite_interval(lo, hi, "interval")
+        self.__dict__.update(fn=fn, lo=lo, hi=hi, tol=positive("tol", tol))
 
 
 def _finite_interval(lo, hi, what):
@@ -58,14 +49,12 @@ def _finite_interval(lo, hi, what):
     raise DomainError(f"{what} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
 
 
-@dataclass(frozen=True)
-class SupremumReport:
+class SupremumReport(Record):
     """Best point found by a search; None fields signal an empty domain."""
 
-    best_input: float | tuple | None
-    best_value: float | None
-    evaluations: int
-    method: str
+    def __init__(self, best_input, best_value, evaluations, method):
+        self.__dict__.update(best_input=best_input, best_value=best_value,
+                             evaluations=evaluations, method=method)
 
 
 def axis_points(start, stop, count):

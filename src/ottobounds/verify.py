@@ -10,9 +10,9 @@ optimality suites need numpy, and they import it when they run.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import engine, fridge
+from ._record import Record
 from .errors import DomainError, nonnegative_int, positive
 from .oracle import (
     ScalarObjective,
@@ -39,15 +39,12 @@ __all__ = [
 DEFAULT_SEED = 20250810
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one check: worst observed violation and the work done."""
 
-    name: str
-    passed: bool
-    worst: float
-    evaluations: int
-    detail: str
+    def __init__(self, name, passed, worst, evaluations, detail):
+        self.__dict__.update(name=name, passed=passed, worst=worst,
+                             evaluations=evaluations, detail=detail)
 
 
 def exact_efficiency(a, b, z, r, out=None):

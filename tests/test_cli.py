@@ -3,6 +3,10 @@ import math
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from ottobounds.engine import eta_rk, eta_up_thermal
 
 ETA_ENGINE_EXAMPLE = 0.26718391220891028
@@ -247,3 +251,36 @@ def test_out_flag_writes_the_file(tmp_path):
     text = target.read_text()
     assert text.startswith("eta_c,eta_up_th,eta_rk,half_eta_c\n")
     assert text.endswith("\n")
+
+
+def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    # An unwritable --out exits 2 with an argparse message, not a traceback.
+    from ottobounds import cli
+
+    target = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fig3", "--count", "5", "--out", str(target)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ottobounds")
+    assert f"ottobounds: error: argument --out: [Errno 2] No such file or directory: '{target}'" in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]),
+    st.integers(-10**300, 10**300),
+    st.booleans(),
+)
+
+
+@given(rows=st.lists(st.lists(_CSV_VALUES, min_size=3, max_size=3).map(tuple), max_size=8))
+def test_csv_rows_have_the_bytes_of_format_12g(rows):
+    from ottobounds import cli
+
+    text = cli._render({"columns": ("a", "b", "c"), "rows": rows}, "csv")
+    lines = ["a,b,c"] + [",".join(format(v, ".12g") for v in row) for row in rows]
+    assert text == "\n".join(lines) + "\n"

@@ -374,3 +374,27 @@ def test_argument_types(call, want):
     else:
         got, ref = call(), want()
         assert got == ref and repr(got) == repr(ref)   # repr tells np.float64(2.0) from 2.0
+
+
+def test_engine_report_has_the_bits_of_the_public_functions():
+    # engine_report computes g = (1 - eta_c) sech 2r once; every field must
+    # keep the bits of the function that computes it alone.
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    etas = [1e-9] + [0.05 * k for k in range(1, 20)] + [1.0 - 1e-9]
+    rs = [0.25 * k for k in range(21)] + [355.0, 400.0, 800.0]
+    for eta_c in etas:
+        for r in rs:
+            rep = engine_report(eta_c, r)
+            got = {k: bits(v) for k, v in vars(rep).items()}
+            assert got == {
+                "eta_c": bits(eta_c),
+                "eta_c_gen": bits(generalized_carnot(eta_c, r)),
+                "eta_up": bits(eta_up(eta_c, r)),
+                "eta_mw": bits(eta_mw(eta_c, r)),
+                "z_star": bits(z_star(1.0 - eta_c, r)),
+                "pwc_satisfied": True,
+            }, (eta_c, r)
+            for z in (0.05, 0.5, 0.95):
+                assert engine_report(eta_c, r, z).pwc_satisfied is pwc_ht(z, 1.0 - eta_c, r)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ottobounds.cycle import (
     FrequencyPair,
     OperatingMode,
     SqueezePlacement,
+    classify_mode,
     heats_work,
 )
 from ottobounds.errors import DomainError, InfeasibleError, ModeError
@@ -207,6 +209,55 @@ def test_cop_errors_outside_the_window_name_the_mode():
     with pytest.raises(ModeError) as err:
         cop_ht(FridgeParams(0.1, 0.4, 0.0))
     assert err.value.mode is OperatingMode.HEATER
+
+
+def _cop_by_public_calls(p):
+    """cop_ht as three validated public calls, the route cop_ht used to take."""
+    q4 = cooling_heat_ht(p.z, p.tau, p.r)
+    if not math.isfinite(q4):
+        raise DomainError("heats not representable")
+    if q4 <= 0.0:
+        q2 = hot_heat_ht(p.z, p.tau, p.r)
+        raise ModeError("no cooling", mode=classify_mode(q2, q4, q2 + q4))
+    return q4 / -extracted_work_ht(p.z, p.tau, p.r)
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p).hex()
+    except (DomainError, ModeError) as exc:
+        return type(exc).__name__, getattr(exc, "mode", None)
+
+
+def test_cop_has_the_bits_of_the_public_heats():
+    rng = random.Random(11)
+    points = [(rng.random(), rng.random(), rng.choice((0.0, rng.uniform(0.0, 3.0))))
+              for _ in range(20_000)]
+    points += [
+        (0.8, 0.4, 0.0), (0.1, 0.4, 0.0),            # engine, heater
+        (math.sqrt(0.5), 0.75, 0.0),                  # the window edge
+        (0.5, 0.6, 400.0), (0.5, 0.6, 354.0),         # tau_c overflows / just representable
+        (1e-200, 0.75, 0.0), (1e-200, 0.3, 0.0),      # z^2 underflows to 0
+    ]
+    kinds = set()
+    for z, tau, r in points:
+        if not 0.0 < z < 1.0 or not 0.0 < tau < 1.0:
+            continue
+        p = FridgeParams(z, tau, r)
+        got = _outcome(cop_ht, p)
+        assert got == _outcome(_cop_by_public_calls, p), (z, tau, r)
+        kinds.add(got if isinstance(got, tuple) else "value")
+    assert kinds == {"value", ("DomainError", None)} | {
+        ("ModeError", mode) for mode in
+        (OperatingMode.ENGINE, OperatingMode.ACCELERATOR, OperatingMode.HEATER)}
+
+
+def test_heats_diverge_at_an_underflowing_z():
+    # z^2 = 0 in double precision: the heats take their z -> 0 limits.
+    assert cooling_heat_ht(1e-200, 0.75, 0.0) == cooling_heat_ht(0.0, 0.75, 0.0) == 0.25
+    assert hot_heat_ht(1e-200, 0.75, 0.0) == -math.inf
+    assert extracted_work_ht(1e-200, 0.75, 0.0) == -math.inf
+    assert cop_ht(FridgeParams(1e-200, 0.75, 0.0)) == 0.0
 
 
 def test_cop_maximum_matches_the_bound_at_r_zero():

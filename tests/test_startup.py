@@ -1,20 +1,23 @@
-"""numpy stays out of the scalar paths: the package and the scalar CLI commands start without it."""
+"""numpy and dataclasses stay out of the scalar paths: the package and the
+scalar CLI commands start without them."""
 
 import json
 import subprocess
 import sys
 
 # Runs in a fresh interpreter: imports the package, then each command through
-# cli.main, and prints after each step whether numpy has been imported.
+# cli.main, and prints after each step whether numpy and dataclasses have
+# been imported.
 PROBE = """
 import contextlib, io, json, sys
 import ottobounds
 from ottobounds import cli
-seen = [("import ottobounds", 0, "numpy" in sys.modules)]
+loaded = lambda: ("numpy" in sys.modules, "dataclasses" in sys.modules)
+seen = [("import ottobounds", 0, *loaded())]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen.append((" ".join(argv), code, "numpy" in sys.modules))
+    seen.append((" ".join(argv), code, *loaded()))
 print(json.dumps(seen))
 """
 
@@ -38,12 +41,20 @@ def probe(commands):
 
 
 def test_package_and_scalar_commands_start_without_numpy():
-    for step, code, numpy_loaded in probe(SCALAR_COMMANDS):
+    for step, code, numpy_loaded, _ in probe(SCALAR_COMMANDS):
         assert code == 0, step
         assert not numpy_loaded, step
 
 
+def test_package_and_scalar_commands_start_without_dataclasses():
+    # The public records (ottobounds._record) replace frozen dataclasses,
+    # whose import pulled in inspect, ast and dis at every start-up.
+    for step, code, _, dataclasses_loaded in probe(SCALAR_COMMANDS):
+        assert code == 0, step
+        assert not dataclasses_loaded, step
+
+
 def test_the_ceiling_suite_still_loads_numpy():
-    (_, _, before), (step, code, after) = probe([["verify", "--suite", "ceiling", "--budget", "0"]])
+    (_, _, before, _), (step, code, after, _) = probe([["verify", "--suite", "ceiling", "--budget", "0"]])
     assert not before
     assert code == 0 and after, step
