@@ -128,12 +128,13 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the built-in oracle suites (JSON)")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
-    p.add_argument("--budget", type=_checked(nonnegative_int, int), default=1_000_000,
-                   help="random sample count for the ceiling suite (default 1e6; 0: grid only)")
+    p.add_argument("--budget", type=_checked(nonnegative_int, int), default=verify.DEFAULT_BUDGET,
+                   help="random sample count for the ceiling suite (default %(default)d; 0: grid only)")
     p.add_argument("--seed", type=_checked(nonnegative_int, int), default=verify.DEFAULT_SEED)
 
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(parser=p)   # so that later usage errors print this subcommand's usage
     return parser
 
 
@@ -256,10 +257,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload = _COMMANDS[args.command](args, parser)
+        payload = _COMMANDS[args.command](args, args.parser)
     except OttoError as exc:
         kind = type(exc).__name__.removesuffix("Error").lower() or "error"
         sys.stdout.write(_render({"error": {"kind": kind, "message": str(exc)}}, "json"))
@@ -269,7 +269,7 @@ def main(argv=None):
     except OSError as exc:
         if args.out is None:
             raise
-        parser.error(f"argument --out: {exc}")
+        args.parser.error(f"argument --out: {exc}")
     return 1 if payload.get("passed") is False else 0
 
 

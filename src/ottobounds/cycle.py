@@ -208,10 +208,6 @@ class CycleSpec(Record):
             )
         self.__dict__.update(cold=cold, hot=hot, freqs=freqs, mode=mode, placement=placement)
 
-    @property
-    def squeezed_bath(self):
-        return self.hot if self.placement is SqueezePlacement.HOT_BATH else self.cold
-
 
 class CyclePerformance(Record):
     """Corner energies, heats, net work and the operating-mode label.

@@ -16,7 +16,7 @@ import math
 
 from ._record import Record
 from .errors import NoSolutionError, SingularityError, nonnegative, positive, unit_open
-from .special import sech
+from .special import ratio, sech
 
 __all__ = [
     "EngineBoundsReport",
@@ -70,12 +70,15 @@ def work_ht(p):
 
     g = tau sech(2r), which keeps the maximum over z resolvable to machine
     precision; the distributed form loses half its digits to cancellation
-    near the optimum.  Returns inf once sech(2r) underflows (r ~ 370+).
+    near the optimum.  Returns +-inf once the denominator underflows
+    (sech(2r) at r ~ 370+, or a tiny beta2), and DomainError for 0/0 there.
     """
     u = sech(2.0 * p.r)
-    if u == 0.0:
-        return math.inf
-    return _grouped_work(p.z, math.sqrt(p.tau * u), u, p.beta2)
+    sg = math.sqrt(p.tau * u)
+    if 2.0 * p.beta2 * u == 0.0:
+        # The limit has the numerator's sign; with u = 0.5 _grouped_work divides it by 1.
+        return ratio(_grouped_work(p.z, sg, 0.5), 0.0, f"the work at {p}")
+    return _grouped_work(p.z, sg, u, p.beta2)
 
 
 def _grouped_work(z, sg, u, beta2=1.0):
@@ -212,18 +215,17 @@ def eta_rk(eta_c):
     return (1.0 - s) / (2.0 + s)
 
 
-def engine_report(eta_c, r, z=None):
-    """Bundle the bounds at (eta_c, r); the PWC flag refers to z, or to the
-    work-optimal ratio when z is omitted (where it always holds).
+def engine_report(eta_c, r):
+    """Bundle the bounds at (eta_c, r) with the PWC flag at the work-optimal ratio.
 
     Every field comes from one g = (1 - eta_c) sech(2r), with the same
-    expressions as generalized_carnot, eta_up, eta_mw and z_star.
+    expressions as generalized_carnot, eta_up, eta_mw and z_star.  The flag
+    is z*^2 > g, as in pwc_ht, and holds in the limit where z* underflows to
+    0 (extreme r).  It is False within a few ulps of g = 1 (eta_c below ~3e-16
+    at r = 0), where z*^2 rounds to g or below: engine_report(1e-17, 0.0).
     """
     eta_c = unit_open("eta_c", eta_c)
     g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
     zs = g ** 0.25
-    probe = zs if z is None else unit_open("z", z)
-    # Inline PWC comparison: zs may underflow to 0 for extreme r, where the
-    # optimum work diverges and the condition holds in the limit.
-    pwc = probe * probe > g if probe > 0.0 else True
+    pwc = zs * zs > g if zs > 0.0 else True
     return EngineBoundsReport(eta_c, 1.0 - g, _eta_up(g), _eta_mw(g), zs, pwc)

@@ -21,7 +21,7 @@ from .cycle import classify_mode
 from .errors import (
     DomainError, InfeasibleError, ModeError, as_real, nonnegative, positive, unit_open,
 )
-from .special import sech
+from .special import ratio, sech
 
 __all__ = [
     "FridgeBoundsReport",
@@ -60,17 +60,19 @@ class FridgeBoundsReport(Record):
                              r_window=r_window, cooling_feasible=cooling_feasible, reason=reason)
 
 
-def _heats(z2, tc, beta2):
-    """The heats and work (q4, q2, w_ext) at z^2, tau_c and beta2.
+def _cooling_heat(z2, tc, beta2):
+    """q4 at z^2, tau_c and beta2.  _hot_heat and _work give q2 and w_ext, which
+    are +-inf where their denominator 2 beta2 z^2 underflows (-inf at z^2 = 0,
+    i.e. z below ~1.5e-162)."""
+    return (2.0 * tc - 1.0 - z2) / (2.0 * beta2)
 
-    At z^2 = 0 (z = 0, or z below ~1.5e-162) q2 and w_ext take their limit
-    -inf, since tau_c > 0; q4 stays finite there.
-    """
-    q4 = (2.0 * tc - 1.0 - z2) / (2.0 * beta2)
-    if z2 == 0.0:
-        return q4, -math.inf, -math.inf
-    den = 2.0 * beta2 * z2
-    return q4, (2.0 * z2 - tc * (1.0 + z2)) / den, -(1.0 - z2) * (tc - z2) / den
+
+def _hot_heat(z2, tc, beta2):
+    return ratio(2.0 * z2 - tc * (1.0 + z2), 2.0 * beta2 * z2, "the hot heat q2")
+
+
+def _work(z2, tc, beta2):
+    return ratio(-(1.0 - z2) * (tc - z2), 2.0 * beta2 * z2, "the work w_ext")
 
 
 def cooling_heat_ht(z, tau, r, beta2=1.0):
@@ -85,7 +87,7 @@ def cooling_heat_ht(z, tau, r, beta2=1.0):
         raise DomainError(f"z must lie in [0, 1], got {z!r}")
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
-    return _heats(zf * zf, tc, positive("beta2", beta2))[0]
+    return _cooling_heat(zf * zf, tc, positive("beta2", beta2))
 
 
 def hot_heat_ht(z, tau, r, beta2=1.0):
@@ -93,7 +95,7 @@ def hot_heat_ht(z, tau, r, beta2=1.0):
     z = unit_open("z", z)
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
-    return _heats(z * z, tc, positive("beta2", beta2))[1]
+    return _hot_heat(z * z, tc, positive("beta2", beta2))
 
 
 def extracted_work_ht(z, tau, r, beta2=1.0):
@@ -104,7 +106,7 @@ def extracted_work_ht(z, tau, r, beta2=1.0):
     z = unit_open("z", z)
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
-    return _heats(z * z, tc, positive("beta2", beta2))[2]
+    return _work(z * z, tc, positive("beta2", beta2))
 
 
 def cop_ht(p):
@@ -115,20 +117,22 @@ def cop_ht(p):
     does not cool (q4 <= 0, including the exact window boundary where
     cooling vanishes).
     """
-    q4, q2, w_ext = _heats(p.z * p.z, _tau_c(p.tau, p.r), 1.0)
+    z2, tc = p.z * p.z, _tau_c(p.tau, p.r)
+    q4 = _cooling_heat(z2, tc, 1.0)
     if not math.isfinite(q4):
         raise DomainError(
             f"tau*cosh(2r) exceeds the double range at r={p.r}; "
             f"the heats are no longer representable"
         )
     if q4 <= 0.0:
+        q2 = _hot_heat(z2, tc, 1.0)
         mode = classify_mode(q2, q4, q2 + q4)
         raise ModeError(
             f"no cooling at z={p.z}, tau={p.tau}, r={p.r}: "
             f"the cycle operates as a {mode.value}",
             mode=mode,
         )
-    return q4 / -w_ext
+    return q4 / -_work(z2, tc, 1.0)
 
 
 def cop_quasistatic(z):

@@ -13,7 +13,7 @@ import math
 
 from . import engine, fridge
 from ._record import Record
-from .errors import DomainError, nonnegative_int, positive
+from .errors import DomainError, nonnegative_int
 from .oracle import (
     ScalarObjective,
     axis_points,
@@ -33,9 +33,11 @@ __all__ = [
     "optimality_check",
     "run_suite",
     "windows_check",
+    "DEFAULT_BUDGET",
     "DEFAULT_SEED",
 ]
 
+DEFAULT_BUDGET = 1_000_000   # seeded draws of the ceiling check
 DEFAULT_SEED = 20250810
 
 
@@ -91,23 +93,23 @@ def exact_efficiency(a, b, z, r, out=None):
 
 
 DRAW_CHUNK = 1 << 13   # seeded draws generated and judged per step
+# (a, b, z, r) = (beta_cold omega1, beta_hot omega2, omega1/omega2, r)
+CEILING_BOX = ((1e-4, 10.0), (1e-4, 10.0), (1e-4, 0.9999), (0.0, 10.0))
 
 
-def ceiling_check(samples=1_000_000, r_max=10.0, bw_max=10.0, seed=DEFAULT_SEED):
+def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     """Search feasible engine configurations for the efficiency supremum.
 
-    Deterministic grid over (a, b, z, r) plus a seeded uniform batch of
-    ``samples`` extra draws (0: grid only), DRAW_CHUNK at a time.  Both legs
-    compute into buffers allocated once per call (one per grid block shape,
-    one per draw stage), so memory stays flat whatever ``samples`` is.
-    Passes when every efficiency seen is below 1/2 and the supremum still
-    clears 0.45 (the bound is tight).
+    Deterministic grid over CEILING_BOX plus a seeded uniform batch of
+    ``samples`` extra draws in the same box (0: grid only), DRAW_CHUNK at a
+    time.  Both legs compute into buffers allocated once per call (one per
+    grid block shape, one per draw stage), so memory stays flat whatever
+    ``samples`` is.  Passes when every efficiency seen is below 1/2 and the
+    supremum still clears 0.45 (the bound is tight).
     """
     import numpy as np
     samples = nonnegative_int("samples", samples)
     seed = nonnegative_int("seed", seed)
-    r_max = positive("r_max", r_max)
-    bw_max = positive("bw_max", bw_max)
     blocks = {}   # block shape -> scratch; the oracle keeps no result across blocks
 
     def objective(a, b, z, r):
@@ -118,7 +120,7 @@ def ceiling_check(samples=1_000_000, r_max=10.0, bw_max=10.0, seed=DEFAULT_SEED)
 
     report = sup_constrained_grid(
         objective,
-        bounds=[(1e-4, bw_max), (1e-4, bw_max), (1e-4, 0.9999), (0.0, r_max)],
+        bounds=CEILING_BOX,
         resolution=48,
         refine=True,
     )
@@ -126,8 +128,8 @@ def ceiling_check(samples=1_000_000, r_max=10.0, bw_max=10.0, seed=DEFAULT_SEED)
     evaluations = report.evaluations
 
     rng = np.random.default_rng(seed)
-    low = [1e-4, 1e-4, 1e-4, 0.0]
-    span = (np.array([bw_max, bw_max, 0.9999, r_max]) - low).tolist()
+    low = [lo for lo, _ in CEILING_BOX]
+    span = [hi - lo for lo, hi in CEILING_BOX]
     n = min(DRAW_CHUNK, samples)
     u = np.empty((n, 4))
     draws = np.empty((4, n))
@@ -178,17 +180,13 @@ def work_argmax(tau, r):
     return polished, rep.evaluations + 3 * np.size(polished)
 
 
-def optimality_check(n_eta=20, n_r=20, tol_z=1e-8, tol_eta=1e-10):
+def optimality_check():
     """Numerical work optimum against the closed forms on an (eta_c, r) grid,
     searched in lockstep with one lane per grid point."""
     import numpy as np
-    n_eta, n_r = nonnegative_int("n_eta", n_eta), nonnegative_int("n_r", n_r)
-    if n_eta == 0 or n_r == 0:   # an empty grid would pass without checking anything
-        raise DomainError(f"the grid needs n_eta, n_r >= 1, got {n_eta}x{n_r}")
-    tol_z = positive("tol_z", tol_z)
-    tol_eta = positive("tol_eta", tol_eta)
+    n, tol_z, tol_eta = 20, 1e-8, 1e-10
     eta_c, r = (g.ravel() for g in np.meshgrid(
-        np.linspace(0.05, 0.95, n_eta), np.linspace(0.0, 5.0, n_r), indexing="ij"))
+        np.linspace(0.05, 0.95, n), np.linspace(0.0, 5.0, n), indexing="ij"))
     tau = 1.0 - eta_c
     z_num, evaluations = work_argmax(tau, r)
     worst_z = worst_eta = 0.0
@@ -205,44 +203,36 @@ def optimality_check(n_eta=20, n_r=20, tol_z=1e-8, tol_eta=1e-10):
         detail=(
             f"max |z*_num - closed form| = {worst_z:.3g} (tol {tol_z:g}), "
             f"max |eta(z*) - eta_mw| = {worst_eta:.3g} (tol {tol_eta:g}) "
-            f"on a {n_eta}x{n_r} grid"
+            f"on a {n}x{n} grid"
         ),
     )
 
 
-def identities_check(tol=1e-12):
+def identities_check():
     """Reduction identities: squeezed bounds equal thermal bounds at the
     generalized Carnot point, and the fridge bound collapses the same way."""
-    tol = positive("tol", tol)
-    worst = 0.0
-    evaluations = 0
+    tol = 1e-12
+    pairs = []   # (squeezed form, thermal form at the effective parameter)
     for eta_c in axis_points(0.05, 0.95, 19):
         for r in axis_points(0.0, 5.0, 11):
             gen = engine.generalized_carnot(eta_c, r)
-            a = engine.eta_up(eta_c, r)
-            b = engine.eta_up_thermal(gen)
-            worst = max(worst, abs(a - b) / abs(a))
-            a = engine.eta_mw(eta_c, r)
-            b = engine.eta_rk(gen)
-            worst = max(worst, abs(a - b) / abs(a))
-            evaluations += 2
+            pairs += [(engine.eta_up(eta_c, r), engine.eta_up_thermal(gen)),
+                      (engine.eta_mw(eta_c, r), engine.eta_rk(gen))]
     for r in axis_points(0.0, 3.0, 13):
         for frac in axis_points(0.55, 0.98, 10):
             tau = frac * (1.0 / math.cosh(2.0 * r))
-            a = fridge.zeta_up(tau, r)
-            b = fridge.zeta_up_thermal(frac / (1.0 - frac))
-            worst = max(worst, abs(a - b) / abs(a))
-            evaluations += 1
+            pairs.append((fridge.zeta_up(tau, r), fridge.zeta_up_thermal(frac / (1.0 - frac))))
+    worst = max(abs(a - b) / abs(a) for a, b in pairs)
     return CheckResult(
         name="reduction-identities",
-        passed=bool(worst < tol),
-        worst=float(worst),
-        evaluations=int(evaluations),
+        passed=worst < tol,
+        worst=worst,
+        evaluations=len(pairs),
         detail=f"max relative deviation {worst:.3g} (tol {tol:g})",
     )
 
 
-def windows_check(tol=1e-9):
+def windows_check():
     """Squeezing-window endpoints against the cooling heat's sign change.
 
     The r at which the cooling heat changes sign sweeps across the window
@@ -251,7 +241,7 @@ def windows_check(tol=1e-9):
     Lower endpoints that sit at 0 have no sign change; there the check is
     that cooling is already open at r = 0+.
     """
-    tol = positive("tol", tol)
+    tol = 1e-9
     worst = 0.0
     calls = [0]
 
@@ -272,12 +262,11 @@ def windows_check(tol=1e-9):
             calls[0] += 1
             if not fridge.cooling_heat_ht(0.0, tau, 1e-6) > 0.0:
                 worst = math.inf
-    evaluations = calls[0]
     return CheckResult(
         name="cooling-windows",
-        passed=bool(worst < tol),
-        worst=float(worst),
-        evaluations=int(evaluations),
+        passed=worst < tol,
+        worst=worst,
+        evaluations=calls[0],
         detail=f"max |Q4 sign change - window endpoint| = {worst:.3g} (tol {tol:g})",
     )
 
@@ -285,13 +274,13 @@ def windows_check(tol=1e-9):
 SUITES = ("ceiling", "optimality", "identities", "windows", "all")
 
 
-def run_suite(name, budget=None, seed=DEFAULT_SEED):
-    """Run one named suite (or all of them) and return the check results."""
+def run_suite(name, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
+    """Run one named suite (or all of them); budget and seed go to ceiling_check."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
     checks = []
     if name in ("ceiling", "all"):
-        checks.append(ceiling_check(1_000_000 if budget is None else budget, seed=seed))
+        checks.append(ceiling_check(budget, seed))
     if name in ("optimality", "all"):
         checks.append(optimality_check())
     if name in ("identities", "all"):

@@ -40,7 +40,7 @@ def report(num, name, ok, detail):
 
 def test_criterion_01_efficiency_ceiling():
     t0 = time.perf_counter()
-    check = verify.ceiling_check(samples=1_000_000, r_max=10.0, bw_max=10.0)
+    check = verify.ceiling_check()
     elapsed = time.perf_counter() - t0
     ok = (
         check.evaluations >= 1_000_000

@@ -263,8 +263,8 @@ def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("usage: ottobounds")
-    assert f"ottobounds: error: argument --out: [Errno 2] No such file or directory: '{target}'" in err
+    assert err.startswith("usage: ottobounds fig3 ")   # the subcommand's usage, not the top level's
+    assert f"ottobounds fig3: error: argument --out: [Errno 2] No such file or directory: '{target}'" in err
     assert "Traceback" not in err
     assert not target.parent.exists()
 

@@ -42,6 +42,7 @@ CASES = {
     "fig2_single_point": ["fig2", "--eta-c", "0.2", "--r-start", "0", "--r-stop", "0",
                           "--count", "1"],
     "fig2_usage_r_stop_inf": ["fig2", "--eta-c", "0.2", "--r-stop", "inf"],
+    "fig2_usage_count_negative": ["fig2", "--eta-c", "0.2", "--count", "-3"],
     "fig3_csv": ["fig3", "--start", "0.01", "--stop", "0.99", "--count", "99"],
     "fig3_json": ["fig3", "--count", "5", "--format", "json"],
     "fig3_usage_reversed": ["fig3", "--start", "0.9", "--stop", "0.1"],

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 
@@ -23,6 +24,7 @@ from ottobounds.engine import (
 )
 from ottobounds.errors import DomainError, NoSolutionError, SingularityError
 from ottobounds.oracle import find_root_scalar
+from ottobounds.special import sech
 
 # Frozen high-precision references (tests/_freeze_reference_values.py).
 ETA_UP_02_1 = 0.22387738483056396
@@ -77,6 +79,18 @@ def test_work_grouped_form_matches_distributed_form(z, tau, r):
 
 def test_work_near_degenerate_ratio_tends_to_zero():
     assert abs(work_ht(EngineParams(1.0 - 1e-9, 0.5, 0.0))) < 1e-8
+
+
+def test_work_diverges_where_its_denominator_underflows():
+    # sech(2r) = 0 (r ~ 370+) as before, and 2 beta2 sech(2r) = 0 with
+    # sech(2r) > 0, which used to raise a raw ZeroDivisionError: the limit
+    # takes the sign of the work, and 0/0 on the PWC boundary is an error.
+    assert work_ht(EngineParams(0.5, 0.5, 400.0)) == math.inf
+    assert work_ht(EngineParams(0.5, 0.5, 40.0, 1e-300)) == math.inf
+    assert work_ht(EngineParams(1e-18, 0.5, 40.0, 1e-300)) == -math.inf
+    z = math.sqrt(0.5 * sech(2.4))   # z^2 = tau sech(2r): zero work
+    with pytest.raises(DomainError):
+        work_ht(EngineParams(z, 0.5, 1.2, 5e-324))
 
 
 def test_engine_params_validation():
@@ -344,9 +358,19 @@ def test_engine_report_bundles_consistent_fields():
     assert math.isclose(rep.eta_mw, ETA_MW_02_1, rel_tol=REL)
     assert math.isclose(rep.eta_c_gen, GEN_CARNOT_02_1, rel_tol=REL)
     assert math.isclose(rep.z_star, z_star(0.8, 1.0), rel_tol=1e-15)
-    assert rep.pwc_satisfied  # the work optimum always clears the PWC
+    assert rep.pwc_satisfied  # the work optimum clears the PWC
     assert rep.eta_mw <= rep.eta_up < rep.eta_c_gen
-    assert not engine_report(0.2, 0.0, z=0.3).pwc_satisfied
+    assert not pwc_ht(0.3, 0.8, 0.0)
+
+
+def test_engine_report_takes_only_the_reservoir_parameters():
+    assert list(inspect.signature(engine_report).parameters) == ["eta_c", "r"]
+
+
+def test_engine_report_pwc_flag_fails_where_g_rounds_to_one():
+    # g = 1 - eta_c rounds to 1, so z* = 1.0 and z*^2 > g is False.
+    rep = engine_report(1e-17, 0.0)
+    assert rep.z_star == 1.0 and rep.pwc_satisfied is False
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +384,8 @@ def test_engine_report_bundles_consistent_fields():
     pytest.param(lambda: z2_of_eta(True, 0.5, 1), None, id="z2_of_eta(eta=True)"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, "1"), None, id="EngineParams(beta2='1')"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, True), None, id="EngineParams(beta2=True)"),
-    pytest.param(lambda: engine_report(0.2, 1, z=np.float32(0.5)),
-                 lambda: engine_report(0.2, 1.0, z=float(np.float32(0.5))), id="engine_report(z=float32)"),
+    pytest.param(lambda: pwc_ht(np.float32(0.5), 0.8, 1),
+                 lambda: pwc_ht(float(np.float32(0.5)), 0.8, 1.0), id="pwc_ht(z=float32)"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, np.int64(2)), lambda: EngineParams(0.5, 0.5, 0.0, 2.0),
                  id="EngineParams(beta2=int64)"),
     pytest.param(lambda: eta_up(np.float64(0.2), np.int64(1)), lambda: eta_up(0.2, 1.0),
@@ -396,5 +420,3 @@ def test_engine_report_has_the_bits_of_the_public_functions():
                 "z_star": bits(z_star(1.0 - eta_c, r)),
                 "pwc_satisfied": True,
             }, (eta_c, r)
-            for z in (0.05, 0.5, 0.95):
-                assert engine_report(eta_c, r, z).pwc_satisfied is pwc_ht(z, 1.0 - eta_c, r)

@@ -72,7 +72,7 @@ PUBLIC_SCALAR_CALLS = [
     (engine.generalized_carnot, (0.3, 0.5)),
     (engine.eta_up_thermal, (0.3,)),
     (engine.eta_rk, (0.3,)),
-    (engine.engine_report, (0.3, 0.5, 0.6)),
+    (engine.engine_report, (0.3, 0.5)),
     (fridge.FridgeParams, (0.5, 0.6, 0.1)),
     (fridge.cooling_heat_ht, (0.5, 0.6, 0.1, 1.0)),
     (fridge.hot_heat_ht, (0.5, 0.6, 0.1, 1.0)),
@@ -84,7 +84,7 @@ PUBLIC_SCALAR_CALLS = [
     (fridge.tau_window, (0.1,)),
     (fridge.r_window, (0.6,)),
     (fridge.fridge_report, (0.6, 0.1)),
-    (verify.ceiling_check, (0, 10.0, 10.0, 1)),
+    (verify.ceiling_check, (0, 1)),
 ]
 
 # Infinite arguments of the hyperbolic helpers have exact limits, not errors:
@@ -101,8 +101,6 @@ NOT_FINITE_REALS = st.one_of(
 @given(bad=NOT_FINITE_REALS, pos=st.integers(0, 3))
 def test_non_finite_reals_raise_domain_error(fn, args, bad, pos):
     pos %= len(args)
-    if fn is engine.engine_report and pos == 2 and bad is None:
-        return   # z=None means the work-optimal ratio
     call = list(args)
     call[pos] = bad
     if (fn, bad) in INFINITE_LIMITS:

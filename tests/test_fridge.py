@@ -260,6 +260,22 @@ def test_heats_diverge_at_an_underflowing_z():
     assert cop_ht(FridgeParams(1e-200, 0.75, 0.0)) == 0.0
 
 
+def test_heats_diverge_where_their_denominator_underflows():
+    # 2 beta2 z^2 = 0 with z^2 > 0 used to raise a raw ZeroDivisionError.
+    # The limit takes the sign of the numerator; 0/0 is an error, and only
+    # for the quantity that has it.
+    assert hot_heat_ht(1e-20, 0.6, 0.1, beta2=1e-300) == -math.inf
+    assert extracted_work_ht(1e-20, 0.6, 0.1, beta2=1e-300) == -math.inf
+    z = math.sqrt(0.2)
+    assert hot_heat_ht(z, 0.3, 0.0, beta2=5e-324) == math.inf
+    assert extracted_work_ht(z, 0.1, 0.0, beta2=5e-324) == math.inf
+    z = 1e-100   # tau_c = z^2: w_ext is 0/0, q2 and q4 are not
+    with pytest.raises(DomainError):
+        extracted_work_ht(z, z * z, 0.0, beta2=1e-200)
+    assert hot_heat_ht(z, z * z, 0.0, beta2=1e-200) == math.inf
+    assert cooling_heat_ht(z, z * z, 0.0, beta2=1e-200) == (2.0 * z * z - 1.0 - z * z) / 2e-200
+
+
 def test_cop_maximum_matches_the_bound_at_r_zero():
     rep = max_cop_over_z(2.0 / 3.0, 0.0)
     assert abs(rep.best_value - ZETA_UP_TH_2) < 1e-6

@@ -1,3 +1,4 @@
+import inspect
 import subprocess
 import sys
 import tracemalloc
@@ -152,26 +153,25 @@ def test_bad_seed_is_a_domain_error(seed):
         verify.ceiling_check(samples=0, seed=seed)
 
 
-@pytest.mark.parametrize("suite, kwargs", [
-    (verify.identities_check, {"tol": "x"}),
-    (verify.identities_check, {"tol": float("nan")}),
-    (verify.identities_check, {"tol": 0.0}),
-    (verify.windows_check, {"tol": True}),
-    (verify.windows_check, {"tol": -1e-9}),
-    (verify.windows_check, {"tol": None}),
-    (verify.optimality_check, {"n_eta": 0}),
-    (verify.optimality_check, {"n_r": 0}),
-    (verify.optimality_check, {"n_eta": 2.0}),
-    (verify.optimality_check, {"n_r": -3}),
-    (verify.optimality_check, {"n_eta": True}),
-    (verify.optimality_check, {"tol_z": "1e-8"}),
-    (verify.optimality_check, {"tol_eta": float("inf")}),
-    (verify.run_suite, {"name": "bogus"}),
-])
-def test_bad_suite_arguments_are_domain_errors(suite, kwargs):
-    # n_eta = 0 used to make an empty grid that passed without checking anything.
+def test_unknown_suite_is_a_domain_error():
     with pytest.raises(DomainError):
-        suite(**kwargs)
+        verify.run_suite("bogus")
+
+
+def test_suites_take_only_the_budget_and_the_seed():
+    # The grids, the box and the tolerances are fixed; only the ceiling's
+    # draws are tunable.
+    def params(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    assert params(verify.ceiling_check) == [("samples", verify.DEFAULT_BUDGET),
+                                            ("seed", verify.DEFAULT_SEED)]
+    for check in (verify.optimality_check, verify.identities_check, verify.windows_check):
+        assert params(check) == []
+    assert params(verify.run_suite) == [("name", inspect.Parameter.empty),
+                                        ("budget", verify.DEFAULT_BUDGET),
+                                        ("seed", verify.DEFAULT_SEED)]
+    assert verify.DEFAULT_BUDGET == 1_000_000
 
 
 def test_cli_budget_zero_and_negative():
