@@ -6,7 +6,10 @@ bisection-located sign change) and reports the worst deviation it saw.
 The exact-efficiency objective used by the ceiling suite is written here
 from scratch, in vectorised numpy, rather than reusing the scalar cycle
 code: the two routes share nothing but the inputs.  Only the ceiling and
-optimality suites need numpy, and they import it when they run.
+optimality suites need numpy, and they import it when they run.  The
+ceiling suite is the one place that starts a thread: its grid leg runs on
+one worker thread while the calling thread judges the seeded draws, and
+the report has the bits of a serial run.
 """
 
 import math
@@ -62,7 +65,8 @@ def exact_efficiency(a, b, z, r, out=None):
     shape: ``out`` if given (it must not overlap the inputs), else a new one.
     Factors that depend on fewer axes are computed at their own shape, and
     every operation keeps the operands and the order of the textbook
-    formula, so ``out`` changes no bit.
+    formula, so ``out`` changes no bit.  0-d inputs give a 0-d array with
+    the bits of the same point in a larger array.
     """
     import numpy as np
     a = np.asarray(a, dtype=float)
@@ -74,19 +78,50 @@ def exact_efficiency(a, b, z, r, out=None):
         out = np.empty(shape)
     elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float):
         raise DomainError(f"out must be a float array of shape {shape}, got {out!r}")
-    dh = 1.0 + (2.0 + np.expm1(b)) * np.sinh(r) ** 2
-    x = np.multiply(z, dh, out=out)
-    x *= np.tanh(0.5 * a)
-    x /= np.tanh(0.5 * b)
-    # Off the engine region: not (x > 1 and a > b z).  np.asarray keeps the
-    # mask an array, which it updates in place, when the inputs are 0-d.
-    outside = np.asarray(x > 1.0)
-    outside &= a > b * z
+    return _efficiency_into(a, b, z, r, out, _efficiency_work(a, b, z, r))
+
+
+def _efficiency_work(a, b, z, r):
+    """Scratch for `_efficiency_into`: one buffer per factor, at the factor's shape."""
+    import numpy as np
+    shape = np.broadcast_shapes
+    return (np.empty(b.shape), np.empty(r.shape), np.empty(shape(b.shape, r.shape)),
+            np.empty(a.shape), np.empty(shape(b.shape, z.shape)), np.empty(z.shape),
+            np.empty(shape(a.shape, b.shape, z.shape), dtype=bool),
+            np.empty(shape(a.shape, b.shape, z.shape, r.shape), dtype=bool))
+
+
+def _efficiency_into(a, b, z, r, x, work):
+    """The formula of `exact_efficiency`, computed into ``x`` with the
+    buffers ``work`` of `_efficiency_work`; no step allocates an array.
+
+    The inputs are float arrays; ``x`` and ``work`` overlap neither them nor
+    each other.  Returns ``x``.
+    """
+    import numpy as np
+    fb, fr, dh, fa, bz, fz, colder, outside = work
+    np.expm1(b, out=fb)
+    np.add(2.0, fb, out=fb)
+    np.sinh(r, out=fr)
+    np.multiply(fr, fr, out=fr)   # what ** 2 does to an array
+    np.multiply(fb, fr, out=dh)
+    np.add(1.0, dh, out=dh)       # dh = 1 + (2 + expm1(b)) sinh(r)^2
+    np.multiply(z, dh, out=x)
+    np.multiply(0.5, a, out=fa)
+    x *= np.tanh(fa, out=fa)
+    np.multiply(0.5, b, out=fb)
+    x /= np.tanh(fb, out=fb)
+    # Off the engine region: not (x > 1 and a > b z).
+    np.greater(x, 1.0, out=outside)
+    np.greater(a, np.multiply(b, z, out=bz), out=colder)
+    outside &= colder
     np.logical_not(outside, out=outside)
     x -= 1.0
     with np.errstate(divide="ignore"):   # 1/0 happens only off the engine region
         np.divide(1.0, x, out=x)
-        x += 2.0 / (1.0 - z * z)
+        np.multiply(z, z, out=fz)
+        np.subtract(1.0, fz, out=fz)
+        x += np.divide(2.0, fz, out=fz)
         np.divide(1.0, x, out=x)
     np.copyto(x, -np.inf, where=outside)
     return x
@@ -102,49 +137,44 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
 
     Deterministic grid over CEILING_BOX plus a seeded uniform batch of
     ``samples`` extra draws in the same box (0: grid only), DRAW_CHUNK at a
-    time.  Both legs compute into buffers allocated once per call (one per
-    grid block shape, one per draw stage), so memory stays flat whatever
-    ``samples`` is.  Passes when every efficiency seen is below 1/2 and the
-    supremum still clears 0.45 (the bound is tight).
+    time.  The grid runs on one worker thread, in a copy of the caller's
+    context (so numpy's error state holds there too), while the caller's
+    thread judges the draws; numpy releases the interpreter lock inside its
+    loops, so the legs overlap on two cores.  Whatever the worker raises is
+    raised here, after the join.  The legs meet in the max of their best
+    values and the sum of their counts, which no order of finishing
+    changes, so the report has the bits of a serial run.  Both legs compute
+    into buffers allocated once per call (one per grid block shape; one per
+    draw stage and factor), so memory stays flat whatever ``samples`` is.
+    Passes when every efficiency seen is below 1/2 and the supremum still
+    clears 0.45 (the bound is tight).
     """
-    import numpy as np
+    import contextvars
+    import threading
     samples = nonnegative_int("samples", samples)
     seed = nonnegative_int("seed", seed)
-    blocks = {}   # block shape -> scratch; the oracle keeps no result across blocks
+    grid = []   # the worker's report, or what it raised
 
-    def objective(a, b, z, r):
-        shape = np.broadcast_shapes(a.shape, b.shape, z.shape, r.shape)
-        if shape not in blocks:
-            blocks[shape] = np.empty(shape)
-        return exact_efficiency(a, b, z, r, out=blocks[shape])
+    def run_grid():
+        try:
+            grid.append(_grid_leg())
+        except BaseException as exc:   # raised again on the caller's thread
+            grid.append(exc)
 
-    report = sup_constrained_grid(
-        objective,
-        bounds=CEILING_BOX,
-        resolution=48,
-        refine=True,
-    )
-    best = -math.inf if report.best_value is None else report.best_value
-    evaluations = report.evaluations
-
-    rng = np.random.default_rng(seed)
-    low = [lo for lo, _ in CEILING_BOX]
-    span = [hi - lo for lo, hi in CEILING_BOX]
-    n = min(DRAW_CHUNK, samples)
-    u = np.empty((n, 4))
-    draws = np.empty((4, n))
-    eta = np.empty(n)
-    for start in range(0, samples, DRAW_CHUNK):
-        m = min(n, samples - start)
-        # The numbers of rng.uniform(low, high, size), low + (high - low) * U,
-        # one column at a time.
-        rng.random(out=u[:m])
-        for j in range(4):
-            np.multiply(u[:m, j], span[j], out=draws[j, :m])
-            draws[j, :m] += low[j]
-        e = exact_efficiency(*draws[:, :m], out=eta[:m])
-        evaluations += int(np.count_nonzero(e > -np.inf))
-        best = max(best, float(e.max()))
+    draw_leg = _draw_leg(samples, seed)   # its buffers live until the return
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_grid,),
+                              name="ceiling-grid")
+    worker.start()
+    try:
+        best, evaluations = draw_leg()
+    finally:
+        worker.join()
+    (report,) = grid
+    if isinstance(report, BaseException):
+        raise report
+    if report.best_value is not None:
+        best = max(report.best_value, best)
+    evaluations += report.evaluations
 
     best = float(best)
     passed = 0.45 <= best < 0.5
@@ -161,20 +191,86 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     )
 
 
+def _grid_leg():
+    """The supremum report of the ceiling's 48^4 grid over CEILING_BOX, refined."""
+    import numpy as np
+    blocks = {}   # block shape -> scratch; the oracle keeps no result across blocks
+
+    def objective(a, b, z, r):
+        shape = np.broadcast_shapes(a.shape, b.shape, z.shape, r.shape)
+        if shape not in blocks:
+            blocks[shape] = np.empty(shape)
+        return exact_efficiency(a, b, z, r, out=blocks[shape])
+
+    return sup_constrained_grid(objective, bounds=CEILING_BOX, resolution=48, refine=True)
+
+
+def _draw_leg(samples, seed):
+    """The seeded draw leg, as a function that returns the best efficiency
+    (-inf if none) and the feasible count of ``samples`` draws.
+
+    The draws are the numbers of rng.uniform(low, high, size=(samples, 4))
+    over CEILING_BOX, low + (high - low) * U one column at a time, made and
+    judged DRAW_CHUNK rows at a time.  Every buffer and every chunk view is
+    made here, before the loop, and lives as long as the returned function,
+    so no step allocates: while the grid leg runs on another thread, the
+    memory peak does not depend on how far either leg has got.
+    """
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    n = min(DRAW_CHUNK, samples)
+    u = np.empty((n, 4))
+    draws = np.empty((4, n))
+    eta = np.empty(n)
+    work = _efficiency_work(*draws)
+    feasible = np.empty(n, dtype=bool)
+
+    def views(m):   # the buffers cut to a chunk of m rows
+        abzr = tuple(draws[j, :m] for j in range(4))
+        columns = [(u[:m, j], hi - lo, lo, abzr[j]) for j, (lo, hi) in enumerate(CEILING_BOX)]
+        return u[:m], columns, abzr, eta[:m], tuple(w[:m] for w in work), feasible[:m]
+
+    whole = views(n)
+    tail = views(samples % n) if n else None
+
+    def run():
+        best, evaluations = -math.inf, 0
+        for start in range(0, samples, DRAW_CHUNK):
+            uniform, columns, abzr, e, w, mask = whole if samples - start >= n else tail
+            rng.random(out=uniform)
+            for column, span, low, row in columns:
+                np.multiply(column, span, out=row)
+                row += low
+            _efficiency_into(*abzr, e, w)
+            evaluations += np.count_nonzero(np.greater(e, -np.inf, out=mask))
+            best = max(best, float(e.max()))
+        return best, evaluations
+
+    return run
+
+
 def work_argmax(tau, r):
     """Locate the work-maximising ratio numerically: golden section plus one
     parabolic polish step.  Returns (z_best, evaluations).
 
     Arrays tau, r search one lockstep lane per pair, each as if alone.  The
     work objective is unimodal in z on (0, 1): it decomposes into a
-    constant minus the square of a quantity strictly monotone in z.
+    constant minus the square of t = sg/z - z, which falls strictly in z.
+    So the maximum lies inside the search bracket [5e-3, 0.9999] exactly
+    when t changes sign there, from + to -.  Where it does not, DomainError
+    is raised before the objective is evaluated: at tau = 1/2 that is from
+    r of about 10.6 on, and from about 373 on sech 2r underflows to 0.
     """
     import numpy as np
     if not (np.all((tau > 0.0) & (tau < 1.0)) and np.all(np.isfinite(r) & (r >= 0.0))):
         raise DomainError(f"need 0 < tau < 1 and finite r >= 0, got tau={tau}, r={r}")
     u = np.vectorize(sech, otypes=[float])(2.0 * np.asarray(r, dtype=float))
     sg = np.sqrt(tau * u)
-    obj = ScalarObjective(lambda zz: engine._grouped_work(zz, sg, u), 5e-3, 0.9999, tol=1e-12)
+    lo, hi = 5e-3, 0.9999
+    if not (np.all(sg / lo - lo > 0.0) and np.all(sg / hi - hi < 0.0)):
+        raise DomainError(f"the work maximum lies outside the search bracket [{lo}, {hi}] "
+                          f"at tau={tau}, r={r}")
+    obj = ScalarObjective(lambda zz: engine._grouped_work(zz, sg, u), lo, hi, tol=1e-12)
     rep = maximize_scalar(obj)
     polished = refine_parabolic(obj.fn, rep.best_input, h=1e-5)
     return polished, rep.evaluations + 3 * np.size(polished)

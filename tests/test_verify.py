@@ -1,7 +1,9 @@
 import inspect
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,14 @@ def test_exact_efficiency_has_the_bits_of_the_textbook_formula(name, args):
         assert result.tobytes() == want.tobytes()
 
 
+def test_a_0d_point_has_the_bits_of_the_same_array_element():
+    # A numpy scalar's ** 2 goes through libm pow, which here is one ulp off
+    # the product an array element gets; the in-place formula squares both alike.
+    point = (1.1805203037176988, 1.4658597073301436, 0.5213981783590097, 0.6787315663387217)
+    lane = verify.exact_efficiency(*(np.array([v]) for v in point))[0]
+    assert verify.exact_efficiency(*point).tobytes() == lane.tobytes()
+
+
 def test_exact_efficiency_rejects_a_mismatched_out():
     for out in (np.empty(3), np.empty((1, 2, 2)), np.empty((2, 1)),
                 np.empty((2, 2), dtype=np.float32), [[0.0, 0.0], [0.0, 0.0]]):
@@ -120,13 +130,66 @@ def test_ceiling_memory_does_not_grow_with_the_budget():
 
 
 def test_chunked_draws_reproduce_a_one_shot_draw():
-    samples = verify.DRAW_CHUNK + 7
     grid = verify.ceiling_check(samples=0, seed=11)
-    check = verify.ceiling_check(samples=samples, seed=11)
-    best, count = _one_shot_draws(samples, seed=11)
-    assert check.worst == max(grid.worst, best)
-    assert check.evaluations == grid.evaluations + count
-    assert f"plus {samples} seeded draws" in check.detail
+    n = verify.DRAW_CHUNK
+    for samples in (1, n - 1, n, n + 7, 3 * n + 5):   # one short chunk, whole ones, a tail
+        check = verify.ceiling_check(samples=samples, seed=11)
+        best, count = _one_shot_draws(samples, seed=11)
+        assert check.worst == max(grid.worst, best)
+        assert check.evaluations == grid.evaluations + count
+        assert f"plus {samples} seeded draws" in check.detail
+
+
+def _spy_on_the_grid_objective(monkeypatch, then):
+    """Pass each result of the ceiling's grid objective through ``then``;
+    returns the threads the objective ran on."""
+    threads = []
+    real = verify.exact_efficiency
+
+    def spy(a, b, z, r, out):
+        threads.append(threading.current_thread())
+        return then(real(a, b, z, r, out=out))
+
+    monkeypatch.setattr(verify, "exact_efficiency", spy)
+    return threads
+
+
+def test_grid_leg_runs_on_one_worker_thread(monkeypatch):
+    before = threading.active_count()
+    threads = _spy_on_the_grid_objective(monkeypatch, lambda eta: eta)
+    check = verify.ceiling_check(samples=100, seed=11)
+    assert threading.active_count() == before
+    assert len(set(threads)) == 1 and threads[0] is not threading.current_thread()
+    assert not threads[0].is_alive()
+    assert check.evaluations == GRID_EVALUATIONS + _one_shot_draws(100, seed=11)[1]
+
+
+def _nan_everywhere(eta):
+    eta.fill(np.nan)
+    return eta
+
+
+@pytest.mark.parametrize("then, error", [
+    (_nan_everywhere, DomainError),                 # the oracle rejects a NaN
+    (lambda eta: eta / np.zeros(()), RuntimeWarning),   # divide by zero, a warning made an error
+], ids=["nan", "warning-as-error"])
+def test_what_the_grid_leg_raises_is_raised_in_the_caller(monkeypatch, then, error):
+    before = threading.active_count()
+    threads = _spy_on_the_grid_objective(monkeypatch, then)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            verify.ceiling_check(samples=100)
+    assert threading.active_count() == before
+    assert threads and threads[0] is not threading.current_thread()
+
+
+def test_callers_errstate_holds_in_the_grid_leg(monkeypatch):
+    seen = []
+    _spy_on_the_grid_objective(monkeypatch, lambda eta: seen.append(np.geterr()["over"]) or eta)
+    with np.errstate(over="raise"):   # numpy's default is "warn"
+        verify.ceiling_check(samples=0)
+    assert seen and set(seen) == {"raise"}
 
 
 def test_zero_budget_runs_the_grid_alone():
@@ -211,7 +274,10 @@ def test_lockstep_work_argmax_equals_one_lane_calls():
 
 
 @pytest.mark.parametrize("tau, r", [(0.0, 1.0), (1.0, 0.5), (0.5, -0.1), (0.5, np.inf),
-                                    (np.array([0.5, 1.2]), np.array([0.0, 1.0]))])
+                                    (np.array([0.5, 1.2]), np.array([0.0, 1.0])),
+                                    # the maximum z* = 0.00248 lies below the bracket;
+                                    # sech 2r underflows to 0
+                                    (0.5, 12.0), (0.5, 400.0)])
 def test_work_argmax_rejects_out_of_domain_inputs(tau, r):
     with pytest.raises(DomainError):
         verify.work_argmax(tau, r)
