@@ -139,17 +139,12 @@ def build_parser():
 
 
 def _build_cycle_spec(args, parser):
+    if args.mode == "custom" and args.lam is None:
+        parser.error("--mode custom requires --lam")
+    if args.mode != "custom" and args.lam is not None:
+        parser.error("--lam only applies with --mode custom")
     try:
-        if args.mode == "custom":
-            if args.lam is None:
-                parser.error("--mode custom requires --lam")
-            mode = AdiabaticityMode.custom(args.lam)
-        elif args.lam is not None:
-            parser.error("--lam only applies with --mode custom")
-        elif args.mode == "adiabatic":
-            mode = AdiabaticityMode.adiabatic()
-        else:
-            mode = AdiabaticityMode.sudden_switch()
+        mode = AdiabaticityMode(args.mode, args.lam)
         placement = SqueezePlacement(args.placement)
         cold_r = args.r if placement is SqueezePlacement.COLD_BATH else 0.0
         hot_r = args.r if placement is SqueezePlacement.HOT_BATH else 0.0
@@ -242,8 +237,7 @@ def cmd_verify(args, parser):
         "suite": args.suite,
         "seed": args.seed,
         "passed": all(c.passed for c in checks),
-        "checks": [{"name": c.name, "passed": c.passed, "worst": c.worst,
-                    "evaluations": c.evaluations, "detail": c.detail} for c in checks],
+        "checks": [dict(vars(c)) for c in checks],
     }
 
 

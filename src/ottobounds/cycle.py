@@ -120,11 +120,6 @@ class FrequencyPair(Record):
             )
         self.__dict__.update(omega1=omega1, omega2=omega2)
 
-    @property
-    def ratio(self):
-        """Compression ratio z = omega1/omega2, in (0, 1)."""
-        return self.omega1 / self.omega2
-
 
 class AdiabaticityMode(Record):
     """How the frequency strokes are driven: a ``kind`` and, for custom, ``lam``.
@@ -267,6 +262,8 @@ def classify_mode(q2, q4, w_ext):
     Boundary ties are never labelled engine: a zero-work tie with
     engine-pattern heats counts as an accelerator, and every remaining
     pattern (both heats rejected, or exact zeros in the heats) as a heater.
+    This is the one definition of a refrigerator, `fridge`'s included; its
+    ``cooling_feasible`` asks only whether a finite COP bound exists.
     """
     if q2 > 0.0 and q4 < 0.0:
         return OperatingMode.ENGINE if w_ext > 0.0 else OperatingMode.ACCELERATOR

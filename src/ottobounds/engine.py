@@ -142,13 +142,13 @@ def z2_of_eta(eta, eta_c, r):
     eta_c = unit_open("eta_c", eta_c)
     r = nonnegative("r", r)
     eta = nonnegative("eta", eta)
-    bound = eta_up(eta_c, r)
+    g = (1.0 - eta_c) * sech(2.0 * r)
+    bound = _eta_up(g)
     if eta >= bound:
         raise NoSolutionError(
             f"no compression ratio reaches eta={eta} at eta_c={eta_c}, r={r}; "
             f"the bound is eta_up={bound}"
         )
-    g = (1.0 - eta_c) * sech(2.0 * r)
     b = (1.0 - 2.0 * eta) + g * (1.0 + eta)
     disc = b * b - 4.0 * g * (1.0 - eta)
     if disc < 0.0:
@@ -210,9 +210,7 @@ def eta_up_thermal(eta_c):
 
 def eta_rk(eta_c):
     """Thermal efficiency at maximum work, (1 - sqrt(1-eta_c))/(2 + sqrt(1-eta_c))."""
-    eta_c = unit_open("eta_c", eta_c)
-    s = math.sqrt(1.0 - eta_c)
-    return (1.0 - s) / (2.0 + s)
+    return _eta_mw(1.0 - unit_open("eta_c", eta_c))
 
 
 def engine_report(eta_c, r):

@@ -3,9 +3,12 @@
 High-temperature, sudden-quench regime in the variables z = omega1/omega2,
 tau = beta_hot/beta_cold and the cold-bath squeezing r.  The combination
 ``tau_c = tau * cosh(2r)`` is the temperature ratio against the cold bath's
-effective temperature; cooling is possible only for tau_c in (1/2, 1), and
-all windows are strict: their endpoints carry zero cooling and evaluate to
-the infeasible error rather than to a boundary value.
+effective temperature.  A refrigerator is what `cycle.classify_mode`'s sign
+pattern says: here some z refrigerates exactly when tau_c > 1/2, and every z
+does once tau_c >= 1, with a COP that grows without bound as z -> 1.  So the
+bound zeta_up, ``cooling_feasible`` and the windows mean tau_c in (1/2, 1),
+where a finite COP bound exists.  All windows are strict: their endpoints
+evaluate to the infeasible error rather than to a boundary value.
 
 Two distinct coefficient-of-performance notions appear.  ``cop_ht`` is the
 operational one, heat drawn from the cold bath per unit work input, and it
@@ -170,7 +173,7 @@ def zeta_up(tau, r):
     3/(1 - tau_c) - 2 - 2 sqrt(2) sqrt(tau_c / (tau_c - 1)^2) with
     tau_c = tau cosh(2r); identical to zeta_up_thermal(tau_c/(1 - tau_c)).
     Raises InfeasibleError naming the violated side when tau_c leaves the
-    open window (1/2, 1).
+    open window (1/2, 1); past 1 every z still refrigerates, with no finite bound.
     """
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, nonnegative("r", r))
@@ -182,19 +185,19 @@ def zeta_up(tau, r):
     if tc >= 1.0:
         raise InfeasibleError(
             f"tau*cosh(2r) >= 1: effective cold temperature at or above the hot "
-            f"temperature, refrigeration has stopped (tau={tau}, r={r})"
+            f"temperature; every z refrigerates, with unbounded COP (tau={tau}, r={r})"
         )
     return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (tc - 1.0) ** 2)
 
 
 def tau_window(r):
-    """Open interval of temperature ratios with positive cooling: (sech(2r)/2, sech(2r))."""
+    """Open interval of temperature ratios with a finite COP bound: (sech(2r)/2, sech(2r))."""
     u = sech(2.0 * nonnegative("r", r))
     return (0.5 * u, u)
 
 
 def r_window(tau):
-    """Open interval of squeezing strengths with positive cooling at ratio tau.
+    """Open interval of squeezing strengths with a finite COP bound at ratio tau.
 
     (acosh(1/(2 tau))/2, acosh(1/tau)/2) for tau below 1/2; from tau = 1/2
     upward the lower endpoint is 0 (cooling is already open at r = 0+).
@@ -206,7 +209,7 @@ def r_window(tau):
 
 
 def fridge_report(tau, r=0.0):
-    """Feasibility report at (tau, r): bound if cooling is possible, reason if not."""
+    """Report at (tau, r); cooling_feasible: a finite COP bound exists, 1/2 < tau cosh 2r < 1."""
     tau = unit_open("tau", tau)
     r = nonnegative("r", r)
     try:

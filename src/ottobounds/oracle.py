@@ -154,21 +154,6 @@ def refine_parabolic(fn, x, h=1e-5):
     return _out(_pick(den >= 0.0, x, x - step))
 
 
-def _as_resolutions(resolution, k):
-    """Points per axis: one integer for every axis, or a sequence of k integers, each >= 2."""
-    try:
-        res = list(resolution)
-    except TypeError:   # a single count
-        res = [resolution] * k
-    if len(res) != k:
-        raise DomainError(f"got {len(res)} resolutions for {k} axes")
-    res = [nonnegative_int("resolution", n) for n in res]
-    for n in res:
-        if n < 2:
-            raise DomainError(f"resolution must be >= 2 per axis, got {n}")
-    return res
-
-
 def _grid_scan(objective, axes):
     """Supremum over the product grid; first maximum in C order wins ties.
 
@@ -209,7 +194,8 @@ def _grid_scan(objective, axes):
 
 
 def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
-    """Supremum of a vectorised objective over a rectangular grid.
+    """Supremum of a vectorised objective over a rectangular grid of
+    ``resolution`` points per axis.
 
     ``objective`` receives open grid coordinates (``np.meshgrid(...,
     indexing="ij", sparse=True)``, chunked over the first axis), so work on
@@ -230,9 +216,11 @@ def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
     if not 1 <= k <= 5:
         raise DomainError(f"grid search supports 1 to 5 axes, got {k}")
     bounds = [_finite_interval(lo, hi, "grid axis") for lo, hi in bounds]
-    res = _as_resolutions(resolution, k)
+    n = nonnegative_int("resolution", resolution)
+    if n < 2:
+        raise DomainError(f"resolution must be >= 2, got {n}")
 
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, res)]
+    axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
     best_point, best_val, evaluations = _grid_scan(objective, axes)
     method = "grid"
 
@@ -241,7 +229,7 @@ def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
 
     if refine:
         fine_axes = []
-        for (lo, hi), n, x in zip(bounds, res, best_point):
+        for (lo, hi), x in zip(bounds, best_point):
             step = (hi - lo) / (n - 1)
             fine_axes.append(np.linspace(max(lo, x - step), min(hi, x + step), 21))
         point, val, extra = _grid_scan(objective, fine_axes)

@@ -167,6 +167,12 @@ def test_frequency_pair_rejects_degenerate_and_reversed():
         FrequencyPair(-1.0, 1.0)
 
 
+def test_frequency_pair_holds_only_its_two_frequencies():
+    pair = FrequencyPair(1.0, 2.0)
+    assert vars(pair) == {"omega1": 1.0, "omega2": 2.0}
+    assert not hasattr(pair, "ratio")
+
+
 def test_bath_spec_validation():
     with pytest.raises(DomainError):
         BathSpec(beta=0.0)

@@ -350,6 +350,23 @@ def test_fridge_report_infeasible_is_an_answer():
     assert rep.tau_window == (0.5, 1.0)
 
 
+def test_past_the_finite_bound_the_cycle_still_refrigerates():
+    # tau cosh 2r = 1.243 >= 1: no finite COP bound, yet by the sign pattern
+    # of classify_mode every z refrigerates, with a COP unbounded as z -> 1.
+    tau, r = 0.4, 0.9
+    assert math.isclose(tau * math.cosh(2.0 * r), 1.243, abs_tol=5e-4)
+    assert math.isclose(cop_ht(FridgeParams(0.5, tau, r)), 0.415, abs_tol=5e-4)
+    assert math.isclose(cop_ht(FridgeParams(0.999, tau, r)), 994.0, abs_tol=0.5)
+    for z in (0.5, 0.999):
+        spec = CycleSpec(cold=BathSpec(beta=1e-3 / tau, r=r), hot=BathSpec(beta=1e-3),
+                         freqs=FrequencyPair(z, 1.0), mode=AdiabaticityMode.sudden_switch(),
+                         placement=SqueezePlacement.COLD_BATH)
+        assert heats_work(spec).mode_label is OperatingMode.REFRIGERATOR
+    with pytest.raises(InfeasibleError, match="unbounded COP"):
+        zeta_up(tau, r)
+    assert fridge_report(tau, r).cooling_feasible is False
+
+
 def test_fridge_report_boundary_tau_is_infeasible():
     # tau = 1/2, r = 0 sits exactly on the open window edge.
     rep = fridge_report(0.5, 0.0)

@@ -268,10 +268,10 @@ def test_grid_objective_may_return_one_buffer_for_every_call():
         return buf
 
     bounds = [(0.0, 1.0), (-0.5, 0.5), (0.0, 0.8)]
-    want = sup_constrained_grid(fresh, bounds, resolution=[9, 11, 13], refine=True)
-    got = sup_constrained_grid(reused, bounds, resolution=[9, 11, 13], refine=True)
+    want = sup_constrained_grid(fresh, bounds, resolution=11, refine=True)
+    got = sup_constrained_grid(reused, bounds, resolution=11, refine=True)
     assert got == want
-    assert sorted(buffers) == [(1, 11, 13), (1, 21, 21)]
+    assert sorted(buffers) == [(1, 11, 11), (1, 21, 21)]
 
 
 def test_grid_receives_open_coordinates():
@@ -281,8 +281,8 @@ def test_grid_receives_open_coordinates():
         shapes.append((x.shape, y.shape, z.shape))
         return x + y + z
 
-    sup_constrained_grid(f, [(0.0, 1.0)] * 3, resolution=[2, 3, 4], refine=False)
-    assert shapes == [((1, 1, 1), (1, 3, 1), (1, 1, 4))] * 2
+    sup_constrained_grid(f, [(0.0, 1.0)] * 3, resolution=3, refine=False)
+    assert shapes == [((1, 1, 1), (1, 3, 1), (1, 1, 3))] * 3
 
 
 def test_grid_validation():
@@ -294,23 +294,13 @@ def test_grid_validation():
         sup_constrained_grid(lambda x: x, bounds=[(1.0, 0.0)])
     # An infinite end used to warn and then report NaN at (nan,), a string end
     # and a float resolution raised raw TypeErrors, and [2.7] was truncated to 2.
+    # A resolution is one count for every axis, never a sequence.
     for bounds in ([(0.0, math.inf)], [("a", 1.0)], [(math.nan, 1.0)], [(0.0, None)]):
         with pytest.raises(DomainError):
             sup_constrained_grid(lambda x: x, bounds=bounds)
-    for resolution in (2.5, [2.7], [True], "5", [5, 5], 1.0e6):
+    for resolution in (2.5, [2.7], [True], "5", [5], [5, 5], 1.0e6):
         with pytest.raises(DomainError):
             sup_constrained_grid(lambda x: x, bounds=[(0.0, 1.0)], resolution=resolution)
-
-
-def test_grid_mixed_resolutions():
-    rep = sup_constrained_grid(
-        lambda x, y: -(x**2) - (y - 0.25) ** 2,
-        bounds=[(-1.0, 1.0), (0.0, 1.0)],
-        resolution=[21, 41],
-        refine=False,
-    )
-    assert rep.best_input == (0.0, 0.25)
-    assert rep.evaluations == 21 * 41
 
 
 # ---------------------------------------------------------------------------
