@@ -13,9 +13,10 @@ effective temperature.
 """
 
 import math
+import sys
 
 from ._record import Record
-from .errors import NoSolutionError, SingularityError, nonnegative, positive, unit_open
+from .errors import DomainError, NoSolutionError, SingularityError, nonnegative, positive, unit_open
 from .special import ratio, sech
 
 __all__ = [
@@ -131,7 +132,10 @@ def z2_of_eta(eta, eta_c, r):
     tau sech(2r) as eta -> 0.  (The larger root tends to the rejected
     degenerate ratio z = 1 there; for eta > 0 both roots realise the same
     efficiency.)  Raises NoSolutionError for eta at or above eta_up, where
-    the two roots have merged and vanished.
+    the two roots have merged and vanished, and DomainError below that once
+    g = (1 - eta_c) sech(2r) falls under the smallest normal double (from
+    r of about 354 on): the root, of the order of g, would be subnormal or
+    0.0.
 
     The smaller root of z^4 - b z^2 + c, c = g (1 - eta), is evaluated as
     2c / (b + sqrt(b^2 - 4c)), the product of the roots over the larger one.
@@ -148,6 +152,11 @@ def z2_of_eta(eta, eta_c, r):
         raise NoSolutionError(
             f"no compression ratio reaches eta={eta} at eta_c={eta_c}, r={r}; "
             f"the bound is eta_up={bound}"
+        )
+    if g < sys.float_info.min:
+        raise DomainError(
+            f"z^2 lies below the double range at eta_c={eta_c}, r={r}: "
+            f"(1 - eta_c) sech(2r) = {g!r} is not a normal double"
         )
     b = (1.0 - 2.0 * eta) + g * (1.0 + eta)
     disc = b * b - 4.0 * g * (1.0 - eta)

@@ -77,11 +77,19 @@ def exact_efficiency(a, b, z, r):
 
 
 def _efficiency_work(a, b, z, r):
-    """Scratch for `_efficiency_into`: one buffer per factor, at the factor's shape."""
+    """Scratch for `_efficiency_into`: one buffer per factor, at the factor's
+    shape, and ``zp``, a contiguous copy of z broadcast over r's axes.
+
+    With ``zp`` the products z dh and z z run at the shape of z and r
+    together, so on a grid block their inner loops span the z and r axes
+    rather than r alone.  (A copy of the broadcast view, not
+    np.ascontiguousarray, which would make a 0-d z 1-d.)
+    """
     import numpy as np
     shape = np.broadcast_shapes
+    zp = np.broadcast_to(z, shape(z.shape, r.shape)).copy()
     return (np.empty(b.shape), np.empty(r.shape), np.empty(shape(b.shape, r.shape)),
-            np.empty(a.shape), np.empty(shape(b.shape, z.shape)), np.empty(z.shape),
+            np.empty(a.shape), np.empty(shape(b.shape, z.shape)), np.empty(zp.shape), zp,
             np.empty(shape(a.shape, b.shape, z.shape), dtype=bool),
             np.empty(shape(a.shape, b.shape, z.shape, r.shape), dtype=bool))
 
@@ -90,18 +98,26 @@ def _efficiency_into(a, b, z, r, x, work):
     """The formula of `exact_efficiency`, computed into ``x`` with the
     buffers ``work`` of `_efficiency_work`; no step allocates an array.
 
-    The inputs are float arrays; ``x`` and ``work`` overlap neither them nor
-    each other.  Returns ``x``.
+    The inputs are float arrays and ``zp`` holds z's values at the shape of
+    z and r; the kernel reads it and never writes it.  ``x`` overlaps no
+    input and no buffer.  The steps run in a fixed order, and in it the
+    float buffers hold live values in turn: fb (2 + expm1 b), then fa, fb
+    again (tanh b/2), bz and fz, each read for the last time before the
+    next is written; and fr, whose last read is the elementwise step that
+    writes dh.  So on 1-D rows, where every factor has the row's shape,
+    they may share two rows, fb = fa = bz = fz and fr = dh, as in the draw
+    leg.  Returns ``x``.
     """
     import numpy as np
-    fb, fr, dh, fa, bz, fz, colder, outside = work
+    fb, fr, dh, fa, bz, fz, zp, colder, outside = work
     np.expm1(b, out=fb)
     np.add(2.0, fb, out=fb)
     np.sinh(r, out=fr)
     np.multiply(fr, fr, out=fr)   # what ** 2 does to an array
     np.multiply(fb, fr, out=dh)
     np.add(1.0, dh, out=dh)       # dh = 1 + (2 + expm1(b)) sinh(r)^2
-    np.multiply(z, dh, out=x)
+    np.copyto(x, dh)
+    x *= zp                       # z dh: a product commutes bit for bit
     np.multiply(0.5, a, out=fa)
     x *= np.tanh(fa, out=fa)
     np.multiply(0.5, b, out=fb)
@@ -114,7 +130,7 @@ def _efficiency_into(a, b, z, r, x, work):
     x -= 1.0
     with np.errstate(divide="ignore"):   # 1/0 happens only off the engine region
         np.divide(1.0, x, out=x)
-        np.multiply(z, z, out=fz)
+        np.multiply(zp, zp, out=fz)
         np.subtract(1.0, fz, out=fz)
         x += np.divide(2.0, fz, out=fz)
         np.divide(1.0, x, out=x)
@@ -122,7 +138,7 @@ def _efficiency_into(a, b, z, r, x, work):
     return x
 
 
-DRAW_CHUNK = 1 << 13   # seeded draws generated and judged per step
+DRAW_CHUNK = 1 << 14   # seeded draws generated and judged per step
 # (a, b, z, r) = (beta_cold omega1, beta_hot omega2, omega1/omega2, r)
 CEILING_BOX = ((1e-4, 10.0), (1e-4, 10.0), (1e-4, 0.9999), (0.0, 10.0))
 
@@ -139,8 +155,10 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     raised here, after the join.  The legs meet in the max of their best
     values and the sum of their counts, which no order of finishing
     changes, so the report has the bits of a serial run.  Both legs compute
-    into buffers allocated once per call (one per grid block shape; one per
-    draw stage and factor), so memory stays flat whatever ``samples`` is.
+    into buffers allocated once per call (a result buffer per grid block
+    shape; for the draws, one block that holds the uniforms and then the
+    factors and eta, one for (a, b, z, r) and the flags), so memory stays
+    flat whatever ``samples`` is.
     Passes when every efficiency seen is below 1/2 and the supremum still
     clears 0.45 (the bound is tight).
     """
@@ -205,25 +223,35 @@ def _draw_leg(samples, seed):
     (-inf if none) and the feasible count of ``samples`` draws.
 
     The draws are the numbers of rng.uniform(low, high, size=(samples, 4))
-    over CEILING_BOX, low + (high - low) * U one column at a time, made and
-    judged DRAW_CHUNK rows at a time.  Every buffer and every chunk view is
-    made here, before the loop, and lives as long as the returned function,
-    so no step allocates: while the grid leg runs on another thread, the
+    over CEILING_BOX, low + (high - low) * U, made and judged DRAW_CHUNK
+    rows at a time.  Each chunk takes two calls to map the uniforms to
+    (a, b, z, r), a product with the column of spans and a sum with the
+    column of lows, so each number gets the same two operations as one
+    column at a time would give it.  One (4, n) float block does three
+    jobs in turn: it holds the uniforms (viewed (n, 4), the shape
+    rng.random fills), then the kernel's two factor rows, aliased as
+    `_efficiency_into` allows, and the eta row.  The kernel's ``zp`` is
+    the live z row of the draws.  Every buffer and every chunk view is made
+    here, before the loop, and lives as long as the returned function, so
+    no step allocates: while the grid leg runs on another thread, the
     memory peak does not depend on how far either leg has got.
     """
     import numpy as np
     rng = np.random.default_rng(seed)
     n = min(DRAW_CHUNK, samples)
-    u = np.empty((n, 4))
+    block = np.empty((4, n))   # uniforms, then factor rows 0 and 1 and the eta row 2
     draws = np.empty((4, n))
-    eta = np.empty(n)
-    work = _efficiency_work(*draws)
-    feasible = np.empty(n, dtype=bool)
+    colder, outside, feasible = np.empty((3, n), dtype=bool)
+    low, high = np.array(CEILING_BOX).T[:, :, None]
+    span = high - low
 
     def views(m):   # the buffers cut to a chunk of m rows
-        abzr = tuple(draws[j, :m] for j in range(4))
-        columns = [(u[:m, j], hi - lo, lo, abzr[j]) for j, (lo, hi) in enumerate(CEILING_BOX)]
-        return u[:m], columns, abzr, eta[:m], tuple(w[:m] for w in work), feasible[:m]
+        uniform = block.reshape(n, 4)[:m]
+        f0, f1, eta = block[0, :m], block[1, :m], block[2, :m]
+        abzr = draws[:, :m]
+        a, b, z, r = abzr
+        work = (f0, f1, f1, f0, f0, f0, z, colder[:m], outside[:m])
+        return uniform, uniform.T, abzr, (a, b, z, r, eta, work), eta, feasible[:m]
 
     whole = views(n)
     tail = views(samples % n) if n else None
@@ -231,12 +259,11 @@ def _draw_leg(samples, seed):
     def run():
         best, evaluations = -math.inf, 0
         for start in range(0, samples, DRAW_CHUNK):
-            uniform, columns, abzr, e, w, mask = whole if samples - start >= n else tail
+            uniform, columns, abzr, args, e, mask = whole if samples - start >= n else tail
             rng.random(out=uniform)
-            for column, span, low, row in columns:
-                np.multiply(column, span, out=row)
-                row += low
-            _efficiency_into(*abzr, e, w)
+            np.multiply(columns, span, out=abzr)
+            abzr += low
+            _efficiency_into(*args)
             evaluations += np.count_nonzero(np.greater(e, -np.inf, out=mask))
             best = max(best, float(e.max()))
         return best, evaluations

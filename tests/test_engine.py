@@ -196,6 +196,14 @@ def test_z2_of_eta_rejects_unreachable_efficiencies():
         z2_of_eta(-0.1, 0.3, 1.0)
 
 
+@pytest.mark.parametrize("eta, eta_c, r", [(0.3, 0.5, 400.0), (0.0, 0.5, 360.0)])
+def test_z2_of_eta_below_the_double_range_is_a_domain_error(eta, eta_c, r):
+    # g = (1 - eta_c) sech 2r is 0.0 at r = 400 and subnormal at r = 360;
+    # the root used to come back as that 0.0 or as a subnormal.
+    with pytest.raises(DomainError, match="below the double range"):
+        z2_of_eta(eta, eta_c, r)
+
+
 def _z2_mpmath(eta, eta_c, r):
     """(smaller root, b / sqrt(disc)) at 50 digits, for the exact float inputs."""
     with mpmath.workdps(50):

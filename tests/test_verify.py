@@ -139,6 +139,53 @@ def test_chunked_draws_reproduce_a_one_shot_draw():
         assert f"plus {samples} seeded draws" in check.detail
 
 
+def _spy_on_the_kernel(monkeypatch):
+    """Record the arguments of every call of `verify._efficiency_into`."""
+    calls = []
+    real = verify._efficiency_into
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_efficiency_into", spy)
+    return calls
+
+
+@pytest.mark.parametrize("samples", [0, 1, verify.DRAW_CHUNK, verify.DRAW_CHUNK + 1,
+                                     3 * verify.DRAW_CHUNK + 5])
+def test_the_draw_leg_calls_the_kernel_once_per_chunk(monkeypatch, samples):
+    calls = _spy_on_the_kernel(monkeypatch)
+    verify._draw_leg(samples, seed=3)()
+    assert len(calls) == -(-samples // verify.DRAW_CHUNK)
+
+
+def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeypatch):
+    # Hand-picked rows: an engine, x <= 1, a <= b z with x > 1, and x = 1
+    # exactly (r = 0 makes dh = 1, and this z is tanh(1/2)/tanh(3/2)).
+    rows = np.array([(5.0, 0.1, 0.5, 1.0), (2.0, 0.5, 0.1, 0.0), (1.0, 4.0, 0.9, 3.0),
+                     (3.0, 1.0, 0.5105430578904047, 0.0)])
+    lows, highs = np.array(verify.CEILING_BOX).T
+    rows = np.vstack([rows, np.random.default_rng(8).uniform(lows, highs, size=(3000, 4))])
+    a, b, z, r = rows.T.copy()
+    x = z * (1.0 + (2.0 + np.expm1(b)) * np.sinh(r) ** 2) * np.tanh(0.5 * a) / np.tanh(0.5 * b)
+    assert x[3] == 1.0
+    colder = a > b * z
+    assert np.any(colder & (x > 1.0)) and np.any(colder & (x < 1.0)) and np.any(~colder & (x > 1.0))
+
+    want = verify.exact_efficiency(a, b, z, r)
+
+    kernel = verify._efficiency_into
+    calls = _spy_on_the_kernel(monkeypatch)
+    verify._draw_leg(len(rows), seed=3)()
+    (args,) = calls
+    fb, fr, dh, fa, bz, fz, zp = args[5][:7]
+    assert fb is fa is bz is fz and fr is dh and zp is args[2]   # the aliasing under test
+    for row, values in zip(args[:4], (a, b, z, r)):
+        row[...] = values
+    assert kernel(*args).tobytes() == want.tobytes()
+
+
 def _spy_on_the_grid_objective(monkeypatch, then):
     """Pass each result of the ceiling's grid objective through ``then``;
     returns the threads the objective ran on."""
