@@ -57,6 +57,15 @@ CASES = {
     "verify_usage_seed_negative": ["verify", "--seed", "-1"],
     # An OttoError raised by a command: exit 1 with the error object on stdout.
     "error_payload": ["fig3", "--count", "5"],
+    # sech 2r underflows to 0 near r = 372: the rows must cross it unchanged.
+    "fig2_csv_sech_underflow": ["fig2", "--eta-c", "0.2", "--eta-c", "1e-12", "--r-start", "0",
+                                "--r-stop", "400", "--count", "41"],
+    # The parser itself: help, version, and the two ways to name no valid command.
+    "help_main": ["--help"],
+    **{f"help_{cmd}": [cmd, "--help"] for cmd in ("eval", "fig2", "fig3", "fridge", "verify")},
+    "version": ["--version"],
+    "usage_no_command": [],
+    "usage_unknown_command": ["bogus"],
 }
 RAISING = {"error_payload": "fig3"}   # case -> command replaced by one that raises
 
