@@ -5,59 +5,88 @@ coupled to squeezed thermal reservoirs, with built-in numerical verification.
 cycle; `engine` and `fridge` the closed-form high-temperature bounds;
 `oracle` the deterministic search primitives; `verify` the self-check
 suites; `cli` the command line.
+
+Importing the package loads none of them: each submodule and each name
+re-exported below is imported on first access (PEP 562), so a process pays
+only for the modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import cycle, engine, errors, fridge, oracle, special, verify
-from .cycle import (
-    AdiabaticityMode,
-    BathSpec,
-    CyclePerformance,
-    CycleSpec,
-    FrequencyPair,
-    OperatingMode,
-    SqueezePlacement,
-    cycle_energies,
-    delta_h,
-    effective_temperature,
-    efficiency_sudden,
-    heats_work,
-    lambda_sudden,
-    squeezed_occupation,
-    thermal_occupation,
-)
-from .engine import (
-    EngineBoundsReport,
-    EngineParams,
-    efficiency_ht,
-    engine_report,
-    eta_mw,
-    eta_rk,
-    eta_up,
-    eta_up_thermal,
-    generalized_carnot,
-    pwc_ht,
-    work_ht,
-    z2_of_eta,
-    z_star,
-)
-from .fridge import (
-    FridgeBoundsReport,
-    FridgeParams,
-    cop_ht,
-    cop_quasistatic,
-    fridge_report,
-    r_window,
-    tau_window,
-    zeta_carnot,
-    zeta_up,
-    zeta_up_thermal,
-)
-from .oracle import (
-    ScalarObjective,
-    SupremumReport,
-    find_root_scalar,
-    maximize_scalar,
-    sup_constrained_grid,
-)
+_SUBMODULES = ("cycle", "engine", "errors", "fridge", "oracle", "special", "verify")
+
+# home module -> the names the package re-exports from it
+_EXPORTS = {
+    "cycle": (
+        "AdiabaticityMode",
+        "BathSpec",
+        "CyclePerformance",
+        "CycleSpec",
+        "FrequencyPair",
+        "OperatingMode",
+        "SqueezePlacement",
+        "cycle_energies",
+        "delta_h",
+        "effective_temperature",
+        "efficiency_sudden",
+        "heats_work",
+        "lambda_sudden",
+        "squeezed_occupation",
+        "thermal_occupation",
+    ),
+    "engine": (
+        "EngineBoundsReport",
+        "EngineParams",
+        "efficiency_ht",
+        "engine_report",
+        "eta_mw",
+        "eta_rk",
+        "eta_up",
+        "eta_up_thermal",
+        "generalized_carnot",
+        "pwc_ht",
+        "work_ht",
+        "z2_of_eta",
+        "z_star",
+    ),
+    "fridge": (
+        "FridgeBoundsReport",
+        "FridgeParams",
+        "cop_ht",
+        "cop_quasistatic",
+        "fridge_report",
+        "r_window",
+        "tau_window",
+        "zeta_carnot",
+        "zeta_up",
+        "zeta_up_thermal",
+    ),
+    "oracle": (
+        "ScalarObjective",
+        "SupremumReport",
+        "find_root_scalar",
+        "maximize_scalar",
+        "sup_constrained_grid",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SUBMODULES, *_HOME]
+
+
+def __getattr__(name):
+    """Import a submodule or a re-export's home module on first access; bind the name here."""
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,23 +12,17 @@ it (``_emit``).  Exit codes: 0 for success (an infeasible refrigerator regime
 is an answer, not a failure), 1 for domain errors during computation or a
 failed verify check, 2 for usage errors.  CSV floats are printed with 12
 significant digits so identical invocations are byte-identical.
+
+A process imports only what its subcommand runs: each command imports its
+own modules, the parser gets the arguments of the named subcommand alone,
+and ``json`` loads only for JSON output.
 """
 
 import argparse
-import json
 import sys
 
-from . import __version__, engine, fridge, verify
-from .cycle import (
-    AdiabaticityMode,
-    BathSpec,
-    CycleSpec,
-    FrequencyPair,
-    SqueezePlacement,
-    heats_work,
-)
+from . import __version__
 from .errors import DomainError, OttoError, nonnegative, nonnegative_int, unit_open
-from .oracle import axis_points
 
 
 def _fmt(x):
@@ -43,6 +37,7 @@ def _render(payload, fmt):
         lines = [",".join(payload["columns"])]
         lines += [row_fmt % tuple(row) for row in payload["rows"]]
         return "\n".join(lines) + "\n"
+    import json
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -80,21 +75,11 @@ def _sweep(parser, start, stop, count):
     if not (count > 1 and start < stop or count == 1 and stop == start):
         parser.error(f"need count >= 2 and start < stop, or count = 1 and stop = start; "
                      f"got count={count}, [{start}, {stop}]")
+    from .oracle import axis_points
     return axis_points(start, stop, count)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ottobounds",
-        description=(
-            "Performance of the sudden-quench harmonic Otto engine and "
-            "refrigerator with squeezed thermal reservoirs."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="exact single-cycle evaluation (JSON)")
+def _eval_arguments(p):
     p.add_argument("--w1", type=float, required=True, help="low stroke frequency omega1")
     p.add_argument("--w2", type=float, required=True, help="high stroke frequency omega2")
     p.add_argument("--b1", type=float, required=True, help="cold inverse temperature beta1")
@@ -107,7 +92,8 @@ def build_parser():
     p.add_argument("--placement", choices=("hot", "cold"), default="hot",
                    help="which bath carries the squeezing (default hot)")
 
-    p = sub.add_parser("fig2", help="squeezed engine bounds swept over r (CSV)")
+
+def _fig2_arguments(p):
     p.add_argument("--eta-c", dest="eta_c", type=_UNIT, action="append", required=True,
                    help="Carnot efficiency; repeat the flag for several curves")
     p.add_argument("--r-start", type=_NONNEG, default=0.0)
@@ -115,30 +101,65 @@ def build_parser():
     p.add_argument("--count", type=int, default=121, help="points per curve (default 121)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("fig3", help="thermal bounds swept over the Carnot efficiency (CSV)")
+
+def _fig3_arguments(p):
     p.add_argument("--start", type=_UNIT, default=0.01)
     p.add_argument("--stop", type=_UNIT, default=0.99)
     p.add_argument("--count", type=int, default=99)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("fridge", help="refrigerator feasibility report (JSON)")
+
+def _fridge_arguments(p):
     p.add_argument("--tau", type=_UNIT, required=True,
                    help="temperature ratio beta_hot/beta_cold")
     p.add_argument("--r", type=_NONNEG, default=0.0, help="cold-bath squeezing (default 0)")
 
-    p = sub.add_parser("verify", help="run the built-in oracle suites (JSON)")
+
+def _verify_arguments(p):
+    from . import verify
     p.add_argument("--suite", choices=verify.SUITES, default="all")
     p.add_argument("--budget", type=_checked(nonnegative_int, int), default=verify.DEFAULT_BUDGET,
                    help="random sample count for the ceiling suite (default %(default)d; 0: grid only)")
     p.add_argument("--seed", type=_checked(nonnegative_int, int), default=verify.DEFAULT_SEED)
 
-    for p in sub.choices.values():
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(parser=p)   # so that later usage errors print this subcommand's usage
+
+# subcommand -> (help line, the function that adds its arguments)
+_SUBCOMMANDS = {
+    "eval": ("exact single-cycle evaluation (JSON)", _eval_arguments),
+    "fig2": ("squeezed engine bounds swept over r (CSV)", _fig2_arguments),
+    "fig3": ("thermal bounds swept over the Carnot efficiency (CSV)", _fig3_arguments),
+    "fridge": ("refrigerator feasibility report (JSON)", _fridge_arguments),
+    "verify": ("run the built-in oracle suites (JSON)", _verify_arguments),
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or, given a name, one whose other subcommands have no arguments.
+
+    Every subcommand is registered either way, so help and "invalid choice"
+    errors read the same; only the named one (all of them for None) gets
+    its arguments, and with them the imports they need.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ottobounds",
+        description=(
+            "Performance of the sudden-quench harmonic Otto engine and "
+            "refrigerator with squeezed thermal reservoirs."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(p)
+            p.add_argument("--out", default=None, help="output path (default stdout)")
+            p.set_defaults(parser=p)   # so that later usage errors print this subcommand's usage
     return parser
 
 
 def _build_cycle_spec(args, parser):
+    from .cycle import AdiabaticityMode, BathSpec, CycleSpec, FrequencyPair, SqueezePlacement
     if args.mode == "custom" and args.lam is None:
         parser.error("--mode custom requires --lam")
     if args.mode != "custom" and args.lam is not None:
@@ -160,14 +181,15 @@ def _build_cycle_spec(args, parser):
 
 
 def _ht_warnings(spec):
+    from .engine import HT_BETA_OMEGA_MAX
     warnings = []
     for label, beta, omega in (
         ("beta1*omega1", spec.cold.beta, spec.freqs.omega1),
         ("beta2*omega2", spec.hot.beta, spec.freqs.omega2),
     ):
-        if beta * omega > engine.HT_BETA_OMEGA_MAX:
+        if beta * omega > HT_BETA_OMEGA_MAX:
             warnings.append(
-                f"{label} = {_fmt(beta * omega)} exceeds {engine.HT_BETA_OMEGA_MAX}; "
+                f"{label} = {_fmt(beta * omega)} exceeds {HT_BETA_OMEGA_MAX}; "
                 f"the high-temperature closed forms (fig2/fig3/fridge bounds) are "
                 f"unreliable for these parameters"
             )
@@ -175,6 +197,7 @@ def _ht_warnings(spec):
 
 
 def cmd_eval(args, parser):
+    from .cycle import heats_work
     spec = _build_cycle_spec(args, parser)
     perf = heats_work(spec)
     return {
@@ -193,22 +216,19 @@ def cmd_eval(args, parser):
 
 
 def cmd_fig2(args, parser):
+    from .engine import engine_rows
     points = _sweep(parser, args.r_start, args.r_stop, args.count)
-    rows = []
-    for eta_c in args.eta_c:
-        for r in points:
-            rep = engine.engine_report(eta_c, r)
-            rows.append((r, eta_c, rep.eta_up, rep.eta_mw, rep.eta_c_gen))
     return _table(
         {"eta_c": args.eta_c, "r_start": args.r_start, "r_stop": args.r_stop, "count": args.count},
         ("r", "eta_c", "eta_up", "eta_mw", "eta_c_gen"),
-        rows,
+        engine_rows(args.eta_c, points),
     )
 
 
 def cmd_fig3(args, parser):
+    from .engine import eta_rk, eta_up_thermal
     rows = [
-        (x, engine.eta_up_thermal(x), engine.eta_rk(x), 0.5 * x)
+        (x, eta_up_thermal(x), eta_rk(x), 0.5 * x)
         for x in _sweep(parser, args.start, args.stop, args.count)
     ]
     return _table(
@@ -219,7 +239,8 @@ def cmd_fig3(args, parser):
 
 
 def cmd_fridge(args, parser):
-    rep = fridge.fridge_report(args.tau, args.r)
+    from .fridge import fridge_report
+    rep = fridge_report(args.tau, args.r)
     return {
         "inputs": {"tau": args.tau, "r": args.r},
         "zeta_c": rep.zeta_c,
@@ -232,7 +253,8 @@ def cmd_fridge(args, parser):
 
 
 def cmd_verify(args, parser):
-    checks = verify.run_suite(args.suite, budget=args.budget, seed=args.seed)
+    from .verify import run_suite
+    checks = run_suite(args.suite, budget=args.budget, seed=args.seed)
     return {
         "suite": args.suite,
         "seed": args.seed,
@@ -251,7 +273,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The main parser has no option that takes a value, so the first token
+    # without a leading "-" is the subcommand; "" (none) adds no arguments.
+    command = next((a for a in argv if not a.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
         payload = _COMMANDS[args.command](args, args.parser)
     except OttoError as exc:

@@ -25,6 +25,7 @@ __all__ = [
     "HT_BETA_OMEGA_MAX",
     "efficiency_ht",
     "engine_report",
+    "engine_rows",
     "eta_mw",
     "eta_rk",
     "eta_up",
@@ -235,4 +236,23 @@ def engine_report(eta_c, r):
     g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
     zs = g ** 0.25
     pwc = zs * zs > g if zs > 0.0 else True
-    return EngineBoundsReport(eta_c, 1.0 - g, _eta_up(g), _eta_mw(g), zs, pwc)
+    up, mw, gen = _bounds(g)
+    return EngineBoundsReport(eta_c, gen, up, mw, zs, pwc)
+
+
+def engine_rows(eta_cs, rs):
+    """Rows (r, eta_c, eta_up, eta_mw, eta_c_gen) for each eta_c in turn, over the points rs.
+
+    The bounds of a sweep over r (the CLI's fig2): each row has the bits of
+    engine_report(eta_c, r)'s fields, and a bad eta_c or r raises the same
+    DomainError, but sech(2r) is computed once per r for all the curves.
+    """
+    eta_cs = [unit_open("eta_c", eta_c) for eta_c in eta_cs]
+    rs = [nonnegative("r", r) for r in rs]
+    us = [sech(2.0 * r) for r in rs]
+    return [(r, eta_c, *_bounds((1.0 - eta_c) * u)) for eta_c in eta_cs for r, u in zip(rs, us)]
+
+
+def _bounds(g):
+    """eta_up, eta_mw and the generalized Carnot efficiency at one g = tau sech(2r)."""
+    return _eta_up(g), _eta_mw(g), 1.0 - g

@@ -12,6 +12,7 @@ from ottobounds.engine import (
     EngineParams,
     efficiency_ht,
     engine_report,
+    engine_rows,
     eta_mw,
     eta_rk,
     eta_up,
@@ -428,3 +429,27 @@ def test_engine_report_has_the_bits_of_the_public_functions():
                 "z_star": bits(z_star(1.0 - eta_c, r)),
                 "pwc_satisfied": True,
             }, (eta_c, r)
+
+
+SWEEP_ETAS = [1e-12, 0.2, 0.5, 0.999999]
+SWEEP_RS = [0.0, 1e-300, 0.3, 5.0, 371.0, 372.0, 400.0, 1e6]   # sech 2r underflows near 372
+
+
+def test_engine_rows_have_the_bits_of_engine_report():
+    rows = engine_rows(SWEEP_ETAS, SWEEP_RS)
+    want = []
+    for eta_c in SWEEP_ETAS:
+        for r in SWEEP_RS:
+            rep = engine_report(eta_c, r)
+            want.append((r, eta_c, rep.eta_up, rep.eta_mw, rep.eta_c_gen))
+    assert [tuple(map(float.hex, row)) for row in rows] == [tuple(map(float.hex, row)) for row in want]
+
+
+@pytest.mark.parametrize("eta_c, r", [(0.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (True, 1.0),
+                                      (0.2, -1e-300), (0.2, math.inf), (0.2, math.nan), (0.2, "1")])
+def test_engine_rows_raise_the_domain_error_of_engine_report(eta_c, r):
+    with pytest.raises(DomainError) as want:
+        engine_report(eta_c, r)
+    with pytest.raises(DomainError) as got:
+        engine_rows([0.5, eta_c], [0.0, r])
+    assert str(got.value) == str(want.value)
