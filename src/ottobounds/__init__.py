@@ -6,9 +6,9 @@ cycle; `engine` and `fridge` the closed-form high-temperature bounds;
 `oracle` the deterministic search primitives; `verify` the self-check
 suites; `cli` the command line.
 
-Importing the package loads none of them: each submodule and each name
-re-exported below is imported on first access (PEP 562), so a process pays
-only for the modules it uses.
+Importing the package loads none of them, so a process that imports
+submodules itself (the command line does) pays only for those.  The first
+access to a public name of the package (PEP 562) loads them all.
 """
 
 import importlib
@@ -71,21 +71,25 @@ _EXPORTS = {
         "sup_constrained_grid",
     ),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_SUBMODULES, *_HOME]
+__all__ = [*_SUBMODULES, *(name for names in _EXPORTS.values() for name in names)]
 
 
 def __getattr__(name):
-    """Import a submodule or a re-export's home module on first access; bind the name here."""
-    if name in _SUBMODULES:
-        value = importlib.import_module(f"{__name__}.{name}")
-    elif name in _HOME:
-        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    else:
+    """Bind every submodule and re-export on first access to any of them, then drop this hook.
+
+    A module with a ``__getattr__`` keeps CPython (3.11) from caching
+    attribute loads on it, which made each ``ottobounds.<name>`` lookup
+    ~4x slower; once the hook is gone the names are plain attributes.
+    """
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+    namespace = globals()
+    for module in _SUBMODULES:
+        importlib.import_module(f"{__name__}.{module}")   # binds the submodule here
+    for module, names in _EXPORTS.items():
+        namespace.update((n, getattr(namespace[module], n)) for n in names)
+    namespace.pop("__getattr__", None)
+    return namespace[name]
 
 
 def __dir__():

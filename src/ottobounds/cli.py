@@ -134,11 +134,11 @@ _SUBCOMMANDS = {
 
 
 def build_parser(command=None):
-    """The parser of every subcommand, or, given a name, one whose other subcommands have no arguments.
+    """The command-line parser; given a subcommand name, only that one gets its arguments.
 
     Every subcommand is registered either way, so help and "invalid choice"
-    errors read the same; only the named one (all of them for None) gets
-    its arguments, and with them the imports they need.
+    errors read the same.  Only the named one (every one for None) gets its
+    arguments, and with them the imports they need.
     """
     parser = argparse.ArgumentParser(
         prog="ottobounds",

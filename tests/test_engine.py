@@ -442,7 +442,10 @@ def test_engine_rows_have_the_bits_of_engine_report():
         for r in SWEEP_RS:
             rep = engine_report(eta_c, r)
             want.append((r, eta_c, rep.eta_up, rep.eta_mw, rep.eta_c_gen))
-    assert [tuple(map(float.hex, row)) for row in rows] == [tuple(map(float.hex, row)) for row in want]
+    def bits(rows):
+        return [tuple(map(float.hex, row)) for row in rows]
+
+    assert bits(rows) == bits(want)
 
 
 @pytest.mark.parametrize("eta_c, r", [(0.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (True, 1.0),

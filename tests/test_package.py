@@ -1,4 +1,4 @@
-"""The package surface: 7 submodules and 43 re-exports, each loaded on first access."""
+"""The package surface: 7 submodules and 43 re-exports, loaded on first access."""
 
 import importlib
 import subprocess
@@ -54,6 +54,18 @@ def test_star_import_binds_all_fifty_names():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ottobounds.no_such_name
+
+
+def test_the_first_access_binds_every_name_and_removes_the_hook():
+    # A module-level __getattr__ stops CPython caching attribute loads on the
+    # module, so once everything is bound the hook must be gone.
+    code = ("import ottobounds as ob, sys; "
+            "assert not set(ob.__all__) & set(vars(ob)); "
+            "assert not [m for m in sys.modules if m.startswith('ottobounds.')]; "
+            "ob.eta_up; "
+            "assert set(ob.__all__) <= set(vars(ob)) and '__getattr__' not in vars(ob)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_submodules_resolve_through_the_package_in_a_fresh_interpreter():

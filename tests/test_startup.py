@@ -16,9 +16,10 @@ import pytest
 PROBE = """
 import ast, contextlib, io, sys
 def loaded():
-    return {"numpy": "numpy" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
-            "json": "json" in sys.modules,
-            "modules": sorted(m.partition(".")[2] for m in sys.modules if m.startswith("ottobounds."))}
+    return {"numpy": "numpy" in sys.modules, "json": "json" in sys.modules,
+            "dataclasses": "dataclasses" in sys.modules,
+            "modules": sorted(m.partition(".")[2] for m in sys.modules
+                              if m.startswith("ottobounds."))}
 import ottobounds
 seen = [("import ottobounds", 0, loaded())]
 from ottobounds import cli
