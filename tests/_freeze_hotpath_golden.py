@@ -1,0 +1,28 @@
+"""Regenerate the bit-for-bit hot-path contract in ``tests/golden/hotpaths.json``.
+
+    PYTHONPATH=src python3 tests/_freeze_hotpath_golden.py
+
+For every function and input of ``tests/test_hotpaths.py`` it records the
+``repr`` of the result, or the type and message of the raised exception.
+
+Regenerate only in a change that deliberately alters a result or an error
+text, and record in CHANGES.md which entries changed and why.  A refactor
+must leave the file untouched: it exists to show that the results keep
+their bits.
+"""
+
+import json
+
+from test_hotpaths import CALLS, GOLDEN, cases, outcomes
+
+
+def main():
+    arg_lists = cases()
+    golden = {name: outcomes(name, arg_lists[name]) for name in sorted(CALLS)}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    for name, entries in golden.items():
+        print(f"{name:24s} {len(entries)} cases")
+
+
+if __name__ == "__main__":
+    main()

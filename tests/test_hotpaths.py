@@ -1,0 +1,192 @@
+"""Bit-for-bit contract of the single-point functions on their hot paths.
+
+Every case calls one public function on a seeded or edge-case input and
+records the ``repr`` of its result, or the type and message of what it
+raised (and a ModeError's ``mode``).  ``tests/golden/hotpaths.json``, which
+``tests/_freeze_hotpath_golden.py`` generates, holds the recorded outcomes;
+a change to any bit of a result, an error type or an error text fails here.
+
+Some cases pin known defects as they stand: the occupations and
+``effective_temperature`` raise ZeroDivisionError once beta*omega underflows
+to 0, and ``effective_temperature`` does too once sinh(r)^2 underflows at a
+large beta*omega.  The change that mends them regenerates those entries on
+purpose.
+"""
+
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from ottobounds import cycle, engine, fridge
+from ottobounds.errors import ModeError
+
+GOLDEN = Path(__file__).parent / "golden" / "hotpaths.json"
+SEED = 20240611
+N_SEEDED = 40
+
+R_EDGES = (0.0, 355.0, 356.0, 372.0, 400.0, 1e6)
+BW_EDGES = (708.9, 709.0, 710.0, 1000.0)
+BAD = ("0.5", None, True, math.nan, math.inf, -1.0, 0, 1j)
+
+
+def _sech(x):
+    e = math.exp(-abs(x))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def _spec(w1, w2, b_cold, b_hot, r, placement, mode, lam):
+    modes = {"adiabatic": cycle.AdiabaticityMode.adiabatic,
+             "sudden": cycle.AdiabaticityMode.sudden_switch}
+    hot = placement == "hot"
+    return cycle.CycleSpec(
+        cold=cycle.BathSpec(b_cold, 0.0 if hot else r),
+        hot=cycle.BathSpec(b_hot, r if hot else 0.0),
+        freqs=cycle.FrequencyPair(w1, w2),
+        mode=cycle.AdiabaticityMode.custom(lam) if mode == "custom" else modes[mode](),
+        placement=cycle.SqueezePlacement(placement),
+    )
+
+
+# name -> callable(*args); cycles and operating points are built from plain tuples.
+CALLS = {
+    "heats_work": lambda *a: cycle.heats_work(_spec(*a)),
+    "efficiency_sudden": lambda *a: cycle.efficiency_sudden(_spec(*a)),
+    "delta_h": cycle.delta_h,
+    "thermal_occupation": cycle.thermal_occupation,
+    "squeezed_occupation": cycle.squeezed_occupation,
+    "effective_temperature": cycle.effective_temperature,
+    "fridge_report": fridge.fridge_report,
+    "zeta_up": fridge.zeta_up,
+    "cop_ht": lambda *a: fridge.cop_ht(fridge.FridgeParams(*a)),
+    "work_ht": lambda *a: engine.work_ht(engine.EngineParams(*a)),
+}
+
+
+def _cycle_cases(rng):
+    out = []
+    for _ in range(N_SEEDED):
+        w1 = rng.uniform(0.5, 2.0)
+        w2 = w1 * rng.uniform(1.1, 4.0)
+        b_hot = rng.uniform(0.05, 2.0)
+        b_cold = b_hot * rng.uniform(1.1, 5.0)
+        r = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 2.0)
+        mode = rng.choice(("sudden", "adiabatic", "custom"))
+        lam = rng.uniform(1.0, 3.0) if mode == "custom" else None
+        out.append((w1, w2, b_cold, b_hot, r, rng.choice(("hot", "cold")), mode, lam))
+    for placement in ("hot", "cold"):
+        for r in R_EDGES:
+            out.append((1.0, 2.0, 2.0, 0.2, r, placement, "sudden", None))
+        for bw in BW_EDGES:
+            # beta*omega at the squeezed contact: omega2 = 2 hot, omega1 = 1 cold.
+            b_hot = bw / 2.0 if placement == "hot" else 0.1
+            b_cold = bw if placement == "cold" else 2.0 * b_hot
+            out.append((1.0, 2.0, b_cold, b_hot, 0.5, placement, "adiabatic", None))
+    # Thermal quasi-static cycles that never run as an engine: the ModeError path.
+    out.append((1.0, 3.0, 1.0, 0.5, 0.0, "hot", "adiabatic", None))
+    out.append((1.0, 1.5, 0.4, 0.3, 0.0, "hot", "sudden", None))
+    out.append((1.0, 2.0, 0.2, 2.0, 0.0, "hot", "sudden", None))       # cold not colder
+    out.append((1.0, 2.0, 2.0, 0.2, 0.5, "bogus", "sudden", None))
+    return out
+
+
+def _occupation_cases(rng):
+    out = [tuple(rng.uniform(0.05, 5.0) for _ in range(2)) + (rng.uniform(0.0, 3.0),)
+           for _ in range(N_SEEDED)]
+    out += [(bw, 1.0, r) for bw in BW_EDGES + (1.0, 1e-3) for r in R_EDGES + (1e-200,)]
+    out += [(1e-200, 1e-200, 0.5), (1e-300, 2.0, 1e-300)]
+    for i in range(3):
+        for bad in BAD:
+            args = [0.5, 2.0, 0.3]
+            args[i] = bad
+            out.append(tuple(args))
+    out += [(-1.0, "x", -1.0), (1.0, -2.0, math.nan)]    # the first bad argument is named
+    return out
+
+
+def _fridge_cases(rng):
+    out = []
+    for _ in range(N_SEEDED):
+        r = rng.uniform(0.0, 1.5)
+        out.append((rng.uniform(0.02, 1.2) * _sech(2.0 * r), r))
+    out += [(tau, r) for tau in (0.02, 0.3, 0.5, 0.75, 0.98) for r in R_EDGES]
+    for r in (0.0, 0.3, 1.0, 5.0):
+        u = _sech(2.0 * r)
+        # tau*cosh(2r) exactly 1/2 and 1, and one ulp inside each.
+        out += [(0.5 * u, r), (u, r), (math.nextafter(0.5 * u, 1.0), r),
+                (math.nextafter(u, 0.0), r)]
+    out += [(bad, 0.3) for bad in BAD] + [(0.5, bad) for bad in BAD]
+    out += [(0.4, 0), (0.9, 1), (0.0, "r"), (1.0, -1.0)]
+    return out
+
+
+def _cop_cases(rng):
+    out = []
+    for _ in range(N_SEEDED):
+        r = rng.uniform(0.0, 1.5)
+        out.append((rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98) * _sech(2.0 * r), r))
+    out += [(z, tau, r) for z in (0.1, 0.9) for tau in (0.3, 0.7) for r in R_EDGES]
+    out += [(0.5, 0.5, 0.0), (math.sqrt(0.5), 0.75, 0.0), (0.5, 0.4, 0)]
+    out += [(bad, 0.5, 0.1) for bad in BAD] + [(0.5, 0.5, bad) for bad in BAD]
+    return out
+
+
+def _work_cases(rng):
+    out = [(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98), rng.uniform(0.0, 5.0))
+           for _ in range(N_SEEDED)]
+    out += [(z, tau, r) for z in (0.1, 0.5, 0.9) for tau in (0.2, 0.8) for r in R_EDGES]
+    out += [(0.5, 0.2, 0.3, b) for b in (1e-300, 5e-324, 2.0)]
+    out += [(0.5, 0.2, 400.0, b) for b in (1e-300, 5e-324)]
+    out += [(bad, 0.5, 0.1) for bad in BAD] + [(0.5, 0.5, 0.1, bad) for bad in BAD]
+    return out
+
+
+def cases():
+    """name -> list of argument tuples, the same on every run."""
+    rng = random.Random(SEED)
+    cyc = _cycle_cases(rng)
+    occ = _occupation_cases(rng)
+    fr = _fridge_cases(rng)
+    return {
+        "heats_work": cyc,
+        "efficiency_sudden": cyc,
+        "delta_h": occ,
+        "thermal_occupation": [a[:2] for a in occ],
+        "squeezed_occupation": occ,
+        "effective_temperature": occ,
+        "fridge_report": fr + [(0.7,), (0.3,), ("0.7",)],
+        "zeta_up": fr,
+        "cop_ht": _cop_cases(rng),
+        "work_ht": _work_cases(rng),
+    }
+
+
+def outcome(name, args):
+    """repr of the result, or 'Type: message' of what the call raised."""
+    try:
+        return repr(CALLS[name](*args))
+    except Exception as exc:    # noqa: BLE001 - every outcome is part of the contract
+        mode = f" [mode={exc.mode!r}]" if isinstance(exc, ModeError) else ""
+        return f"{type(exc).__name__}: {exc}{mode}"
+
+
+def outcomes(name, arg_lists):
+    return {f"{name}{args!r}": outcome(name, args) for args in arg_lists}
+
+
+def read_golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_hot_path_outcomes_are_bit_identical(name):
+    got = outcomes(name, cases()[name])
+    want = read_golden()[name]
+    assert got.keys() == want.keys()
+    assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+def test_golden_covers_every_function():
+    assert set(read_golden()) == set(CALLS)
