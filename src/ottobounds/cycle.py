@@ -46,19 +46,25 @@ __all__ = [
 _SINH_OVERFLOW = 355.0
 
 
+# Each public function below validates its arguments once, in signature
+# order, and then calls a private kernel of x = beta*omega and r that
+# validates nothing; internal callers, whose arguments are already valid,
+# call the kernels directly.
+
 def thermal_occupation(beta, omega):
     """Mean thermal quanta 1/(e^{beta omega} - 1) of a mode at frequency omega."""
-    beta = positive("beta", beta)
-    omega = positive("omega", omega)
-    x = beta * omega
-    e = math.exp(-x)
-    return e / -math.expm1(-x)
+    return _occupation(positive("beta", beta) * positive("omega", omega), 0.0)
 
 
 def squeezed_occupation(beta, omega, r):
     """Mean quanta of a squeezed thermal state: <n> + (2<n> + 1) sinh^2(r)."""
-    n = thermal_occupation(beta, omega)
-    r = nonnegative("r", r)
+    x = positive("beta", beta) * positive("omega", omega)
+    return _occupation(x, nonnegative("r", r))
+
+
+def _occupation(x, r):
+    e = math.exp(-x)
+    n = e / -math.expm1(-x)
     if r == 0.0:
         return n
     if r > _SINH_OVERFLOW:
@@ -74,12 +80,13 @@ def delta_h(beta, omega, r):
     For beta*omega beyond ~709 (or r beyond ~355) the factor exceeds the
     double range and saturates to inf.
     """
-    beta = positive("beta", beta)
-    omega = positive("omega", omega)
-    r = nonnegative("r", r)
+    x = positive("beta", beta) * positive("omega", omega)
+    return _delta_h(x, nonnegative("r", r))
+
+
+def _delta_h(x, r):
     if r == 0.0:
         return 1.0
-    x = beta * omega
     inv_n = math.expm1(x) if x < 709.0 else math.inf
     if r > _SINH_OVERFLOW:
         return math.inf
@@ -180,6 +187,13 @@ class OperatingMode(Enum):
     ACCELERATOR = "accelerator"
 
 
+# Members bound once: on Python 3.11 each ``Enum.MEMBER`` lookup goes through
+# EnumType's slow attribute hook, and ``member.value`` is an enum.property,
+# so the hot paths read these globals and a member's ``_value_``.
+_HOT_BATH = SqueezePlacement.HOT_BATH
+_ENGINE, _REFRIGERATOR, _HEATER, _ACCELERATOR = OperatingMode
+
+
 class CycleSpec(Record):
     """Full cycle configuration: ``cold``, ``hot``, ``freqs``, ``mode``, ``placement``.
 
@@ -195,7 +209,7 @@ class CycleSpec(Record):
                 f"cold bath must be colder: need cold.beta > hot.beta, "
                 f"got {cold.beta} <= {hot.beta}"
             )
-        idle = cold if placement is SqueezePlacement.HOT_BATH else hot
+        idle = cold if placement is _HOT_BATH else hot
         if idle.r != 0.0:
             raise DomainError(
                 f"the non-squeezed ({'cold' if idle is cold else 'hot'}) bath must have r = 0, "
@@ -241,10 +255,10 @@ def cycle_energies(spec):
     lam = spec.mode.lambda_for(spec.freqs)
     c_cold = coth(0.5 * spec.cold.beta * w1)
     c_hot = coth(0.5 * spec.hot.beta * w2)
-    if spec.placement is SqueezePlacement.HOT_BATH:
-        f_cold, f_hot = 1.0, delta_h(spec.hot.beta, w2, spec.hot.r)
+    if spec.placement is _HOT_BATH:
+        f_cold, f_hot = 1.0, _delta_h(spec.hot.beta * w2, spec.hot.r)
     else:
-        f_cold, f_hot = delta_h(spec.cold.beta, w1, spec.cold.r), 1.0
+        f_cold, f_hot = _delta_h(spec.cold.beta * w1, spec.cold.r), 1.0
     # The idle side's factor is 1.0, and x * 1.0 is exactly x.
     h_a = 0.5 * w1 * c_cold * f_cold
     h_b = 0.5 * w2 * lam * c_cold * f_cold
@@ -266,10 +280,10 @@ def classify_mode(q2, q4, w_ext):
     ``cooling_feasible`` asks only whether a finite COP bound exists.
     """
     if q2 > 0.0 and q4 < 0.0:
-        return OperatingMode.ENGINE if w_ext > 0.0 else OperatingMode.ACCELERATOR
+        return _ENGINE if w_ext > 0.0 else _ACCELERATOR
     if q2 < 0.0 and q4 > 0.0 and w_ext < 0.0:
-        return OperatingMode.REFRIGERATOR
-    return OperatingMode.HEATER
+        return _REFRIGERATOR
+    return _HEATER
 
 
 def heats_work(spec):
@@ -279,8 +293,8 @@ def heats_work(spec):
     q4 = h_a - h_d
     w_ext = q2 + q4
     mode = classify_mode(q2, q4, w_ext)
-    eta = w_ext / q2 if mode is OperatingMode.ENGINE else None
-    cop = q4 / -w_ext if mode is OperatingMode.REFRIGERATOR else None
+    eta = w_ext / q2 if mode is _ENGINE else None
+    cop = q4 / -w_ext if mode is _REFRIGERATOR else None
     return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
 
 
@@ -291,10 +305,10 @@ def efficiency_sudden(spec):
     not extract positive work from positive hot-side heat.
     """
     perf = heats_work(spec)
-    if perf.mode_label is not OperatingMode.ENGINE:
+    if perf.mode_label is not _ENGINE:
         raise ModeError(
             f"efficiency is defined for engine operation only; "
-            f"this cycle runs as a {perf.mode_label.value}",
+            f"this cycle runs as a {perf.mode_label._value_}",
             mode=perf.mode_label,
         )
     return perf.eta
@@ -312,7 +326,7 @@ def effective_temperature(beta, omega, r):
     r = nonnegative("r", r)
     if r == 0.0:
         return 1.0 / beta
-    n = squeezed_occupation(beta, omega, r)
+    n = _occupation(beta * omega, r)
     if math.isinf(n):
         return math.inf
     return omega / math.log1p(1.0 / n)

@@ -79,7 +79,9 @@ def work_ht(p):
     sg = math.sqrt(p.tau * u)
     if 2.0 * p.beta2 * u == 0.0:
         # The limit has the numerator's sign; with u = 0.5 _grouped_work divides it by 1.
-        return ratio(_grouped_work(p.z, sg, 0.5), 0.0, f"the work at {p}")
+        # Only a 0/0 reads the text, so p's four float reprs are formatted only then.
+        num = _grouped_work(p.z, sg, 0.5)
+        return ratio(num, 0.0, f"the work at {p}" if num == 0.0 else None)
     return _grouped_work(p.z, sg, u, p.beta2)
 
 

@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-def _tau_c(tau, r):
-    u = sech(2.0 * r)
+def _tau_c(tau, u):
+    """tau cosh(2r) from u = sech(2r)."""
     return math.inf if u == 0.0 else tau / u
 
 
@@ -89,7 +89,7 @@ def cooling_heat_ht(z, tau, r, beta2=1.0):
     if not 0.0 <= zf <= 1.0:
         raise DomainError(f"z must lie in [0, 1], got {z!r}")
     tau = unit_open("tau", tau)
-    tc = _tau_c(tau, nonnegative("r", r))
+    tc = _tau_c(tau, sech(2.0 * nonnegative("r", r)))
     return _cooling_heat(zf * zf, tc, positive("beta2", beta2))
 
 
@@ -97,7 +97,7 @@ def hot_heat_ht(z, tau, r, beta2=1.0):
     """Heat exchanged with the hot reservoir: (2 z^2 - tau_c (1 + z^2)) / (2 beta2 z^2)."""
     z = unit_open("z", z)
     tau = unit_open("tau", tau)
-    tc = _tau_c(tau, nonnegative("r", r))
+    tc = _tau_c(tau, sech(2.0 * nonnegative("r", r)))
     return _hot_heat(z * z, tc, positive("beta2", beta2))
 
 
@@ -108,7 +108,7 @@ def extracted_work_ht(z, tau, r, beta2=1.0):
     """
     z = unit_open("z", z)
     tau = unit_open("tau", tau)
-    tc = _tau_c(tau, nonnegative("r", r))
+    tc = _tau_c(tau, sech(2.0 * nonnegative("r", r)))
     return _work(z * z, tc, positive("beta2", beta2))
 
 
@@ -120,7 +120,7 @@ def cop_ht(p):
     does not cool (q4 <= 0, including the exact window boundary where
     cooling vanishes).
     """
-    z2, tc = p.z * p.z, _tau_c(p.tau, p.r)
+    z2, tc = p.z * p.z, _tau_c(p.tau, sech(2.0 * p.r))
     q4 = _cooling_heat(z2, tc, 1.0)
     if not math.isfinite(q4):
         raise DomainError(
@@ -132,7 +132,7 @@ def cop_ht(p):
         mode = classify_mode(q2, q4, q2 + q4)
         raise ModeError(
             f"no cooling at z={p.z}, tau={p.tau}, r={p.r}: "
-            f"the cycle operates as a {mode.value}",
+            f"the cycle operates as a {mode._value_}",
             mode=mode,
         )
     return q4 / -_work(z2, tc, 1.0)
@@ -146,7 +146,10 @@ def cop_quasistatic(z):
 
 def zeta_carnot(tau):
     """Carnot COP tau/(1 - tau); grows without bound as tau -> 1."""
-    tau = unit_open("tau", tau)
+    return _zeta_carnot(unit_open("tau", tau))
+
+
+def _zeta_carnot(tau):
     return tau / (1.0 - tau)
 
 
@@ -176,23 +179,29 @@ def zeta_up(tau, r):
     open window (1/2, 1); past 1 every z still refrigerates, with no finite bound.
     """
     tau = unit_open("tau", tau)
-    tc = _tau_c(tau, nonnegative("r", r))
+    bound, reason = _zeta_up(_tau_c(tau, sech(2.0 * nonnegative("r", r))), tau, r)
+    if reason is not None:
+        raise InfeasibleError(reason)
+    return bound
+
+
+def _zeta_up(tc, tau, r):
+    """(zeta_up, None) inside the window, else (None, the reason); tau and r only name the point."""
     if tc <= 0.5:
-        raise InfeasibleError(
-            f"tau*cosh(2r) <= 1/2: effective cold temperature at or below half "
-            f"the hot temperature (tau={tau}, r={r})"
-        )
+        return None, (f"tau*cosh(2r) <= 1/2: effective cold temperature at or below half "
+                      f"the hot temperature (tau={tau}, r={r})")
     if tc >= 1.0:
-        raise InfeasibleError(
-            f"tau*cosh(2r) >= 1: effective cold temperature at or above the hot "
-            f"temperature; every z refrigerates, with unbounded COP (tau={tau}, r={r})"
-        )
-    return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (tc - 1.0) ** 2)
+        return None, (f"tau*cosh(2r) >= 1: effective cold temperature at or above the hot "
+                      f"temperature; every z refrigerates, with unbounded COP (tau={tau}, r={r})")
+    return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (tc - 1.0) ** 2), None
 
 
 def tau_window(r):
     """Open interval of temperature ratios with a finite COP bound: (sech(2r)/2, sech(2r))."""
-    u = sech(2.0 * nonnegative("r", r))
+    return _tau_window(sech(2.0 * nonnegative("r", r)))
+
+
+def _tau_window(u):
     return (0.5 * u, u)
 
 
@@ -202,7 +211,10 @@ def r_window(tau):
     (acosh(1/(2 tau))/2, acosh(1/tau)/2) for tau below 1/2; from tau = 1/2
     upward the lower endpoint is 0 (cooling is already open at r = 0+).
     """
-    tau = unit_open("tau", tau)
+    return _r_window(unit_open("tau", tau))
+
+
+def _r_window(tau):
     hi = 0.5 * math.acosh(1.0 / tau)
     lo = 0.5 * math.acosh(1.0 / (2.0 * tau)) if tau < 0.5 else 0.0
     return (lo, hi)
@@ -212,16 +224,13 @@ def fridge_report(tau, r=0.0):
     """Report at (tau, r); cooling_feasible: a finite COP bound exists, 1/2 < tau cosh 2r < 1."""
     tau = unit_open("tau", tau)
     r = nonnegative("r", r)
-    try:
-        bound = zeta_up(tau, r)
-        feasible, reason = True, None
-    except InfeasibleError as exc:
-        bound, feasible, reason = None, False, str(exc)
+    u = sech(2.0 * r)
+    bound, reason = _zeta_up(_tau_c(tau, u), tau, r)
     return FridgeBoundsReport(
-        zeta_c=zeta_carnot(tau),
+        zeta_c=_zeta_carnot(tau),
         zeta_up=bound,
-        tau_window=tau_window(r),
-        r_window=r_window(tau),
-        cooling_feasible=feasible,
+        tau_window=_tau_window(u),
+        r_window=_r_window(tau),
+        cooling_feasible=reason is None,
         reason=reason,
     )
