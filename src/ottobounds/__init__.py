@@ -68,7 +68,6 @@ _EXPORTS = {
         "SupremumReport",
         "find_root_scalar",
         "maximize_scalar",
-        "sup_constrained_grid",
     ),
 }
 __all__ = [*_SUBMODULES, *(name for names in _EXPORTS.values() for name in names)]

@@ -17,11 +17,12 @@ as ``-w_ext``.
 """
 
 import math
+import sys
 from enum import Enum
 
 from ._record import Record
 from .errors import DomainError, ModeError, as_real, nonnegative, positive
-from .special import coth
+from .special import coth, sech
 
 __all__ = [
     "AdiabaticityMode",
@@ -44,6 +45,8 @@ __all__ = [
 
 # sinh(r)**2 overflows past this; occupations saturate to inf there.
 _SINH_OVERFLOW = 355.0
+# Below the smallest normal double, 1/N of an occupation N may overflow.
+_TINY = sys.float_info.min
 
 
 # Each public function below validates its arguments once, in signature
@@ -64,7 +67,10 @@ def squeezed_occupation(beta, omega, r):
 
 def _occupation(x, r):
     e = math.exp(-x)
-    n = e / -math.expm1(-x)
+    try:
+        n = e / -math.expm1(-x)
+    except ZeroDivisionError:   # x underflowed to 0: n ~ 1/x > 4e323
+        return math.inf
     if r == 0.0:
         return n
     if r > _SINH_OVERFLOW:
@@ -319,14 +325,25 @@ def effective_temperature(beta, omega, r):
 
     Inverts the Bose factor at the squeezed occupation N:
     T = omega / ln(1 + 1/N).  Reduces to 1/beta exactly at r = 0 and to
-    cosh(2r)/beta in the beta*omega -> 0 limit.
+    cosh(2r)/beta in the beta*omega -> 0 limit, which it returns once
+    beta*omega underflows to 0.  Once N is below the smallest normal
+    double, 1/N overflows and T = omega / -ln N, with ln N taken in log
+    space.
     """
     beta = positive("beta", beta)
     omega = positive("omega", omega)
     r = nonnegative("r", r)
     if r == 0.0:
         return 1.0 / beta
-    n = _occupation(beta * omega, r)
+    x = beta * omega
+    n = _occupation(x, r)
+    if n < _TINY:
+        # ln N = ln(n + sinh^2 r), the 2n sinh^2 r term far below one ulp.
+        p, q = -x - math.log1p(-math.exp(-x)), 2.0 * math.log(math.sinh(r))
+        return omega / -(max(p, q) + math.log1p(math.exp(-abs(p - q))))
     if math.isinf(n):
+        if x == 0.0:
+            d = beta * sech(2.0 * r)
+            return 1.0 / d if d else math.inf
         return math.inf
     return omega / math.log1p(1.0 / n)

@@ -1,12 +1,12 @@
 """Deterministic numerical search, independent of every closed form it checks.
 
-Three primitives: golden-section maximisation of unimodal scalar objectives
-(many lanes in lockstep), brute-force suprema over constrained rectangular
-grids, and bisection root location.  All three are fully deterministic:
-identical inputs produce bitwise-identical reports, grid reductions break
-ties on the lowest lexicographic input, and no randomness enters anywhere.
-numpy is imported by the functions that compute on arrays, not by this
-module, so the scalar paths of the package start without it.
+Two primitives: golden-section maximisation of unimodal scalar objectives
+(many lanes in lockstep, with a parabolic polish step), and bisection root
+location.  Both are fully deterministic: identical inputs produce
+bitwise-identical reports, and no randomness enters anywhere.  numpy is
+imported by the functions that compute on arrays, not by this module, so
+the scalar paths of the package start without it.  The ceiling suite's
+grid scan lives in `verify`, next to the kernel it runs.
 """
 
 import math
@@ -21,7 +21,6 @@ __all__ = [
     "find_root_scalar",
     "maximize_scalar",
     "refine_parabolic",
-    "sup_constrained_grid",
 ]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
@@ -50,11 +49,11 @@ def _finite_interval(lo, hi, what):
 
 
 class SupremumReport(Record):
-    """Best point found by a search; None fields signal an empty domain."""
+    """Best point found by a golden-section search, its value and the evaluations it took."""
 
-    def __init__(self, best_input, best_value, evaluations, method):
+    def __init__(self, best_input, best_value, evaluations):
         self.__dict__.update(best_input=best_input, best_value=best_value,
-                             evaluations=evaluations, method=method)
+                             evaluations=evaluations)
 
 
 def axis_points(start, stop, count):
@@ -106,7 +105,7 @@ def maximize_scalar(obj):
         x = 0.5 * (a + b)
         y = _eval_finite(obj.fn, x)
         x = np.broadcast_to(x, np.shape(y))
-        return SupremumReport(_out(x), _out(y), np.size(y), "golden-section")
+        return SupremumReport(_out(x), _out(y), np.size(y))
 
     n = int(math.ceil(math.log(h / obj.tol) / math.log(1.0 / INV_PHI)))
     c = a + INV_PHI2 * h
@@ -131,7 +130,7 @@ def maximize_scalar(obj):
     y_mid = _eval_finite(obj.fn, mid)
     better = y_mid > best_y
     best_x, best_y = _pick(better, mid, best_x), _pick(better, y_mid, best_y)
-    return SupremumReport(_out(best_x), _out(best_y), (n + 2) * np.size(best_y), "golden-section")
+    return SupremumReport(_out(best_x), _out(best_y), (n + 2) * np.size(best_y))
 
 
 def refine_parabolic(fn, x, h=1e-5):
@@ -152,93 +151,6 @@ def refine_parabolic(fn, x, h=1e-5):
     den = fp - 2.0 * f0 + fm
     step = 0.5 * h * (fp - fm) / np.where(den < 0.0, den, -1.0)   # den >= 0: unused
     return _out(_pick(den >= 0.0, x, x - step))
-
-
-def _grid_scan(objective, axes):
-    """Supremum over the product grid; first maximum in C order wins ties.
-
-    When there are several axes the scan is chunked over the first one to
-    keep memory flat, which preserves the lexicographic tie-break: earlier
-    chunks win ties, and np.argmax already returns the first maximum within
-    a chunk.
-    """
-    import numpy as np
-    best_val = -math.inf
-    best_point = None
-    evaluations = 0
-
-    def scan_block(block_axes):
-        nonlocal best_val, best_point, evaluations
-        shape = tuple(len(ax) for ax in block_axes)
-        coords = np.meshgrid(*block_axes, indexing="ij", sparse=True)
-        vals = np.asarray(objective(*coords), dtype=float)
-        if vals.shape != shape:   # a lower-rank result; argmax copies this read-only view
-            vals = np.broadcast_to(vals, shape)
-        flat = int(np.argmax(vals))   # argmax stops at the first NaN
-        val = float(vals.flat[flat])
-        idx = np.unravel_index(flat, shape)
-        point = tuple(float(ax[i]) for ax, i in zip(block_axes, idx))
-        if math.isnan(val):
-            raise DomainError(f"objective returned NaN at {point}")
-        evaluations += int(np.count_nonzero(vals > -np.inf))
-        if val > best_val:
-            best_val, best_point = val, point
-
-    if len(axes) == 1:
-        scan_block(axes)
-    else:
-        for i in range(len(axes[0])):
-            scan_block([axes[0][i:i + 1], *axes[1:]])
-
-    return best_point, best_val, evaluations
-
-
-def sup_constrained_grid(objective, bounds, resolution=50, refine=True):
-    """Supremum of a vectorised objective over a rectangular grid of
-    ``resolution`` points per axis.
-
-    ``objective`` receives open grid coordinates (``np.meshgrid(...,
-    indexing="ij", sparse=True)``, chunked over the first axis), so work on
-    one axis is done once per axis value; its result is broadcast to the
-    chunk.  It returns -inf at infeasible points, which ``evaluations`` does
-    not count, and a NaN raises DomainError.  Each result is read in full
-    before the objective is called again and no reference to it is kept, so
-    an objective may return the same scratch buffer on every call.  An empty
-    feasible set is an answer, not an error: the report comes back with None
-    fields and zero evaluations.
-
-    With ``refine`` the coarse best point is re-bracketed by one coarse step
-    per axis and re-scanned on a 10x finer local grid; this buys accuracy
-    cheaply without any claim of convergence.
-    """
-    import numpy as np
-    k = len(bounds)
-    if not 1 <= k <= 5:
-        raise DomainError(f"grid search supports 1 to 5 axes, got {k}")
-    bounds = [_finite_interval(lo, hi, "grid axis") for lo, hi in bounds]
-    n = nonnegative_int("resolution", resolution)
-    if n < 2:
-        raise DomainError(f"resolution must be >= 2, got {n}")
-
-    axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
-    best_point, best_val, evaluations = _grid_scan(objective, axes)
-    method = "grid"
-
-    if best_point is None:
-        return SupremumReport(None, None, 0, method)
-
-    if refine:
-        fine_axes = []
-        for (lo, hi), x in zip(bounds, best_point):
-            step = (hi - lo) / (n - 1)
-            fine_axes.append(np.linspace(max(lo, x - step), min(hi, x + step), 21))
-        point, val, extra = _grid_scan(objective, fine_axes)
-        evaluations += extra
-        if point is not None and val > best_val:
-            best_point, best_val = point, val
-        method = "grid+refine"
-
-    return SupremumReport(best_point, best_val, evaluations, method)
 
 
 def find_root_scalar(g, bracket, tol=1e-12):

@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 tests/_freeze_hotpath_golden.py
 
 For every function and input of ``tests/test_hotpaths.py`` it records the
-``repr`` of the result, or the type and message of the raised exception.
+``repr`` of the result, or the type and message of the raised exception,
+and prints the key of each entry whose outcome differs from the file it
+overwrites (or that the file lacks).
 
 Regenerate only in a change that deliberately alters a result or an error
 text, and record in CHANGES.md which entries changed and why.  A refactor
@@ -17,11 +19,16 @@ from test_hotpaths import CALLS, GOLDEN, cases, outcomes
 
 
 def main():
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     arg_lists = cases()
     golden = {name: outcomes(name, arg_lists[name]) for name in sorted(CALLS)}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     for name, entries in golden.items():
         print(f"{name:24s} {len(entries)} cases")
+        was = old.get(name, {})
+        for key, value in entries.items():
+            if was.get(key) != value:
+                print(f"  changed {key}: {was.get(key)} -> {value}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -459,6 +461,37 @@ def test_effective_temperature_inverts_the_squeezed_occupation():
 @given(beta=st.floats(0.05, 10.0), omega=st.floats(0.05, 5.0), r=st.floats(1e-4, 5.0))
 def test_effective_temperature_exceeds_bath_temperature(beta, omega, r):
     assert effective_temperature(beta, omega, r) > 1.0 / beta
+
+
+def _occupation_mp(beta, omega, r):
+    """The squeezed occupation N at 50 digits, for the exact float inputs."""
+    n = 1 / mpmath.expm1(mpmath.mpf(beta) * mpmath.mpf(omega))
+    return n + (2 * n + 1) * mpmath.sinh(mpmath.mpf(r)) ** 2
+
+
+def _temperature_mp(beta, omega, r):
+    return mpmath.mpf(omega) / mpmath.log1p(1 / _occupation_mp(beta, omega, r))
+
+
+@pytest.mark.parametrize("fn, reference, args", [
+    # beta*omega underflows to 0: the occupations pass the double range, T is cosh(2r)/beta.
+    (thermal_occupation, lambda b, w: _occupation_mp(b, w, 0), (1e-200, 1e-200)),
+    (squeezed_occupation, _occupation_mp, (1e-200, 1e-200, 0.5)),
+    (effective_temperature, _temperature_mp, (1e-200, 1e-200, 0.5)),
+    # N below the smallest normal double: 1/N overflows (0 and subnormal N).
+    (effective_temperature, _temperature_mp, (1000.0, 1.0, 1e-200)),
+    (effective_temperature, _temperature_mp, (710.0, 1.0, 1e-200)),
+], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
+        "effective_temperature-N0", "effective_temperature-N-subnormal"])
+def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, args):
+    # These raised ZeroDivisionError, or (the last) returned 0.0.
+    with mpmath.workdps(50):
+        want = reference(*args)
+        got = fn(*args)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert abs(got - want) <= 1e-15 * want
 
 
 # ---------------------------------------------------------------------------

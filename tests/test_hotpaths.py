@@ -6,11 +6,10 @@ raised (and a ModeError's ``mode``).  ``tests/golden/hotpaths.json``, which
 ``tests/_freeze_hotpath_golden.py`` generates, holds the recorded outcomes;
 a change to any bit of a result, an error type or an error text fails here.
 
-Some cases pin known defects as they stand: the occupations and
-``effective_temperature`` raise ZeroDivisionError once beta*omega underflows
-to 0, and ``effective_temperature`` does too once sinh(r)^2 underflows at a
-large beta*omega.  The change that mends them regenerates those entries on
-purpose.
+Three cases pin a known defect as it stands: ``delta_h`` returns NaN once
+expm1(beta*omega) overflows while sinh(r)^2 underflows.  The change that
+mends it regenerates those entries on purpose, and no entry may be a raw
+ZeroDivisionError or any other NaN.
 """
 
 import json
@@ -190,3 +189,14 @@ def test_hot_path_outcomes_are_bit_identical(name):
 
 def test_golden_covers_every_function():
     assert set(read_golden()) == set(CALLS)
+
+
+# delta_h's NaN at beta*omega >= 709 with sinh(r)^2 underflowed.  ROADMAP
+# item 4 (the saturation- and underflow-free cycle) empties this list.
+NAN_ALLOWED = {f"delta_h({bw}, 1.0, 1e-200)" for bw in (709.0, 710.0, 1000.0)}
+
+
+def test_golden_holds_no_raw_zero_division_and_no_unlisted_nan():
+    entries = {key: value for by_key in read_golden().values() for key, value in by_key.items()}
+    assert [key for key, value in entries.items() if value.startswith("ZeroDivisionError")] == []
+    assert {key for key, value in entries.items() if value == "nan"} == NAN_ALLOWED

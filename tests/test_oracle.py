@@ -14,7 +14,6 @@ from ottobounds.oracle import (
     find_root_scalar,
     maximize_scalar,
     refine_parabolic,
-    sup_constrained_grid,
 )
 
 HALF_ACOSH_2 = 0.65847894846240835
@@ -29,7 +28,6 @@ ZETA_UP_TH_2 = 0.071796769724490826
 def test_maximize_quadratic():
     rep = maximize_scalar(ScalarObjective(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-10))
     assert abs(rep.best_input - 0.3) < 2e-10
-    assert rep.method == "golden-section"
 
 
 def test_maximize_work_recovers_the_closed_form_ratio():
@@ -144,163 +142,6 @@ def test_cop_is_unimodal_over_the_cooling_window():
         z = np.linspace(1e-4, hi * (1.0 - 1e-9), 400)
         c = [cop_ht(FridgeParams(float(v), tau, r)) for v in z]
         assert unimodal_by_differences(c)
-
-
-# ---------------------------------------------------------------------------
-# Constrained grid supremum
-
-
-def test_grid_quadratic_two_axes():
-    rep = sup_constrained_grid(
-        lambda x, y: -((x - 0.3) ** 2) - (y - 0.7) ** 2,
-        bounds=[(0.0, 1.0), (0.0, 1.0)],
-        resolution=101,
-        refine=True,
-    )
-    assert rep.method == "grid+refine"
-    assert abs(rep.best_input[0] - 0.3) < 1e-3
-    assert abs(rep.best_input[1] - 0.7) < 1e-3
-    assert rep.best_value <= 0.0
-
-
-def test_grid_respects_the_feasibility_predicate():
-    # Unconstrained argmax sits at x = 0.9, but the predicate cuts it away.
-    rep = sup_constrained_grid(
-        lambda x: np.where(x < 0.5, -((x - 0.9) ** 2), -np.inf),
-        bounds=[(0.0, 1.0)],
-        resolution=1001,
-        refine=False,
-    )
-    assert rep.best_input[0] < 0.5
-    assert abs(rep.best_input[0] - 0.499) < 2e-3
-    assert rep.evaluations < 1001
-
-
-def test_grid_efficiency_supremum_respects_the_thermal_bound():
-    # One-axis sweep of the high-temperature efficiency at tau = 0.8 under
-    # the positive work condition; the supremum must sit at the closed-form
-    # bound for eta_c = 0.2.
-    tau = 0.8
-
-    def eff(z):
-        z2 = z * z
-        return (1.0 - z2) * (z2 - tau) / (2.0 * z2 - tau * (1.0 + z2))
-
-    rep = sup_constrained_grid(
-        lambda z: np.where(z * z > tau, eff(z), -np.inf),
-        bounds=[(1e-4, 0.9999)],
-        resolution=1_000_000,
-        refine=False,
-    )
-    bound = 0.03752470442573563  # thermal efficiency bound at eta_c = 0.2
-    assert rep.best_value <= bound + 1e-6
-    assert rep.best_value > bound - 1e-6
-    assert 0 < rep.evaluations < 1_000_000  # the predicate filtered the grid
-
-
-def test_grid_empty_feasible_set_is_an_answer():
-    rep = sup_constrained_grid(
-        lambda x: np.where(x > 2.0, x, -np.inf),
-        bounds=[(0.0, 1.0)],
-        resolution=100,
-    )
-    assert rep.best_input is None and rep.best_value is None
-    assert rep.evaluations == 0
-
-
-def test_grid_supremum_monotone_under_nesting():
-    # linspace(0, 1, 11) is a subset of linspace(0, 1, 21) bitwise.
-    f = lambda x: np.sin(5.0 * x)
-    lo = sup_constrained_grid(f, [(0.0, 1.0)], resolution=11, refine=False)
-    hi = sup_constrained_grid(f, [(0.0, 1.0)], resolution=21, refine=False)
-    assert hi.best_value >= lo.best_value
-
-
-def test_grid_deterministic_and_tie_broken_lexicographically():
-    f = lambda x, y: np.zeros_like(x)  # all ties
-    rep1 = sup_constrained_grid(f, [(0.0, 1.0), (0.0, 1.0)], resolution=7, refine=False)
-    rep2 = sup_constrained_grid(f, [(0.0, 1.0), (0.0, 1.0)], resolution=7, refine=False)
-    assert rep1 == rep2
-    assert rep1.best_input == (0.0, 0.0)  # lowest lexicographic input wins
-
-
-def test_grid_rejects_nan_from_the_objective():
-    with pytest.raises(DomainError):
-        sup_constrained_grid(lambda x, y: np.where(x > 0.5, np.nan, x + y),
-                             [(0.0, 1.0), (0.0, 1.0)], resolution=5, refine=False)
-    with pytest.raises(DomainError):
-        sup_constrained_grid(lambda x: np.where(x > 0.5, np.nan, -np.inf),
-                             [(0.0, 1.0)], resolution=5, refine=False)
-
-
-def test_grid_objective_may_ignore_axes():
-    # A lower-rank result is broadcast over the ignored axes; ties along
-    # them go to the lowest lexicographic input.
-    rep = sup_constrained_grid(lambda x, y, z: -((x - 0.5) ** 2),
-                               [(0.0, 1.0)] * 3, resolution=5, refine=False)
-    assert rep.best_input == (0.5, 0.0, 0.0)
-    assert rep.evaluations == 125
-    rep = sup_constrained_grid(lambda x, y: 1.0, [(0.0, 1.0)] * 2, resolution=4, refine=False)
-    assert rep.best_input == (0.0, 0.0) and rep.best_value == 1.0
-    assert rep.evaluations == 16
-
-
-def test_grid_does_not_count_minus_inf_points():
-    x, y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9), indexing="ij")
-    rep = sup_constrained_grid(lambda x, y: np.where(x + y > 1.0, x - y, -np.inf),
-                               [(0.0, 1.0), (0.0, 1.0)], resolution=9, refine=False)
-    assert rep.evaluations == np.count_nonzero(x + y > 1.0)
-    assert rep.best_input == (1.0, 0.125)
-
-
-def test_grid_objective_may_return_one_buffer_for_every_call():
-    # The oracle reads each result in full before the next call and keeps
-    # no reference to it, so a reused scratch buffer gives the same report.
-    def fresh(x, y, z):
-        return np.where(x + y > z, np.sin(3.0 * x) * np.cos(2.0 * y) - z * z, -np.inf)
-
-    buffers = {}
-
-    def reused(x, y, z):
-        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
-        buf = buffers.setdefault(shape, np.empty(shape))
-        buf[...] = fresh(x, y, z)
-        return buf
-
-    bounds = [(0.0, 1.0), (-0.5, 0.5), (0.0, 0.8)]
-    want = sup_constrained_grid(fresh, bounds, resolution=11, refine=True)
-    got = sup_constrained_grid(reused, bounds, resolution=11, refine=True)
-    assert got == want
-    assert sorted(buffers) == [(1, 11, 11), (1, 21, 21)]
-
-
-def test_grid_receives_open_coordinates():
-    shapes = []
-
-    def f(x, y, z):
-        shapes.append((x.shape, y.shape, z.shape))
-        return x + y + z
-
-    sup_constrained_grid(f, [(0.0, 1.0)] * 3, resolution=3, refine=False)
-    assert shapes == [((1, 1, 1), (1, 3, 1), (1, 1, 3))] * 3
-
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        sup_constrained_grid(lambda *a: a[0], bounds=[(0.0, 1.0)] * 6)
-    with pytest.raises(DomainError):
-        sup_constrained_grid(lambda x: x, bounds=[(0.0, 1.0)], resolution=1)
-    with pytest.raises(DomainError):
-        sup_constrained_grid(lambda x: x, bounds=[(1.0, 0.0)])
-    # An infinite end used to warn and then report NaN at (nan,), a string end
-    # and a float resolution raised raw TypeErrors, and [2.7] was truncated to 2.
-    # A resolution is one count for every axis, never a sequence.
-    for bounds in ([(0.0, math.inf)], [("a", 1.0)], [(math.nan, 1.0)], [(0.0, None)]):
-        with pytest.raises(DomainError):
-            sup_constrained_grid(lambda x: x, bounds=bounds)
-    for resolution in (2.5, [2.7], [True], "5", [5], [5, 5], 1.0e6):
-        with pytest.raises(DomainError):
-            sup_constrained_grid(lambda x: x, bounds=[(0.0, 1.0)], resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The package surface: 7 submodules and 43 re-exports, loaded on first access."""
+"""The package surface: 7 submodules and 42 re-exports, loaded on first access."""
 
 import importlib
 import subprocess
@@ -19,13 +19,12 @@ REEXPORTS = {
                "z2_of_eta", "z_star"},
     "fridge": {"FridgeBoundsReport", "FridgeParams", "cop_ht", "cop_quasistatic", "fridge_report",
                "r_window", "tau_window", "zeta_carnot", "zeta_up", "zeta_up_thermal"},
-    "oracle": {"ScalarObjective", "SupremumReport", "find_root_scalar", "maximize_scalar",
-               "sup_constrained_grid"},
+    "oracle": {"ScalarObjective", "SupremumReport", "find_root_scalar", "maximize_scalar"},
 }
 
 
 def test_all_lists_the_submodules_and_the_reexports():
-    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 50
+    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 49
     assert set(ottobounds.__all__) == SUBMODULES.union(*REEXPORTS.values())
 
 
@@ -45,7 +44,7 @@ def test_dir_lists_every_public_name():
     assert set(ottobounds.__all__) <= set(dir(ottobounds))
 
 
-def test_star_import_binds_all_fifty_names():
+def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ottobounds import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ottobounds.__all__)

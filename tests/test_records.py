@@ -60,9 +60,8 @@ RECORDS = [
      "r_window=(0.0, 0.3), cooling_feasible=False, reason='too cold')"),
     (ScalarObjective, ("fn", "lo", "hi", "tol"), (abs, -1.0, 1.0, 1e-8),
      "ScalarObjective(fn=<built-in function abs>, lo=-1.0, hi=1.0, tol=1e-08)"),
-    (SupremumReport, ("best_input", "best_value", "evaluations", "method"),
-     ((1.0, 2.0), 0.5, 10, "grid"),
-     "SupremumReport(best_input=(1.0, 2.0), best_value=0.5, evaluations=10, method='grid')"),
+    (SupremumReport, ("best_input", "best_value", "evaluations"), (0.25, 0.5, 10),
+     "SupremumReport(best_input=0.25, best_value=0.5, evaluations=10)"),
     (CheckResult, ("name", "passed", "worst", "evaluations", "detail"),
      ("ceiling", True, 0.49, 100, "ok"),
      "CheckResult(name='ceiling', passed=True, worst=0.49, evaluations=100, detail='ok')"),

@@ -186,30 +186,57 @@ def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeyp
     assert kernel(*args).tobytes() == want.tobytes()
 
 
-def _spy_on_the_grid_objective(monkeypatch, then):
-    """Pass each result of the ceiling's grid objective through ``then``;
-    returns the threads the objective ran on."""
+def _spy_on_the_grid_kernel(monkeypatch, then):
+    """Pass each result of `verify._efficiency_into` computed off the
+    calling thread, where the grid leg runs, through ``then``; returns the
+    threads of those calls.  The draw leg's calls pass unchanged."""
+    caller = threading.current_thread()
     threads = []
-    real = verify.sup_constrained_grid
+    real = verify._efficiency_into
 
-    def grid(objective, *args, **kwargs):
-        def spy(*coords):
-            threads.append(threading.current_thread())
-            return then(objective(*coords))
-        return real(spy, *args, **kwargs)
+    def spy(*args):
+        eta = real(*args)
+        if threading.current_thread() is caller:
+            return eta
+        threads.append(threading.current_thread())
+        return then(eta)
 
-    monkeypatch.setattr(verify, "sup_constrained_grid", grid)
+    monkeypatch.setattr(verify, "_efficiency_into", spy)
     return threads
 
 
 def test_grid_leg_runs_on_one_worker_thread(monkeypatch):
     before = threading.active_count()
-    threads = _spy_on_the_grid_objective(monkeypatch, lambda eta: eta)
+    threads = _spy_on_the_grid_kernel(monkeypatch, lambda eta: eta)
     check = verify.ceiling_check(samples=100, seed=11)
     assert threading.active_count() == before
-    assert len(set(threads)) == 1 and threads[0] is not threading.current_thread()
-    assert not threads[0].is_alive()
+    assert len(threads) == 48 + 21   # one kernel call per a value of each pass
+    assert len(set(threads)) == 1 and not threads[0].is_alive()
     assert check.evaluations == GRID_EVALUATIONS + _one_shot_draws(100, seed=11)[1]
+
+
+def _rounded_kernel(a, b, z, r, x, work):
+    """The textbook efficiency rounded to one decimal, so that points tie."""
+    x[...] = np.round(_textbook_efficiency(a, b, z, r), 1)
+    return x
+
+
+def test_a_grid_pass_keeps_the_first_maximum_in_c_order(monkeypatch):
+    axes = [np.linspace(lo, hi, 6) for lo, hi in verify.CEILING_BOX]
+    want = np.round(_textbook_efficiency(*np.meshgrid(*axes, indexing="ij", sparse=True)), 1)
+    ties = np.nonzero(want == want.max())
+    assert len(set(ties[0])) > 1 and len(ties[0]) > len(set(ties[0]))   # across and in slabs
+    monkeypatch.setattr(verify, "_efficiency_into", _rounded_kernel)
+    best, point, evaluations = verify._grid_pass(axes)
+    assert best == want.max()
+    assert point == tuple(float(ax[i[0]]) for ax, i in zip(axes, ties))
+    assert evaluations == np.count_nonzero(want > -np.inf) < want.size
+
+
+def test_a_grid_pass_without_a_feasible_point(monkeypatch):
+    axes = [np.linspace(lo, hi, 3) for lo, hi in verify.CEILING_BOX]
+    monkeypatch.setattr(verify, "_efficiency_into", lambda *args: np.full_like(args[4], -np.inf))
+    assert verify._grid_pass(axes) == (-np.inf, tuple(lo for lo, _ in verify.CEILING_BOX), 0)
 
 
 def _nan_everywhere(eta):
@@ -218,18 +245,18 @@ def _nan_everywhere(eta):
 
 
 @pytest.mark.parametrize("then, error", [
-    (_nan_everywhere, DomainError),                 # the oracle rejects a NaN
+    (_nan_everywhere, DomainError),                 # the grid scan rejects a NaN
     (lambda eta: eta / np.zeros(()), RuntimeWarning),   # divide by zero, a warning made an error
 ], ids=["nan", "warning-as-error"])
 def test_what_the_grid_leg_raises_is_raised_in_the_caller(monkeypatch, then, error):
     before = threading.active_count()
-    threads = _spy_on_the_grid_objective(monkeypatch, then)
+    threads = _spy_on_the_grid_kernel(monkeypatch, then)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             verify.ceiling_check(samples=100)
     assert threading.active_count() == before
-    assert threads and threads[0] is not threading.current_thread()
+    assert threads
 
 
 def test_a_draw_leg_failure_is_raised_after_the_worker_is_joined(monkeypatch):
@@ -239,7 +266,7 @@ def test_a_draw_leg_failure_is_raised_after_the_worker_is_joined(monkeypatch):
         return run
 
     before = threading.active_count()
-    threads = _spy_on_the_grid_objective(monkeypatch, lambda eta: eta)
+    threads = _spy_on_the_grid_kernel(monkeypatch, lambda eta: eta)
     monkeypatch.setattr(verify, "_draw_leg", failing_leg)
     with pytest.raises(ArithmeticError, match="draw leg failed"):
         verify.ceiling_check(samples=100)
@@ -249,7 +276,7 @@ def test_a_draw_leg_failure_is_raised_after_the_worker_is_joined(monkeypatch):
 
 def test_callers_errstate_holds_in_the_grid_leg(monkeypatch):
     seen = []
-    _spy_on_the_grid_objective(monkeypatch, lambda eta: seen.append(np.geterr()["over"]) or eta)
+    _spy_on_the_grid_kernel(monkeypatch, lambda eta: seen.append(np.geterr()["over"]) or eta)
     with np.errstate(over="raise"):   # numpy's default is "warn"
         verify.ceiling_check(samples=0)
     assert seen and set(seen) == {"raise"}
