@@ -64,7 +64,6 @@ _EXPORTS = {
         "zeta_up_thermal",
     ),
     "oracle": (
-        "ScalarObjective",
         "SupremumReport",
         "find_root_scalar",
         "maximize_scalar",

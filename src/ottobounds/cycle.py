@@ -21,7 +21,7 @@ import sys
 from enum import Enum
 
 from ._record import Record
-from .errors import DomainError, ModeError, as_real, nonnegative, positive
+from .errors import DomainError, ModeError, as_real, nonnegative, positive, real
 from .special import coth, sech
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
 _SINH_OVERFLOW = 355.0
 # Below the smallest normal double, 1/N of an occupation N may overflow.
 _TINY = sys.float_info.min
+# Below this beta*omega, T = cosh(2r)/beta to (1 + x^2/12), under half an ulp.
+_X_SMALL = 1e-8
 
 
 # Each public function below validates its arguments once, in signature
@@ -76,6 +78,8 @@ def _occupation(x, r):
     if r > _SINH_OVERFLOW:
         return math.inf
     s2 = math.sinh(r) ** 2
+    if s2 == 0.0:   # sinh^2 r underflowed; (2n + 1) * 0 is NaN once 2n + 1 overflows
+        return n
     return n + (2.0 * n + 1.0) * s2
 
 
@@ -284,7 +288,12 @@ def classify_mode(q2, q4, w_ext):
     pattern (both heats rejected, or exact zeros in the heats) as a heater.
     This is the one definition of a refrigerator, `fridge`'s included; its
     ``cooling_feasible`` asks only whether a finite COP bound exists.
+    Each argument may be +-inf; NaN and non-reals raise DomainError.
     """
+    return _classify_mode(real("q2", q2), real("q4", q4), real("w_ext", w_ext))
+
+
+def _classify_mode(q2, q4, w_ext):
     if q2 > 0.0 and q4 < 0.0:
         return _ENGINE if w_ext > 0.0 else _ACCELERATOR
     if q2 < 0.0 and q4 > 0.0 and w_ext < 0.0:
@@ -298,7 +307,7 @@ def heats_work(spec):
     q2 = h_c - h_b
     q4 = h_a - h_d
     w_ext = q2 + q4
-    mode = classify_mode(q2, q4, w_ext)
+    mode = _classify_mode(q2, q4, w_ext)
     eta = w_ext / q2 if mode is _ENGINE else None
     cop = q4 / -w_ext if mode is _REFRIGERATOR else None
     return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
@@ -325,10 +334,11 @@ def effective_temperature(beta, omega, r):
 
     Inverts the Bose factor at the squeezed occupation N:
     T = omega / ln(1 + 1/N).  Reduces to 1/beta exactly at r = 0 and to
-    cosh(2r)/beta in the beta*omega -> 0 limit, which it returns once
-    beta*omega underflows to 0.  Once N is below the smallest normal
-    double, 1/N overflows and T = omega / -ln N, with ln N taken in log
-    space.
+    cosh(2r)/beta in the beta*omega -> 0 limit, which it returns once N
+    overflows at a beta*omega below 1e-8 (N overflows at a larger one only
+    past r of about 345, where T is inf).  Once N is below the smallest
+    normal double, 1/N overflows and T = omega / -ln N, with ln N taken in
+    log space.
     """
     beta = positive("beta", beta)
     omega = positive("omega", omega)
@@ -342,7 +352,7 @@ def effective_temperature(beta, omega, r):
         p, q = -x - math.log1p(-math.exp(-x)), 2.0 * math.log(math.sinh(r))
         return omega / -(max(p, q) + math.log1p(math.exp(-abs(p - q))))
     if math.isinf(n):
-        if x == 0.0:
+        if x < _X_SMALL:
             d = beta * sech(2.0 * r)
             return 1.0 / d if d else math.inf
         return math.inf

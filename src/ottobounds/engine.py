@@ -248,11 +248,21 @@ def engine_rows(eta_cs, rs):
     The bounds of a sweep over r (the CLI's fig2): each row has the bits of
     engine_report(eta_c, r)'s fields, and a bad eta_c or r raises the same
     DomainError, but sech(2r) is computed once per r for all the curves.
+    An eta_cs or rs that is not iterable raises DomainError too.
     """
-    eta_cs = [unit_open("eta_c", eta_c) for eta_c in eta_cs]
-    rs = [nonnegative("r", r) for r in rs]
+    eta_cs = _each(unit_open, "eta_c", eta_cs)
+    rs = _each(nonnegative, "r", rs)
     us = [sech(2.0 * r) for r in rs]
     return [(r, eta_c, *_bounds((1.0 - eta_c) * u)) for eta_c in eta_cs for r, u in zip(rs, us)]
+
+
+def _each(check, name, values):
+    """[check(name, v) for v in values], and DomainError if values is not iterable."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise DomainError(f"the {name} values must be iterable, got {values!r}") from None
+    return [check(name, v) for v in values]
 
 
 def _bounds(g):

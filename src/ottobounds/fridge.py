@@ -20,7 +20,7 @@ expression; it is exposed separately and is *not* bounded by zeta_up.
 import math
 
 from ._record import Record
-from .cycle import classify_mode
+from .cycle import _classify_mode
 from .errors import (
     DomainError, InfeasibleError, ModeError, as_real, nonnegative, positive, unit_open,
 )
@@ -129,7 +129,7 @@ def cop_ht(p):
         )
     if q4 <= 0.0:
         q2 = _hot_heat(z2, tc, 1.0)
-        mode = classify_mode(q2, q4, q2 + q4)
+        mode = _classify_mode(q2, q4, q2 + q4)
         raise ModeError(
             f"no cooling at z={p.z}, tau={p.tau}, r={p.r}: "
             f"the cycle operates as a {mode._value_}",

@@ -15,7 +15,6 @@ from ._record import Record
 from .errors import BracketError, DomainError, as_real, nonnegative_int, positive
 
 __all__ = [
-    "ScalarObjective",
     "SupremumReport",
     "axis_points",
     "find_root_scalar",
@@ -25,19 +24,6 @@ __all__ = [
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
-
-
-class ScalarObjective(Record):
-    """A scalar function ``fn`` to maximise on [lo, hi] to ``tol``, assumed unimodal there.
-
-    ``fn`` maps a float to a float, or an array of lane points to lane values.
-    Unimodality is the caller's responsibility; each use in this package
-    documents why it holds (and the tests check it by second differences).
-    """
-
-    def __init__(self, fn, lo, hi, tol=1e-10):
-        lo, hi = _finite_interval(lo, hi, "interval")
-        self.__dict__.update(fn=fn, lo=lo, hi=hi, tol=positive("tol", tol))
 
 
 def _finite_interval(lo, hi, what):
@@ -88,30 +74,34 @@ def _out(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def maximize_scalar(obj):
-    """Golden-section maximisation of a unimodal objective.
+def maximize_scalar(fn, lo, hi, tol=1e-10):
+    """Golden-section maximisation of ``fn`` on [lo, hi] to ``tol``.
 
-    The bracket shrinks by 1/phi per iteration; the step count is fixed up
-    front as ceil(log(width/tol)/log(phi)), so the report is a deterministic
-    function of the inputs.  best_input is the best point actually
-    evaluated, which always lies inside the final bracket.  Lanes (see
-    ScalarObjective) run in lockstep, one call per step, and each gets
-    bitwise the result of its own one-lane search; evaluations counts all.
+    ``fn`` maps a float to a float, or an array of lane points to lane
+    values, and is assumed unimodal on the bracket: each use in this
+    package documents why that holds (and the tests check it by second
+    differences).  The bracket shrinks by 1/phi per iteration; the step
+    count is fixed up front as ceil(log(width/tol)/log(phi)), so the report
+    is a deterministic function of the inputs.  best_input is the best
+    point actually evaluated, which always lies inside the final bracket.
+    Lanes run in lockstep, one call per step, and each gets bitwise the
+    result of its own one-lane search; evaluations counts all.
     """
+    a, b = _finite_interval(lo, hi, "interval")
+    tol = positive("tol", tol)
     import numpy as np
-    a, b = obj.lo, obj.hi
     h = b - a
-    if h <= obj.tol:
+    if h <= tol:
         x = 0.5 * (a + b)
-        y = _eval_finite(obj.fn, x)
+        y = _eval_finite(fn, x)
         x = np.broadcast_to(x, np.shape(y))
         return SupremumReport(_out(x), _out(y), np.size(y))
 
-    n = int(math.ceil(math.log(h / obj.tol) / math.log(1.0 / INV_PHI)))
+    n = int(math.ceil(math.log(h / tol) / math.log(1.0 / INV_PHI)))
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
-    yc = _eval_finite(obj.fn, c)
-    yd = _eval_finite(obj.fn, d)
+    yc = _eval_finite(fn, c)
+    yd = _eval_finite(fn, d)
     best_x = _pick(yc >= yd, c, d)
     best_y = _pick(yc >= yd, yc, yd)
 
@@ -120,14 +110,14 @@ def maximize_scalar(obj):
         a, b = _pick(left, a, c), _pick(left, d, b)
         h = INV_PHI * h
         x_new = _pick(left, a + INV_PHI2 * h, a + INV_PHI * h)
-        y_new = _eval_finite(obj.fn, x_new)
+        y_new = _eval_finite(fn, x_new)
         c, d = _pick(left, x_new, d), _pick(left, c, x_new)
         yc, yd = _pick(left, y_new, yd), _pick(left, yc, y_new)
         better = y_new > best_y
         best_x, best_y = _pick(better, x_new, best_x), _pick(better, y_new, best_y)
 
     mid = 0.5 * (a + b)
-    y_mid = _eval_finite(obj.fn, mid)
+    y_mid = _eval_finite(fn, mid)
     better = y_mid > best_y
     best_x, best_y = _pick(better, mid, best_x), _pick(better, y_mid, best_y)
     return SupremumReport(_out(best_x), _out(best_y), (n + 2) * np.size(best_y))

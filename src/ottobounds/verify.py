@@ -18,13 +18,7 @@ import math
 from . import engine, fridge
 from ._record import Record
 from .errors import DomainError, nonnegative_int
-from .oracle import (
-    ScalarObjective,
-    axis_points,
-    find_root_scalar,
-    maximize_scalar,
-    refine_parabolic,
-)
+from .oracle import axis_points, find_root_scalar, maximize_scalar, refine_parabolic
 from .special import sech
 
 __all__ = [
@@ -324,9 +318,10 @@ def work_argmax(tau, r):
     if not (np.all(sg / lo - lo > 0.0) and np.all(sg / hi - hi < 0.0)):
         raise DomainError(f"the work maximum lies outside the search bracket [{lo}, {hi}] "
                           f"at tau={tau}, r={r}")
-    obj = ScalarObjective(lambda zz: engine._grouped_work(zz, sg, u), lo, hi, tol=1e-12)
-    rep = maximize_scalar(obj)
-    polished = refine_parabolic(obj.fn, rep.best_input, h=1e-5)
+    def work(zz):
+        return engine._grouped_work(zz, sg, u)
+    rep = maximize_scalar(work, lo, hi, tol=1e-12)
+    polished = refine_parabolic(work, rep.best_input, h=1e-5)
     return polished, rep.evaluations + 3 * np.size(polished)
 
 

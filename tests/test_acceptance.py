@@ -20,7 +20,7 @@ from ottobounds.cycle import (
     FrequencyPair,
     efficiency_sudden,
 )
-from ottobounds.oracle import ScalarObjective, find_root_scalar, maximize_scalar
+from ottobounds.oracle import find_root_scalar, maximize_scalar
 from ottobounds.verify import work_argmax
 
 # High-precision crossing anchors (tests/_freeze_reference_values.py).
@@ -149,18 +149,15 @@ def test_criterion_06_fridge_bound_by_maximisation():
     for tau, r in pairs:
         tc = tau * math.cosh(2.0 * r)
         hi = math.sqrt(2.0 * tc - 1.0) * (1.0 - 1e-12)
-        obj = ScalarObjective(
+        best = maximize_scalar(
             lambda z, tau=tau, r=r: fridge.cop_ht(fridge.FridgeParams(z, tau, r)),
             lo=1e-6, hi=hi, tol=1e-10,
-        )
-        best = maximize_scalar(obj).best_value
+        ).best_value
         worst = max(worst, abs(best - fridge.zeta_up(tau, r)))
     spot = abs(
         maximize_scalar(
-            ScalarObjective(
-                lambda z: fridge.cop_ht(fridge.FridgeParams(z, 2.0 / 3.0, 0.0)),
-                lo=1e-6, hi=math.sqrt(1.0 / 3.0) * (1.0 - 1e-12), tol=1e-10,
-            )
+            lambda z: fridge.cop_ht(fridge.FridgeParams(z, 2.0 / 3.0, 0.0)),
+            lo=1e-6, hi=math.sqrt(1.0 / 3.0) * (1.0 - 1e-12), tol=1e-10,
         ).best_value
         - (7.0 - 4.0 * math.sqrt(3.0))
     )

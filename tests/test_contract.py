@@ -1,0 +1,101 @@
+"""The total-function contract of the float-taking public functions.
+
+Every function in the ``__all__`` of ``cycle``, ``engine``, ``fridge`` and
+``special`` that takes plain numbers is called on every tuple of the edge
+floats below, and once per argument with a wrong type or NaN in it.  Each
+call must return a value with no NaN anywhere in it (a float, a tuple or a
+record's fields; +-inf is allowed), or raise an ``OttoError``.  Functions
+that take a record argument are left out: a float there raises
+``AttributeError``, as the README states.
+
+One known defect is allowlisted, by exact count: ``delta_h`` is NaN once
+expm1(beta*omega) overflows (beta*omega >= 709) while sinh(r)^2 underflows
+to 0.  The change that mends it empties the allowlist.
+"""
+
+import inspect
+import itertools
+import math
+import sys
+
+import pytest
+
+from ottobounds import cycle, engine, fridge, special
+from ottobounds._record import Record
+from ottobounds.errors import OttoError
+
+EPS = sys.float_info.epsilon
+EDGES = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 0.9, 1.0 - EPS / 2,
+         1.0, 1.0 + EPS, 2.0, 10.0, 100.0, 354.0, 356.0, 400.0, 708.0, 709.0, 710.0, 1000.0,
+         1e300, math.inf, -1.0)
+WRONG = (None, "0.5", True, [0.5], 0.5j, object(), math.nan)
+BASE = 0.5   # a valid value of every argument; the wrong one goes in beside it
+
+RECORD_TAKING = {"cycle_energies", "efficiency_sudden", "heats_work", "lambda_sudden",
+                 "work_ht", "cop_ht"}
+ALLOWED_DELTA_H_NANS = 459
+
+
+def _float_functions():
+    for module in (cycle, engine, fridge, special):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and name not in RECORD_TAKING:
+                yield pytest.param(fn, id=f"{module.__name__.rsplit('.', 1)[1]}.{name}")
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    elif isinstance(value, Record):
+        yield from _leaves(tuple(vars(value).values()))
+    else:
+        yield value
+
+
+def _has_nan(value):
+    return any(type(v) is float and v != v for v in _leaves(value))
+
+
+def _outcome(fn, args):
+    """'error' for an OttoError, 'nan' for a value with a NaN in it, else 'ok'.
+
+    Any other exception propagates and fails the test with its traceback.
+    """
+    try:
+        value = fn(*args)
+    except OttoError:
+        return "error"
+    return "nan" if _has_nan(value) else "ok"
+
+
+def _delta_h_allowed(beta, omega, r):
+    return beta * omega >= 709.0 and math.sinh(r) ** 2 == 0.0
+
+
+@pytest.mark.parametrize("fn", _float_functions())
+def test_every_edge_tuple_gives_a_value_without_nan_or_an_otto_error(fn):
+    params = list(inspect.signature(fn).parameters.values())
+    if fn is engine.engine_rows:
+        # The sweep takes iterables: one-point sweeps over the edge pairs,
+        # and the bare floats, which are not iterable.
+        calls = [([a], [b]) for a, b in itertools.product(EDGES, repeat=2)]
+        calls += itertools.product(EDGES, repeat=2)
+        wrong = [[[w], [BASE]] for w in WRONG] + [[[BASE], [w]] for w in WRONG]
+    else:
+        # Every tuple over the first three arguments; a fourth (fridge's
+        # beta2, which has a default) is swept alone beside the base values.
+        calls = list(itertools.product(EDGES, repeat=min(len(params), 3)))
+        if len(params) == 4:
+            calls += [(BASE, BASE, BASE, x) for x in EDGES]
+        wrong = [[w if i == j else BASE for j in range(len(params))]
+                 for i in range(len(params)) for w in WRONG]
+    nans = [args for args in calls if _outcome(fn, args) == "nan"]
+    if fn is cycle.delta_h:
+        assert all(_delta_h_allowed(*args) for args in nans)
+        assert len(nans) == ALLOWED_DELTA_H_NANS
+    else:
+        assert nans == []
+    for args in wrong:
+        assert _outcome(fn, args) == "error", args

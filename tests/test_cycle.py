@@ -481,10 +481,22 @@ def _temperature_mp(beta, omega, r):
     # N below the smallest normal double: 1/N overflows (0 and subnormal N).
     (effective_temperature, _temperature_mp, (1000.0, 1.0, 1e-200)),
     (effective_temperature, _temperature_mp, (710.0, 1.0, 1e-200)),
+    # sinh^2 r underflows to 0 while 2n + 1 overflows: (2n + 1) * 0 was NaN.
+    (squeezed_occupation, _occupation_mp, (1e-300, 1e-8, 1e-300)),
+    (squeezed_occupation, _occupation_mp, (5e-324, 0.9, 5e-324)),
+    (effective_temperature, _temperature_mp, (5e-324, 0.9, 5e-324)),
+    # N overflows at a small but nonzero beta*omega, where T is still
+    # cosh(2r)/beta to within x^2/12; T was inf.
+    (effective_temperature, _temperature_mp, (1e-300, 1e-20, 0.5)),
+    (effective_temperature, _temperature_mp, (1e-160, 1e-160, 0.5)),
+    (effective_temperature, _temperature_mp, (1e-280, 1e-27, 2.0)),
 ], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
-        "effective_temperature-N0", "effective_temperature-N-subnormal"])
+        "effective_temperature-N0", "effective_temperature-N-subnormal",
+        "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
+        "effective_temperature-x-subnormal", "effective_temperature-x-subnormal-finite-T",
+        "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal"])
 def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, args):
-    # These raised ZeroDivisionError, or (the last) returned 0.0.
+    # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
     with mpmath.workdps(50):
         want = reference(*args)
         got = fn(*args)

@@ -31,7 +31,7 @@ from ottobounds.fridge import (
     zeta_up,
     zeta_up_thermal,
 )
-from ottobounds.oracle import ScalarObjective, maximize_scalar
+from ottobounds.oracle import maximize_scalar
 
 # Frozen high-precision references (tests/_freeze_reference_values.py).
 ZETA_UP_TH_2 = 0.071796769724490826   # 7 - 4 sqrt 3
@@ -54,10 +54,7 @@ def max_cop_over_z(tau, r):
     """
     tc = tau * math.cosh(2.0 * r)
     hi = math.sqrt(2.0 * tc - 1.0) * (1.0 - 1e-12)
-    obj = ScalarObjective(
-        lambda z: cop_ht(FridgeParams(z, tau, r)), lo=1e-6, hi=hi, tol=1e-10
-    )
-    return maximize_scalar(obj)
+    return maximize_scalar(lambda z: cop_ht(FridgeParams(z, tau, r)), lo=1e-6, hi=hi, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

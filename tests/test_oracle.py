@@ -9,7 +9,7 @@ from ottobounds.errors import BracketError, DomainError
 from ottobounds.fridge import FridgeParams, cooling_heat_ht, cop_ht
 from ottobounds.oracle import (
     INV_PHI,
-    ScalarObjective,
+    INV_PHI2,
     axis_points,
     find_root_scalar,
     maximize_scalar,
@@ -26,52 +26,53 @@ ZETA_UP_TH_2 = 0.071796769724490826
 
 
 def test_maximize_quadratic():
-    rep = maximize_scalar(ScalarObjective(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-10))
+    rep = maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-10)
     assert abs(rep.best_input - 0.3) < 2e-10
 
 
 def test_maximize_work_recovers_the_closed_form_ratio():
     tau, r = 0.5, 0.0
-    obj = ScalarObjective(lambda z: work_ht(EngineParams(z, tau, r)), 1e-3, 0.9999, tol=1e-12)
-    rep = maximize_scalar(obj)
-    z_num = refine_parabolic(obj.fn, rep.best_input, h=1e-5)
+    def work(z):
+        return work_ht(EngineParams(z, tau, r))
+    rep = maximize_scalar(work, 1e-3, 0.9999, tol=1e-12)
+    z_num = refine_parabolic(work, rep.best_input, h=1e-5)
     assert abs(z_num - z_star(tau, r)) < 1e-8
     assert abs(z_num - 0.5**0.25) < 1e-8
     # Independent stationarity check by central difference.
     h = 1e-6
-    deriv = (obj.fn(z_num + h) - obj.fn(z_num - h)) / (2.0 * h)
+    deriv = (work(z_num + h) - work(z_num - h)) / (2.0 * h)
     assert abs(deriv) < 1e-6
 
 
 def test_maximize_cop_recovers_the_thermal_bound():
     tau = 2.0 / 3.0
     hi = math.sqrt(2.0 * tau - 1.0) * (1.0 - 1e-12)
-    rep = maximize_scalar(ScalarObjective(lambda z: cop_ht(FridgeParams(z, tau, 0.0)), 1e-6, hi))
+    rep = maximize_scalar(lambda z: cop_ht(FridgeParams(z, tau, 0.0)), 1e-6, hi)
     assert abs(rep.best_value - ZETA_UP_TH_2) < 1e-6
 
 
 def test_maximize_evaluation_count_follows_the_shrink_rate():
     # The bracket shrinks by 1/phi per step; the count is fixed up front.
     lo, hi, tol = 0.0, 1.0, 1e-8
-    rep = maximize_scalar(ScalarObjective(lambda x: -((x - 0.42) ** 2), lo, hi, tol=tol))
+    rep = maximize_scalar(lambda x: -((x - 0.42) ** 2), lo, hi, tol=tol)
     n = math.ceil(math.log((hi - lo) / tol) / math.log(1.0 / INV_PHI))
     assert rep.evaluations == n + 2  # two seeds, n-1 steps, one midpoint
 
 
 def test_maximize_degenerate_interval():
-    rep = maximize_scalar(ScalarObjective(lambda x: -x * x, 0.5, 0.5 + 1e-12, tol=1e-10))
+    rep = maximize_scalar(lambda x: -x * x, 0.5, 0.5 + 1e-12, tol=1e-10)
     assert rep.evaluations == 1
     assert abs(rep.best_input - 0.5) < 1e-11
 
 
 def test_maximize_is_deterministic():
-    obj = ScalarObjective(lambda x: math.sin(3.0 * x), 0.0, 1.0, tol=1e-10)
-    assert maximize_scalar(obj) == maximize_scalar(obj)
+    args = (lambda x: math.sin(3.0 * x), 0.0, 1.0, 1e-10)
+    assert maximize_scalar(*args) == maximize_scalar(*args)
 
 
 def test_maximize_propagates_non_finite_values():
     with pytest.raises(DomainError):
-        maximize_scalar(ScalarObjective(lambda x: math.inf, 0.0, 1.0))
+        maximize_scalar(lambda x: math.inf, 0.0, 1.0)
 
 
 def test_objective_validation():
@@ -81,22 +82,23 @@ def test_objective_validation():
                         (-math.inf, 0.0, 1e-10), (math.nan, 1.0, 1e-10), (0.0, 1.0, math.nan),
                         (0.0, 1.0, math.inf), (0.0, 1.0, "1e-3")]:
         with pytest.raises(DomainError):
-            ScalarObjective(lambda x: x, lo, hi, tol=tol)
-    obj = ScalarObjective(lambda x: x, np.float64(0.25), 1, tol=np.float32(0.5))
-    assert (obj.lo, obj.hi, obj.tol) == (0.25, 1.0, 0.5)
-    assert all(type(v) is float for v in (obj.lo, obj.hi, obj.tol))
+            maximize_scalar(lambda x: x, lo, hi, tol=tol)
+    seen = []
+    rep = maximize_scalar(lambda x: seen.append(x) or x, np.float64(0.25), 1, tol=np.float32(0.5))
+    assert all(type(v) is float for v in seen)
+    assert seen[:2] == [0.25 + INV_PHI2 * 0.75, 0.25 + INV_PHI * 0.75]   # lo 0.25, hi 1.0
+    assert rep.evaluations == 3 and type(rep.best_input) is float       # tol 0.5: one step
 
 
 def test_lockstep_lanes_equal_one_lane_searches_bitwise():
     p = np.array([0.1, 0.37, 0.5, 0.93])
     q = np.array([0.0, 0.3, -1.7, 2.0])
     fn = lambda x: q * x - (x - p) * (x - p)
-    obj = ScalarObjective(fn, 0.0, 1.0, tol=1e-12)
-    rep = maximize_scalar(obj)
+    rep = maximize_scalar(fn, 0.0, 1.0, tol=1e-12)
     polished = refine_parabolic(fn, rep.best_input, h=1e-3)
     for i in range(len(p)):
         one = lambda x, i=i: q[i] * x - (x - p[i]) * (x - p[i])
-        single = maximize_scalar(ScalarObjective(one, 0.0, 1.0, tol=1e-12))
+        single = maximize_scalar(one, 0.0, 1.0, tol=1e-12)
         assert type(single.best_input) is float and type(single.best_value) is float
         assert rep.best_input[i] == single.best_input
         assert rep.best_value[i] == single.best_value
@@ -107,7 +109,7 @@ def test_lockstep_lanes_equal_one_lane_searches_bitwise():
 def test_lockstep_lanes_check_every_lane_for_finite_values():
     p = np.array([0.2, 0.6])
     with pytest.raises(DomainError):
-        maximize_scalar(ScalarObjective(lambda x: np.where(x > p, np.inf, -x), 0.0, 1.0))
+        maximize_scalar(lambda x: np.where(x > p, np.inf, -x), 0.0, 1.0)
 
 
 def test_refine_parabolic_hits_the_vertex():
@@ -184,7 +186,7 @@ def test_cooling_sign_changes_land_on_the_window_endpoints():
 
 
 def test_reports_are_frozen_dataclasses():
-    rep = maximize_scalar(ScalarObjective(lambda x: -x * x, -1.0, 1.0))
+    rep = maximize_scalar(lambda x: -x * x, -1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.best_value = 0.0
 

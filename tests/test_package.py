@@ -1,4 +1,4 @@
-"""The package surface: 7 submodules and 42 re-exports, loaded on first access."""
+"""The package surface: 7 submodules and 41 re-exports, loaded on first access."""
 
 import importlib
 import subprocess
@@ -19,12 +19,12 @@ REEXPORTS = {
                "z2_of_eta", "z_star"},
     "fridge": {"FridgeBoundsReport", "FridgeParams", "cop_ht", "cop_quasistatic", "fridge_report",
                "r_window", "tau_window", "zeta_carnot", "zeta_up", "zeta_up_thermal"},
-    "oracle": {"ScalarObjective", "SupremumReport", "find_root_scalar", "maximize_scalar"},
+    "oracle": {"SupremumReport", "find_root_scalar", "maximize_scalar"},
 }
 
 
 def test_all_lists_the_submodules_and_the_reexports():
-    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 49
+    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 48
     assert set(ottobounds.__all__) == SUBMODULES.union(*REEXPORTS.values())
 
 

@@ -23,7 +23,7 @@ from ottobounds.cycle import (
 )
 from ottobounds.engine import EngineBoundsReport, EngineParams
 from ottobounds.fridge import FridgeBoundsReport, FridgeParams
-from ottobounds.oracle import ScalarObjective, SupremumReport
+from ottobounds.oracle import SupremumReport
 from ottobounds.verify import CheckResult
 
 _SPEC_ARGS = (BathSpec(2.0), BathSpec(0.2, 0.3), FrequencyPair(1.0, 2.0),
@@ -58,8 +58,6 @@ RECORDS = [
      (1.5, None, (0.25, 0.5), (0.0, 0.3), False, "too cold"),
      "FridgeBoundsReport(zeta_c=1.5, zeta_up=None, tau_window=(0.25, 0.5), "
      "r_window=(0.0, 0.3), cooling_feasible=False, reason='too cold')"),
-    (ScalarObjective, ("fn", "lo", "hi", "tol"), (abs, -1.0, 1.0, 1e-8),
-     "ScalarObjective(fn=<built-in function abs>, lo=-1.0, hi=1.0, tol=1e-08)"),
     (SupremumReport, ("best_input", "best_value", "evaluations"), (0.25, 0.5, 10),
      "SupremumReport(best_input=0.25, best_value=0.5, evaluations=10)"),
     (CheckResult, ("name", "passed", "worst", "evaluations", "detail"),
@@ -127,6 +125,5 @@ def test_defaults():
     assert AdiabaticityMode("sudden") == AdiabaticityMode("sudden", None)
     assert EngineParams(0.5, 0.2) == EngineParams(0.5, 0.2, 0.0, 1.0)
     assert FridgeParams(0.5, 0.6) == FridgeParams(0.5, 0.6, 0.0)
-    assert ScalarObjective(abs, 0.0, 1.0) == ScalarObjective(abs, 0.0, 1.0, 1e-10)
     assert CycleSpec(*_SPEC_ARGS[:4]).placement is SqueezePlacement.HOT_BATH
     assert FridgeBoundsReport(1.5, None, (0.25, 0.5), (0.0, 0.3), False).reason is None
