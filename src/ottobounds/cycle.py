@@ -22,7 +22,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import DomainError, ModeError, as_real, nonnegative, positive, real
-from .special import coth, sech
+from .special import coth
 
 __all__ = [
     "AdiabaticityMode",
@@ -353,7 +353,11 @@ def effective_temperature(beta, omega, r):
         return omega / -(max(p, q) + math.log1p(math.exp(-abs(p - q))))
     if math.isinf(n):
         if x < _X_SMALL:
-            d = beta * sech(2.0 * r)
-            return 1.0 / d if d else math.inf
+            if r <= _SINH_OVERFLOW:
+                return math.cosh(2.0 * r) / beta
+            # cosh 2r overflows, but e^2r / 2 is cosh 2r to the last bit and
+            # e^r / beta is a normal double; past r = 709 T overflows too.
+            e = math.exp(r) if r < 709.0 else math.inf
+            return e / beta * (0.5 * e)
         return math.inf
     return omega / math.log1p(1.0 / n)

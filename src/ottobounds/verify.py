@@ -6,11 +6,12 @@ golden-section optimum, a bisection-located sign change) and reports the
 worst deviation it saw.  The exact-efficiency kernel of the ceiling suite
 is written here from scratch, in vectorised numpy, rather than reusing the
 scalar cycle code: the two routes share nothing but the inputs.  The
-ceiling's grid scan calls that kernel itself, one slab at a time.  Only
-the ceiling and optimality suites need numpy, and they import it when they
-run.  The ceiling suite is the one place that starts a thread: its grid
-leg runs on one worker thread while the calling thread judges the seeded
-draws, and the report has the bits of a serial run.
+ceiling's grid scan runs that kernel's two halves itself, with the bits of
+a run at every point.  Only the ceiling and optimality suites need numpy,
+and they import it when they run.  The ceiling suite is the one place
+that starts a thread: its grid leg runs on one worker thread, which then
+shares the seeded draws with the calling thread, and the report has the
+bits of a serial run.
 """
 
 import math
@@ -60,14 +61,21 @@ def exact_efficiency(a, b, z, r):
     shape, and every operation keeps the operands and the order of the
     textbook formula.  0-d inputs give a 0-d array with the bits of the same
     point in a larger array.
+
+    Past b = ln(DBL_MAX) = 709.78 expm1(b) overflows, so there the term
+    (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
+    the term is, and about b eps off in the exponent.
     """
     import numpy as np
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    z = np.asarray(z, dtype=float)
-    r = np.asarray(r, dtype=float)
+    a, b, z, r = (np.asarray(v, dtype=float) for v in (a, b, z, r))
     out = np.empty(np.broadcast_shapes(a.shape, b.shape, z.shape, r.shape))
-    return _efficiency_into(a, b, z, r, out, _efficiency_work(a, b, z, r))
+    work = _efficiency_work(a, b, z, r)
+    wide = b > 709.782712893384
+    _zdh_into(np.where(wide, 0.0, b), r, out, work)
+    if wide.any():   # ln sinh 0 = -inf; 0 inf = NaN is off the engine region
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.copyto(out, z * (1.0 + np.exp(b + 2.0 * np.log(np.sinh(r)))), where=wide)
+    return _eta_into(a, b, z, out, work)
 
 
 def _efficiency_work(a, b, z, r):
@@ -102,8 +110,14 @@ def _efficiency_into(a, b, z, r, x, work):
     they may share two rows, fb = fa = bz = fz and fr = dh, as in the draw
     leg.  Returns ``x``.
     """
+    _zdh_into(b, r, x, work)
+    return _eta_into(a, b, z, x, work)
+
+
+def _zdh_into(b, r, x, work):
+    """The kernel's first half: x = z dh, dh = 1 + (2 + expm1 b) sinh(r)^2."""
     import numpy as np
-    fb, fr, dh, fa, bz, fz, zp, colder, outside = work
+    fb, fr, dh, zp = work[0], work[1], work[2], work[6]
     np.expm1(b, out=fb)
     np.add(2.0, fb, out=fb)
     np.sinh(r, out=fr)
@@ -112,6 +126,18 @@ def _efficiency_into(a, b, z, r, x, work):
     np.add(1.0, dh, out=dh)       # dh = 1 + (2 + expm1(b)) sinh(r)^2
     np.copyto(x, dh)
     x *= zp                       # z dh: a product commutes bit for bit
+    return x
+
+
+def _eta_into(a, b, z, x, work):
+    """The kernel's second half: eta from x = z dh, in place.
+
+    Each step is a rounded product, quotient or sum with a positive factor,
+    or a reciprocal of a positive number, so where the point is an engine
+    eta does not fall as z dh rises.  The grid pass relies on that.
+    """
+    import numpy as np
+    fb, fa, bz, fz, zp, colder, outside = work[0], *work[3:]
     np.multiply(0.5, a, out=fa)
     x *= np.tanh(fa, out=fa)
     np.multiply(0.5, b, out=fb)
@@ -143,44 +169,47 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     Deterministic grid over CEILING_BOX plus a seeded uniform batch of
     ``samples`` extra draws in the same box (0: grid only), DRAW_CHUNK at a
     time.  The grid runs on one worker thread, in a copy of the caller's
-    context (so numpy's error state holds there too), while the caller's
-    thread judges the draws; numpy releases the interpreter lock inside its
-    loops, so the legs overlap on two cores.  Whatever the worker raises is
-    raised here, after the join.  The legs meet in the max of their best
-    values and the sum of their counts, which no order of finishing
-    changes, so the report has the bits of a serial run.  Both legs compute
-    into buffers allocated once (for the grid, a result buffer and a
-    scratch per pass; for the draws, one block that holds the uniforms and
-    then the factors and eta, one for (a, b, z, r) and the flags), so
+    context (so numpy's error state holds there too), which then judges
+    draw chunks with the caller's thread; numpy releases the interpreter
+    lock inside its loops, so the threads overlap on two cores.  Whatever
+    the worker raises is raised here, after the join.  The threads meet in
+    the max of their best values and the sum of their counts, which no
+    order of claiming or finishing changes, so the report has the bits of
+    a serial run.  The caller allocates its draw buffers before the worker
+    starts, the worker its own after the grid's arrays are freed, and
     memory stays flat whatever ``samples`` is.
     Passes when every efficiency seen is below 1/2 and the supremum still
     clears 0.45 (the bound is tight).
     """
     import contextvars
+    import itertools
     import threading
     samples = nonnegative_int("samples", samples)
     seed = nonnegative_int("seed", seed)
-    grid = []   # the worker's (best, evaluations), or what it raised
+    claims = itertools.count()   # draw chunk indices, taken by both threads
+    legs = []   # the worker's (best, evaluations) pairs, or what it raised
 
-    def run_grid():
+    def run_worker():
         try:
-            grid.append(_grid_leg())
+            legs.append(_grid_leg())
+            legs.append(_draw_leg(samples, seed)(claims))   # its buffers only now
         except BaseException as exc:   # raised again on the caller's thread
-            grid.append(exc)
+            legs.append(exc)
 
     draw_leg = _draw_leg(samples, seed)   # its buffers live until the return
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_grid,),
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_worker,),
                               name="ceiling-grid")
     worker.start()
     try:
-        best, evaluations = draw_leg()
+        best, evaluations = draw_leg(claims)
     finally:
         worker.join()
-    (leg,) = grid
-    if isinstance(leg, BaseException):
-        raise leg
-    best = float(max(leg[0], best))
-    evaluations += leg[1]
+    for leg in legs:
+        if isinstance(leg, BaseException):
+            raise leg
+        best = max(best, leg[0])
+        evaluations += leg[1]
+    best = float(best)
     passed = 0.45 <= best < 0.5
     return CheckResult(
         name="efficiency-ceiling",
@@ -200,9 +229,8 @@ def _grid_leg():
     a 48^4 grid over CEILING_BOX, then of a 21^4 grid over one coarse step
     on each side of the coarse best point, clipped to the box.
 
-    Each pass runs the kernel once per a value, on b, z and r as open
-    (sparse) axes.  The first maximum in C order wins, and the fine pass
-    replaces it only with a strictly greater value.
+    The first maximum in C order wins, and the fine pass replaces it only
+    with a strictly greater value.
     """
     import numpy as np
     n = 48
@@ -214,50 +242,93 @@ def _grid_leg():
 
 
 def _grid_pass(axes):
-    """(best, its point, feasible count) of the product grid of ``axes``,
-    one kernel call per a value into one result buffer and one scratch.
+    """(best, its point, feasible count) of the product grid of ``axes``:
+    the bits, first maximum in C order and count of the kernel run at every
+    point, without running it at every point.
 
-    -inf points are not counted, and a NaN raises DomainError.  With no
-    feasible point the best is -inf at the grid's first point.
+    Along r only P = z dh varies, and eta does not fall as P rises, so the
+    best of an (a, b, z) row is eta at its largest P, and a point is
+    feasible exactly when a > b z and P >= T(a, b) (`_thresholds`).  -inf
+    points are not counted, and a NaN raises DomainError.  With no feasible
+    point the best is -inf at the grid's first point.
     """
     import numpy as np
-    shape = tuple(map(len, axes))
-    a, b, z, r = np.meshgrid(*axes, indexing="ij", sparse=True)
-    eta = np.empty((1, *shape[1:]))
-    work = _efficiency_work(a[:1], b, z, r)
-    best, at, evaluations = -math.inf, 0, 0
-    for i in range(shape[0]):
-        vals = _efficiency_into(a[i:i + 1], b, z, r, eta, work)
-        k = int(vals.argmax())   # the first maximum; argmax stops at the first NaN
-        val = float(vals.flat[k])
-        if math.isnan(val):
-            raise DomainError(f"exact efficiency is NaN on the grid slab a = {axes[0][i]}")
-        evaluations += int(np.count_nonzero(vals > -np.inf))
-        if val > best:
-            best, at = val, i * eta.size + k
-    return best, tuple(float(ax[j]) for ax, j in zip(axes, np.unravel_index(at, shape))), evaluations
+    a, b, z, r = (np.asarray(ax, dtype=float) for ax in axes)
+    a3, b3, z3, r3 = a[:, None, None], b[None, :, None], z[None, None, :], r[:, None, None]
+    # P on (r, b, z), then the face of row maxima on (a, b, z), in one
+    # buffer; P's scratch flags hold one slab's a > b z and the count mask.
+    buffer = np.empty(max(a.size, r.size) * b.size * z.size)
+    p = buffer[:r.size * b.size * z.size].reshape(r.size, b.size, z.size)
+    work = _efficiency_work(np.empty(()), b3, z3, r3)
+    _zdh_into(b3, r3, p, work)
+    colder, mask = work[7][0], work[8]
+    bz = np.multiply(b3, z3)[0]   # the kernel's b z
+    threshold = _thresholds(np.tanh(0.5 * a)[:, None], np.tanh(0.5 * b)[None, :])
+    bound = np.empty(colder.shape)
+    evaluations = 0
+    with np.errstate(invalid="ignore"):
+        for i in range(a.size):
+            np.greater(a[i], bz, out=colder)
+            np.copyto(bound, np.nan)   # P >= NaN holds for no P
+            np.copyto(bound, threshold[i][:, None], where=colder)
+            evaluations += int(np.count_nonzero(np.greater_equal(p, bound, out=mask)))
+    peak = p.max(axis=0)
+    del p, work, colder, mask, bz, threshold, bound
+    face = buffer[:a.size * b.size * z.size].reshape(a.size, b.size, z.size)
+    np.copyto(face, peak)
+    _eta_into(a3, b3, z3, face, _efficiency_work(a3, b3, z3, np.empty(())))
+    k = int(face.argmax())   # the first maximum; argmax stops at the first NaN
+    best = float(face.flat[k])
+    i, j, m = np.unravel_index(k, face.shape)
+    if math.isnan(best):
+        raise DomainError(f"exact efficiency is NaN on the grid slab a = {a[i]}")
+    row = exact_efficiency(a[i], b[j], z[m], r)
+    n = int(row.argmax())
+    if row[n] != best:   # the premise that eta rises with P
+        raise DomainError(f"the r row's best {row[n]} is not the face's {best}")
+    return best, (float(a[i]), float(b[j]), float(z[m]), float(r[n])), evaluations
+
+
+def _thresholds(ta, tb):
+    """T(a, b): the least double P with x = (P ta) / tb > 1 in the kernel's
+    rounding, so that P >= T is x > 1; stepped from tb/ta by nextafter.
+    DomainError unless T holds and its predecessor does not."""
+    import numpy as np
+
+    def works(p):
+        return p * ta / tb > 1.0
+
+    t = tb / ta
+    for _ in range(4):   # tb/ta is within a few ulps of T
+        t = np.where(works(t), t, np.nextafter(t, np.inf))
+        below = np.nextafter(t, -np.inf)
+        t = np.where(works(below), below, t)
+    if not (np.all(works(t)) and not np.any(works(np.nextafter(t, -np.inf)))):
+        raise DomainError("no engine threshold of z dh found for the grid's (a, b)")
+    return t
 
 
 def _draw_leg(samples, seed):
-    """The seeded draw leg, as a function that returns the best efficiency
-    (-inf if none) and the feasible count of ``samples`` draws.
+    """One thread's seeded draw leg: a function that judges the chunks it
+    claims from ``claims``, an iterator of chunk indices shared by the
+    threads, up to the first index past the last chunk, and returns their
+    best efficiency (-inf if none) and feasible count.
 
     The draws are the numbers of rng.uniform(low, high, size=(samples, 4))
-    over CEILING_BOX, low + (high - low) * U, made and judged DRAW_CHUNK
-    rows at a time.  Each chunk takes two calls to map the uniforms to
-    (a, b, z, r), a product with the column of spans and a sum with the
-    column of lows, so each number gets the same two operations as one
-    column at a time would give it.  One (4, n) float block does three
-    jobs in turn: it holds the uniforms (viewed (n, 4), the shape
-    rng.random fills), then the kernel's two factor rows, aliased as
-    `_efficiency_into` allows, and the eta row.  The kernel's ``zp`` is
-    the live z row of the draws.  Every buffer and every chunk view is made
-    here, before the loop, and lives as long as the returned function, so
-    no step allocates: while the grid leg runs on another thread, the
-    memory peak does not depend on how far either leg has got.
+    over CEILING_BOX, low + (high - low) * U, DRAW_CHUNK rows at a time.
+    The leg's own PCG64(seed) is advanced to chunk k (Generator.random
+    takes one 64-bit output per double), so chunk k has the rows of the
+    one-shot stream whichever leg claims it.  The map to (a, b, z, r) is a
+    product with the column of spans and a sum with the column of lows, as
+    one column at a time would give.  One (4, n) float block holds the
+    uniforms (viewed (n, 4)), then the kernel's two factor rows, aliased as
+    `_efficiency_into` allows, and the eta row; ``zp`` is the z row.  Every
+    buffer and chunk view is made here, so no step allocates.
     """
     import numpy as np
-    rng = np.random.default_rng(seed)
+    chunks = -(-samples // DRAW_CHUNK)
+    bits = np.random.PCG64(seed)
+    rng = np.random.Generator(bits)
     n = min(DRAW_CHUNK, samples)
     block = np.empty((4, n))   # uniforms, then factor rows 0 and 1 and the eta row 2
     draws = np.empty((4, n))
@@ -273,18 +344,21 @@ def _draw_leg(samples, seed):
         work = (f0, f1, f1, f0, f0, f0, z, colder[:m], outside[:m])
         return uniform, uniform.T, abzr, (a, b, z, r, eta, work), eta, feasible[:m]
 
-    whole = views(n)
-    tail = views(samples % n) if n else None
+    whole, tail = views(n), views(samples - (chunks - 1) * n)
 
-    def run():
-        best, evaluations = -math.inf, 0
-        for start in range(0, samples, DRAW_CHUNK):
-            uniform, columns, abzr, args, e, mask = whole if samples - start >= n else tail
+    def run(claims):
+        best, evaluations, used = -math.inf, 0, 0
+        for k in claims:
+            if k >= chunks:
+                break
+            uniform, columns, abzr, args, e, mask = whole if k < chunks - 1 else tail
+            bits.advance(4 * DRAW_CHUNK * k - used)
             rng.random(out=uniform)
+            used = 4 * DRAW_CHUNK * k + uniform.size
             np.multiply(columns, span, out=abzr)
             abzr += low
             _efficiency_into(*args)
-            evaluations += np.count_nonzero(np.greater(e, -np.inf, out=mask))
+            evaluations += int(np.count_nonzero(np.greater(e, -np.inf, out=mask)))
             best = max(best, float(e.max()))
         return best, evaluations
 

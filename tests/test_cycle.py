@@ -490,11 +490,21 @@ def _temperature_mp(beta, omega, r):
     (effective_temperature, _temperature_mp, (1e-300, 1e-20, 0.5)),
     (effective_temperature, _temperature_mp, (1e-160, 1e-160, 0.5)),
     (effective_temperature, _temperature_mp, (1e-280, 1e-27, 2.0)),
+    # cosh(2r)/beta where sech 2r (r > 354) or beta sech 2r would be
+    # subnormal; 1/(beta sech 2r) lost digits there, or gave inf.
+    (effective_temperature, _temperature_mp, (1e6, 1e-20, 360.0)),
+    (effective_temperature, _temperature_mp, (1e300, 1e-320, 400.0)),
+    (effective_temperature, _temperature_mp, (1.0, 1e-300, 354.5)),
+    (effective_temperature, _temperature_mp, (1e-292, 1e-30, 19.0)),
+    (effective_temperature, _temperature_mp, (1.0, 1e-300, 800.0)),
 ], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
         "effective_temperature-N0", "effective_temperature-N-subnormal",
         "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
         "effective_temperature-x-subnormal", "effective_temperature-x-subnormal-finite-T",
-        "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal"])
+        "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal",
+        "effective_temperature-sech-subnormal", "effective_temperature-sech-underflow",
+        "effective_temperature-cosh-edge", "effective_temperature-beta-sech-subnormal",
+        "effective_temperature-T-overflow"])
 def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, args):
     # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
     with mpmath.workdps(50):

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import itertools
 import subprocess
 import sys
 import threading
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mpmath
 
 from ottobounds import engine, verify
 from ottobounds.errors import DomainError
@@ -58,12 +61,13 @@ def _textbook_efficiency(a, b, z, r):
     return np.where((x > 1.0) & (a > b * z), eta, -np.inf)
 
 
-def _one_shot_draws(samples, seed):
-    """The draw leg as one samples x 4 batch through the textbook formula."""
+def _one_shot_draws(samples, seed, rows=slice(None)):
+    """The draw leg as one samples x 4 batch through the textbook formula
+    (best and feasible count of ``rows`` of it)."""
     rng = np.random.default_rng(seed)
     a, b, z, r = rng.uniform(
         low=[1e-4, 1e-4, 1e-4, 0.0], high=[10.0, 10.0, 0.9999, 10.0], size=(samples, 4)
-    ).T
+    )[rows].T
     eta = _textbook_efficiency(a, b, z, r)
     return float(eta.max()), int(np.count_nonzero(eta > -np.inf))
 
@@ -107,25 +111,63 @@ def test_exact_efficiency_takes_only_the_point():
     assert list(inspect.signature(verify.exact_efficiency).parameters) == ["a", "b", "z", "r"]
 
 
+def _traced_peak(fn):
+    """Peak traced bytes while ``fn()`` runs.  A full collection empties
+    CPython's free lists, and refilling them costs 9-14 KB, so none may run
+    inside the measured call."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def _draws(samples, seed=verify.DEFAULT_SEED):
+    """One thread's draw leg over every chunk of ``samples`` draws."""
+    return verify._draw_leg(samples, seed)(itertools.count())
+
+
+def test_legs_sharing_one_counter_judge_each_chunk_once():
+    # More threads than cores and a short switch interval: a chunk claimed
+    # twice or skipped would change the count or the best value.
+    samples, seed = 9 * verify.DRAW_CHUNK + 3, 4
+    claims, results = itertools.count(), []
+    legs = [verify._draw_leg(samples, seed) for _ in range(4)]
+    threads = [threading.Thread(target=lambda leg=leg: results.append(leg(claims)))
+               for leg in legs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 4
+    best = max(b for b, _ in results)
+    assert (best, sum(c for _, c in results)) == _one_shot_draws(samples, seed)
+
+
 def test_ceiling_memory_does_not_grow_with_the_budget():
-    # Four times the draws, the same peak.  CPython's free lists make the
-    # traced bytes of two identical calls differ by a few dozen, hence the
-    # 1 KiB slack; one more chunk held at once would add hundreds of KiB.
-    # A full collection empties the free lists, and refilling them costs
-    # 9-14 KB, so none may run inside a measured call.
-    verify.ceiling_check(samples=verify.DRAW_CHUNK + 7)   # first-call caches
-    peaks = []
-    for k in (2, 8):
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            verify.ceiling_check(samples=k * verify.DRAW_CHUNK + 7)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-    assert abs(peaks[0] - peaks[1]) <= 1024 and max(peaks) < 2.5 * 2**20
+    # Each thread's work is traced alone, here, so no peak depends on how
+    # the two threads interleave.  Four times the draws, the same peak:
+    # CPython's free lists make the traced bytes of two identical calls
+    # differ by a few dozen, hence the 1 KiB slack; one more chunk held at
+    # once would add hundreds of KiB.  The caller runs draws and the worker
+    # the grid and then draws, so these peaks bound the check's.
+    _draws(verify.DRAW_CHUNK + 7)   # first-call caches
+    verify._grid_leg()
+    n = verify.DRAW_CHUNK
+    draws = [_traced_peak(lambda: _draws(k * n + 7)) for k in (2, 8)]
+    grid = _traced_peak(verify._grid_leg)
+    assert abs(draws[0] - draws[1]) <= 1024
+    assert max(draws) + max(grid, *draws) < 2.5 * 2**20
+    assert _traced_peak(lambda: verify.ceiling_check(samples=8 * n + 7)) < 2.5 * 2**20
 
 
 def test_chunked_draws_reproduce_a_one_shot_draw():
@@ -156,7 +198,7 @@ def _spy_on_the_kernel(monkeypatch):
                                      3 * verify.DRAW_CHUNK + 5])
 def test_the_draw_leg_calls_the_kernel_once_per_chunk(monkeypatch, samples):
     calls = _spy_on_the_kernel(monkeypatch)
-    verify._draw_leg(samples, seed=3)()
+    _draws(samples, seed=3)
     assert len(calls) == -(-samples // verify.DRAW_CHUNK)
 
 
@@ -177,7 +219,7 @@ def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeyp
 
     kernel = verify._efficiency_into
     calls = _spy_on_the_kernel(monkeypatch)
-    verify._draw_leg(len(rows), seed=3)()
+    _draws(len(rows), seed=3)
     (args,) = calls
     fb, fr, dh, fa, bz, fz, zp = args[5][:7]
     assert fb is fa is bz is fz and fr is dh and zp is args[2]   # the aliasing under test
@@ -186,13 +228,14 @@ def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeyp
     assert kernel(*args).tobytes() == want.tobytes()
 
 
-def _spy_on_the_grid_kernel(monkeypatch, then):
-    """Pass each result of `verify._efficiency_into` computed off the
-    calling thread, where the grid leg runs, through ``then``; returns the
-    threads of those calls.  The draw leg's calls pass unchanged."""
+def _spy_on_the_worker(monkeypatch, then):
+    """Pass each result of `verify._eta_into` computed off the calling
+    thread, where the grid leg and then a share of the draws run, through
+    ``then``; returns the threads of those calls.  The caller's calls pass
+    unchanged."""
     caller = threading.current_thread()
     threads = []
-    real = verify._efficiency_into
+    real = verify._eta_into
 
     def spy(*args):
         eta = real(*args)
@@ -201,42 +244,79 @@ def _spy_on_the_grid_kernel(monkeypatch, then):
         threads.append(threading.current_thread())
         return then(eta)
 
-    monkeypatch.setattr(verify, "_efficiency_into", spy)
+    monkeypatch.setattr(verify, "_eta_into", spy)
+    return threads
+
+
+def _spy_on_the_grid_passes(monkeypatch):
+    """Record the thread of every `verify._grid_pass` call."""
+    threads = []
+    real = verify._grid_pass
+
+    def spy(axes):
+        threads.append(threading.current_thread())
+        return real(axes)
+
+    monkeypatch.setattr(verify, "_grid_pass", spy)
     return threads
 
 
 def test_grid_leg_runs_on_one_worker_thread(monkeypatch):
     before = threading.active_count()
-    threads = _spy_on_the_grid_kernel(monkeypatch, lambda eta: eta)
+    threads = _spy_on_the_grid_passes(monkeypatch)
     check = verify.ceiling_check(samples=100, seed=11)
     assert threading.active_count() == before
-    assert len(threads) == 48 + 21   # one kernel call per a value of each pass
-    assert len(set(threads)) == 1 and not threads[0].is_alive()
+    assert len(threads) == 2   # the coarse pass and the fine pass
+    assert threads[0] is threads[1] is not threading.current_thread()
+    assert not threads[0].is_alive()
     assert check.evaluations == GRID_EVALUATIONS + _one_shot_draws(100, seed=11)[1]
 
 
-def _rounded_kernel(a, b, z, r, x, work):
-    """The textbook efficiency rounded to one decimal, so that points tie."""
-    x[...] = np.round(_textbook_efficiency(a, b, z, r), 1)
-    return x
+def _textbook_grid(axes):
+    """A grid pass by brute force: the textbook formula at every point,
+    the first maximum in C order, the count of points > -inf."""
+    eta = _textbook_efficiency(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    k = int(eta.argmax())
+    at = np.unravel_index(k, eta.shape)
+    return (float(eta.flat[k]), tuple(float(ax[i]) for ax, i in zip(axes, at)),
+            int(np.count_nonzero(eta > -np.inf)))
 
 
-def test_a_grid_pass_keeps_the_first_maximum_in_c_order(monkeypatch):
-    axes = [np.linspace(lo, hi, 6) for lo, hi in verify.CEILING_BOX]
-    want = np.round(_textbook_efficiency(*np.meshgrid(*axes, indexing="ij", sparse=True)), 1)
-    ties = np.nonzero(want == want.max())
-    assert len(set(ties[0])) > 1 and len(ties[0]) > len(set(ties[0]))   # across and in slabs
-    monkeypatch.setattr(verify, "_efficiency_into", _rounded_kernel)
-    best, point, evaluations = verify._grid_pass(axes)
-    assert best == want.max()
-    assert point == tuple(float(ax[i[0]]) for ax, i in zip(axes, ties))
-    assert evaluations == np.count_nonzero(want > -np.inf) < want.size
+def test_a_grid_pass_keeps_the_first_maximum_in_c_order():
+    rng = np.random.default_rng(18)
+    lows, highs = np.array(verify.CEILING_BOX).T
+    repeated = [np.array([3.0, 9.0, 9.0, 5.0, 9.0]), np.array([0.5, 0.5, 2.0]),
+                np.array([0.2, 0.6, 0.2, 0.6]), np.array([4.0, 0.0, 4.0, 4.0])]
+    want = _textbook_grid(repeated)
+    tied = _textbook_efficiency(*np.meshgrid(*repeated, indexing="ij", sparse=True)) == want[0]
+    assert len(set(np.nonzero(tied)[0])) > 1 and np.count_nonzero(tied[1]) > 1   # across, in slabs
+    # At r = 0, P = z: z = T(3, 1) is the least feasible P, its predecessor infeasible.
+    t = float(verify._thresholds(np.tanh(np.array([[1.5]])), np.tanh(np.array([[0.5]])))[0, 0])
+    edge = [np.array([3.0]), np.array([1.0]), np.array([np.nextafter(t, 0.0), t]), np.array([0.0])]
+    assert _textbook_grid(edge)[2] == 1
+    cases = [repeated, edge]
+    for _ in range(60):
+        axes = [rng.uniform(lo, hi, size=rng.integers(1, 8)) for lo, hi in zip(lows, highs)]
+        cases.append([rng.choice(ax, size=len(ax) + 2) for ax in axes] if rng.random() < 0.3 else axes)
+    for axes in cases:
+        assert verify._grid_pass(axes) == _textbook_grid(axes)
 
 
-def test_a_grid_pass_without_a_feasible_point(monkeypatch):
-    axes = [np.linspace(lo, hi, 3) for lo, hi in verify.CEILING_BOX]
-    monkeypatch.setattr(verify, "_efficiency_into", lambda *args: np.full_like(args[4], -np.inf))
-    assert verify._grid_pass(axes) == (-np.inf, tuple(lo for lo, _ in verify.CEILING_BOX), 0)
+def test_a_grid_pass_without_a_feasible_point():
+    # a <= b z everywhere: the cold bath is never the colder one.
+    axes = [np.linspace(1e-4, 0.1, 3), np.linspace(5.0, 10.0, 3), np.linspace(0.5, 0.9, 3),
+            np.linspace(0.0, 10.0, 3)]
+    assert verify._grid_pass(axes) == (-np.inf, (1e-4, 5.0, 0.5, 0.0), 0)
+
+
+def test_thresholds_hold_on_both_sides():
+    rng = np.random.default_rng(5)
+    ta, tb = np.tanh(0.5 * rng.uniform(1e-4, 10.0, size=(2, 400, 1)))
+    ta = np.concatenate([ta, [[np.tanh(0.5e-4)], [1.0]]])
+    tb = tb.reshape(1, -1)
+    t = verify._thresholds(ta, tb)
+    assert np.all(t * ta / tb > 1.0)
+    assert not np.any(np.nextafter(t, -np.inf) * ta / tb > 1.0)
 
 
 def _nan_everywhere(eta):
@@ -250,23 +330,23 @@ def _nan_everywhere(eta):
 ], ids=["nan", "warning-as-error"])
 def test_what_the_grid_leg_raises_is_raised_in_the_caller(monkeypatch, then, error):
     before = threading.active_count()
-    threads = _spy_on_the_grid_kernel(monkeypatch, then)
+    threads = _spy_on_the_worker(monkeypatch, then)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             verify.ceiling_check(samples=100)
     assert threading.active_count() == before
-    assert threads
+    assert threads and not threads[0].is_alive()
 
 
 def test_a_draw_leg_failure_is_raised_after_the_worker_is_joined(monkeypatch):
     def failing_leg(samples, seed):
-        def run():
+        def run(claims):
             raise ArithmeticError("draw leg failed")
         return run
 
     before = threading.active_count()
-    threads = _spy_on_the_grid_kernel(monkeypatch, lambda eta: eta)
+    threads = _spy_on_the_grid_passes(monkeypatch)
     monkeypatch.setattr(verify, "_draw_leg", failing_leg)
     with pytest.raises(ArithmeticError, match="draw leg failed"):
         verify.ceiling_check(samples=100)
@@ -276,10 +356,33 @@ def test_a_draw_leg_failure_is_raised_after_the_worker_is_joined(monkeypatch):
 
 def test_callers_errstate_holds_in_the_grid_leg(monkeypatch):
     seen = []
-    _spy_on_the_grid_kernel(monkeypatch, lambda eta: seen.append(np.geterr()["over"]) or eta)
+    _spy_on_the_worker(monkeypatch, lambda eta: seen.append(np.geterr()["over"]) or eta)
     with np.errstate(over="raise"):   # numpy's default is "warn"
         verify.ceiling_check(samples=0)
     assert seen and set(seen) == {"raise"}
+
+
+def test_an_advanced_generator_gives_the_rows_of_the_one_shot_stream():
+    n = verify.DRAW_CHUNK
+    samples = 3 * n + 5
+    rows = np.random.default_rng(11).random((samples, 4))
+    for k in (0, 1, 3):   # chunk 3 is the 5-row tail
+        bits = np.random.PCG64(11)
+        bits.advance(4 * n * k)
+        chunk = np.random.Generator(bits).random((min(n, samples - k * n), 4))
+        assert chunk.tobytes() == rows[k * n:(k + 1) * n].tobytes()
+
+
+def test_each_chunk_is_judged_alike_whichever_leg_claims_it():
+    n, samples = verify.DRAW_CHUNK, 3 * verify.DRAW_CHUNK + 5
+    for k in range(4):
+        start = k * n
+        want = _one_shot_draws(samples, seed=11, rows=slice(start, start + n))
+        assert verify._draw_leg(samples, 11)(iter([k])) == want
+    # Two legs sharing one claim order, each moving its own generator.
+    legs = [verify._draw_leg(samples, 11) for _ in range(2)]
+    (b0, c0), (b1, c1) = legs[0](iter([3, 0])), legs[1](iter([1, 2]))
+    assert (max(b0, b1), c0 + c1) == _one_shot_draws(samples, seed=11)
 
 
 def test_zero_budget_runs_the_grid_alone():
@@ -342,6 +445,37 @@ def test_exact_efficiency_marks_non_engines_with_minus_inf():
     eta = verify.exact_efficiency([0.1, 5.0, 5.0], [5.0, 0.1, 0.1], [0.5, 0.5, 0.01], [0.0, 1.0, 0.0])
     assert eta[0] == -np.inf and eta[2] == -np.inf
     assert 0.0 < eta[1] < 0.5
+
+
+def _efficiency_mp(a, b, z, r):
+    """The exact efficiency at 50 digits, for the exact float inputs."""
+    with mpmath.workdps(50):
+        a, b, z, r = (mpmath.mpf(v) for v in (a, b, z, r))
+        x = z * (1 + (2 + mpmath.expm1(b)) * mpmath.sinh(r) ** 2) * mpmath.tanh(a / 2) \
+            / mpmath.tanh(b / 2)
+        return 1 / (2 / (1 - z * z) + 1 / (x - 1))
+
+
+@pytest.mark.parametrize("point", [
+    (2000.0, 1000.0, 0.9, 1e-165),   # sinh^2 r underflows to 0; expm1(b) overflows
+    (2000.0, 1000.0, 0.5, 1.2406e-217),   # x - 1 of order 1
+    (1500.0, 750.0, 0.5, 0.5),       # the term overflows: eta = (1 - z^2)/2
+    (5000.0, 1400.0, 0.3, 1e-300),
+    (800.0, 709.7827128933841, 0.5, 1e-150),   # the first b with an infinite expm1
+])
+def test_exact_efficiency_past_the_expm1_overflow_matches_mpmath(point):
+    # The exponent b + 2 ln sinh r carries about b eps absolute error.
+    got = verify.exact_efficiency(*point)
+    assert got.shape == () and abs(float(got) - _efficiency_mp(*point)) <= 1e-13 * got
+
+
+def test_exact_efficiency_past_the_expm1_overflow_keeps_the_other_lanes():
+    # At r = 0, dh = 1 and x = z tanh(a/2) < 1: no engine, as mpmath says.
+    assert verify.exact_efficiency(2000.0, 1000.0, 0.9, 0.0) == -np.inf
+    a, b, z, r = [5.0, 2000.0, 3.0], [0.1, 1000.0, 2.0], 0.5, [1.0, 1e-165, 0.7]
+    lanes = verify.exact_efficiency(a, b, z, r)
+    assert lanes[[0, 2]].tobytes() == verify.exact_efficiency(a[::2], b[::2], z, r[::2]).tobytes()
+    assert lanes[1] == verify.exact_efficiency(2000.0, 1000.0, 0.5, 1e-165)
 
 
 def test_grouped_work_gives_the_same_bits_for_floats_and_arrays():
