@@ -97,10 +97,16 @@ def delta_h(beta, omega, r):
 def _delta_h(x, r):
     if r == 0.0:
         return 1.0
-    inv_n = math.expm1(x) if x < 709.0 else math.inf
     if r > _SINH_OVERFLOW:
         return math.inf
-    return 1.0 + (2.0 + inv_n) * math.sinh(r) ** 2
+    if x < 709.0:
+        return 1.0 + (2.0 + math.expm1(x)) * math.sinh(r) ** 2
+    # 2 + expm1 x is e^x to the last bit here, and e^x sinh^2 r is
+    # exp(x + 2 ln sinh r), which neither overflows nor underflows early.
+    try:
+        return 1.0 + math.exp(x + 2.0 * math.log(math.sinh(r)))
+    except OverflowError:
+        return math.inf
 
 
 def lambda_sudden(freqs):
@@ -335,10 +341,10 @@ def effective_temperature(beta, omega, r):
     Inverts the Bose factor at the squeezed occupation N:
     T = omega / ln(1 + 1/N).  Reduces to 1/beta exactly at r = 0 and to
     cosh(2r)/beta in the beta*omega -> 0 limit, which it returns once N
-    overflows at a beta*omega below 1e-8 (N overflows at a larger one only
-    past r of about 345, where T is inf).  Once N is below the smallest
-    normal double, 1/N overflows and T = omega / -ln N, with ln N taken in
-    log space.
+    overflows at a beta*omega below 1e-8.  Where N overflows at a larger
+    one (past r of about 345) T = omega (N + 1/2), inf only where T is.
+    Once N is below the smallest normal double, 1/N overflows and
+    T = omega / -ln N, with ln N taken in log space.
     """
     beta = positive("beta", beta)
     omega = positive("omega", omega)
@@ -352,12 +358,14 @@ def effective_temperature(beta, omega, r):
         p, q = -x - math.log1p(-math.exp(-x)), 2.0 * math.log(math.sinh(r))
         return omega / -(max(p, q) + math.log1p(math.exp(-abs(p - q))))
     if math.isinf(n):
+        if x < _X_SMALL and r <= _SINH_OVERFLOW:
+            return math.cosh(2.0 * r) / beta
+        # cosh 2r overflows, or N does past r = 345, where e^2r / 2 is cosh 2r
+        # to the last bit; past r = 709 T overflows too.
+        e = math.exp(r) if r < 709.0 else math.inf
         if x < _X_SMALL:
-            if r <= _SINH_OVERFLOW:
-                return math.cosh(2.0 * r) / beta
-            # cosh 2r overflows, but e^2r / 2 is cosh 2r to the last bit and
-            # e^r / beta is a normal double; past r = 709 T overflows too.
-            e = math.exp(r) if r < 709.0 else math.inf
-            return e / beta * (0.5 * e)
-        return math.inf
+            return e / beta * (0.5 * e)   # e^r / beta is a normal double
+        # T = omega (N + 1/2) = omega (n + 1/2) cosh 2r to far below an ulp,
+        # with n + 1/2 = coth(x/2) / 2; omega e^r is a normal double.
+        return omega * e * (0.5 * coth(0.5 * x)) * (0.5 * e)
     return omega / math.log1p(1.0 / n)

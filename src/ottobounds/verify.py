@@ -3,15 +3,13 @@
 Each suite pits a closed form from `engine` or `fridge` against an
 independent numerical route (a grid scan plus seeded draws, a
 golden-section optimum, a bisection-located sign change) and reports the
-worst deviation it saw.  The exact-efficiency kernel of the ceiling suite
-is written here from scratch, in vectorised numpy, rather than reusing the
-scalar cycle code: the two routes share nothing but the inputs.  The
-ceiling's grid scan runs that kernel's two halves itself, with the bits of
-a run at every point.  Only the ceiling and optimality suites need numpy,
-and they import it when they run.  The ceiling suite is the one place
-that starts a thread: its grid leg runs on one worker thread, which then
-shares the seeded draws with the calling thread, and the report has the
-bits of a serial run.
+worst deviation it saw.  The ceiling's exact-efficiency kernel is written
+here in vectorised numpy and shares nothing with `cycle` but the inputs.
+Its grid scan and its draws run the kernel's steps with the bits of a run
+at every point, and evaluate eta only where it can be the best.  Only the
+ceiling and optimality suites need numpy, and import it when they run.
+The ceiling's grid runs on a worker thread, which then shares the draws
+with the caller; the report has the bits of a serial run.
 """
 
 import math
@@ -50,28 +48,28 @@ class CheckResult(Record):
 def exact_efficiency(a, b, z, r):
     """Exact sudden-quench efficiency in scale-free variables (vectorised).
 
-    a = beta_cold*omega1, b = beta_hot*omega2, z = omega1/omega2.  Uses the
-    reciprocal-bracket form 1 / [2/(1-z^2) + 1/(x-1)] with
-    x = z * dh * coth(b/2) * tanh(a/2), independent of the corner-energy
-    route in `cycle`.  The inputs broadcast; the result is -inf off the engine
-    region, i.e. unless x > 1 (positive work) and a > b z (beta_cold > beta_hot).
+    a = beta_cold*omega1, b = beta_hot*omega2, z = omega1/omega2.  Uses
+    1 / [2/(1-z^2) + 1/(x-1)], x = z dh coth(b/2) tanh(a/2), independent of
+    `cycle`'s corner energies.  The inputs broadcast; the result is -inf off
+    the engine region: unless x > 1 (positive work) and a > b z.
 
-    The result is a new float array of the broadcast shape, computed in
-    place.  Factors that depend on fewer axes are computed at their own
-    shape, and every operation keeps the operands and the order of the
-    textbook formula.  0-d inputs give a 0-d array with the bits of the same
-    point in a larger array.
+    The result is a new array of the broadcast shape, computed in place;
+    factors of fewer axes keep their shape, every step the operands and
+    order of the textbook formula.  A 0-d point has the bits it has in an
+    array.
 
     Past b = ln(DBL_MAX) = 709.78 expm1(b) overflows, so there the term
     (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
-    the term is, and about b eps off in the exponent.
+    the term is, and about b eps off in the exponent.  Below that cut an
+    overflowing term is inf, its limit (eta = (1 - z^2)/2), with no warning.
     """
     import numpy as np
     a, b, z, r = (np.asarray(v, dtype=float) for v in (a, b, z, r))
     out = np.empty(np.broadcast_shapes(a.shape, b.shape, z.shape, r.shape))
     work = _efficiency_work(a, b, z, r)
     wide = b > 709.782712893384
-    _zdh_into(np.where(wide, 0.0, b), r, out, work)
+    with np.errstate(over="ignore"):
+        _zdh_into(np.where(wide, 0.0, b), r, out, work)
     if wide.any():   # ln sinh 0 = -inf; 0 inf = NaN is off the engine region
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.copyto(out, z * (1.0 + np.exp(b + 2.0 * np.log(np.sinh(r)))), where=wide)
@@ -79,14 +77,9 @@ def exact_efficiency(a, b, z, r):
 
 
 def _efficiency_work(a, b, z, r):
-    """Scratch for `_efficiency_into`: one buffer per factor, at the factor's
-    shape, and ``zp``, a contiguous copy of z broadcast over r's axes.
-
-    With ``zp`` the products z dh and z z run at the shape of z and r
-    together, so on a grid block their inner loops span the z and r axes
-    rather than r alone.  (A copy of the broadcast view, not
-    np.ascontiguousarray, which would make a 0-d z 1-d.)
-    """
+    """The kernel's scratch: one buffer per factor, at the factor's shape,
+    and ``zp``, a contiguous copy of z broadcast over r's axes, so z dh and
+    z z loop over z and r (np.ascontiguousarray would make a 0-d z 1-d)."""
     import numpy as np
     shape = np.broadcast_shapes
     zp = np.broadcast_to(z, shape(z.shape, r.shape)).copy()
@@ -94,24 +87,6 @@ def _efficiency_work(a, b, z, r):
             np.empty(a.shape), np.empty(shape(b.shape, z.shape)), np.empty(zp.shape), zp,
             np.empty(shape(a.shape, b.shape, z.shape), dtype=bool),
             np.empty(shape(a.shape, b.shape, z.shape, r.shape), dtype=bool))
-
-
-def _efficiency_into(a, b, z, r, x, work):
-    """The formula of `exact_efficiency`, computed into ``x`` with the
-    buffers ``work`` of `_efficiency_work`; no step allocates an array.
-
-    The inputs are float arrays and ``zp`` holds z's values at the shape of
-    z and r; the kernel reads it and never writes it.  ``x`` overlaps no
-    input and no buffer.  The steps run in a fixed order, and in it the
-    float buffers hold live values in turn: fb (2 + expm1 b), then fa, fb
-    again (tanh b/2), bz and fz, each read for the last time before the
-    next is written; and fr, whose last read is the elementwise step that
-    writes dh.  So on 1-D rows, where every factor has the row's shape,
-    they may share two rows, fb = fa = bz = fz and fr = dh, as in the draw
-    leg.  Returns ``x``.
-    """
-    _zdh_into(b, r, x, work)
-    return _eta_into(a, b, z, x, work)
 
 
 def _zdh_into(b, r, x, work):
@@ -124,37 +99,51 @@ def _zdh_into(b, r, x, work):
     np.multiply(fr, fr, out=fr)   # what ** 2 does to an array
     np.multiply(fb, fr, out=dh)
     np.add(1.0, dh, out=dh)       # dh = 1 + (2 + expm1(b)) sinh(r)^2
-    np.copyto(x, dh)
-    x *= zp                       # z dh: a product commutes bit for bit
-    return x
+    return np.multiply(dh, zp, out=x)   # z dh: a product commutes bit for bit
+
+
+def _engine_into(a, b, z, x, work):
+    """x = z dh tanh(a/2) / tanh(b/2) from x = z dh, in place, and the engine
+    region, x > 1 and a > b z, into work[8], which it returns."""
+    import numpy as np
+    fb, fa, bz, colder, inside = work[0], work[3], work[4], work[7], work[8]
+    np.multiply(0.5, a, out=fa)
+    x *= np.tanh(fa, out=fa)
+    np.multiply(0.5, b, out=fb)
+    x /= np.tanh(fb, out=fb)
+    np.greater(x, 1.0, out=inside)
+    np.greater(a, np.multiply(b, z, out=bz), out=colder)
+    inside &= colder
+    return inside
 
 
 def _eta_into(a, b, z, x, work):
-    """The kernel's second half: eta from x = z dh, in place.
+    """The kernel's second half: eta from x = z dh, in place, -inf off the
+    engine region.
 
     Each step is a rounded product, quotient or sum with a positive factor,
     or a reciprocal of a positive number, so where the point is an engine
     eta does not fall as z dh rises.  The grid pass relies on that.
     """
     import numpy as np
-    fb, fa, bz, fz, zp, colder, outside = work[0], *work[3:]
-    np.multiply(0.5, a, out=fa)
-    x *= np.tanh(fa, out=fa)
-    np.multiply(0.5, b, out=fb)
-    x /= np.tanh(fb, out=fb)
-    # Off the engine region: not (x > 1 and a > b z).
-    np.greater(x, 1.0, out=outside)
-    np.greater(a, np.multiply(b, z, out=bz), out=colder)
-    outside &= colder
-    np.logical_not(outside, out=outside)
+    outside = np.logical_not(_engine_into(a, b, z, x, work), out=work[8])
+    _eta_tail(x, work[6], work[5])
+    np.copyto(x, -np.inf, where=outside)
+    return x
+
+
+def _eta_tail(x, z, fz):
+    """eta = 1 / (2 / (1 - z z) + 1 / (x - 1)) from x, in place, with fz
+    (z itself allowed) as scratch.  On an engine row 1 / (x - 1) >= 0, so
+    eta <= U(z) = 1 / (2 / (1 - z z)): rounding is monotone."""
+    import numpy as np
     x -= 1.0
     with np.errstate(divide="ignore"):   # 1/0 happens only off the engine region
         np.divide(1.0, x, out=x)
-        np.multiply(zp, zp, out=fz)
+        np.multiply(z, z, out=fz)
         np.subtract(1.0, fz, out=fz)
         x += np.divide(2.0, fz, out=fz)
         np.divide(1.0, x, out=x)
-    np.copyto(x, -np.inf, where=outside)
     return x
 
 
@@ -168,18 +157,15 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
 
     Deterministic grid over CEILING_BOX plus a seeded uniform batch of
     ``samples`` extra draws in the same box (0: grid only), DRAW_CHUNK at a
-    time.  The grid runs on one worker thread, in a copy of the caller's
-    context (so numpy's error state holds there too), which then judges
-    draw chunks with the caller's thread; numpy releases the interpreter
-    lock inside its loops, so the threads overlap on two cores.  Whatever
-    the worker raises is raised here, after the join.  The threads meet in
-    the max of their best values and the sum of their counts, which no
-    order of claiming or finishing changes, so the report has the bits of
-    a serial run.  The caller allocates its draw buffers before the worker
-    starts, the worker its own after the grid's arrays are freed, and
-    memory stays flat whatever ``samples`` is.
-    Passes when every efficiency seen is below 1/2 and the supremum still
-    clears 0.45 (the bound is tight).
+    time.  The grid runs on a worker thread, in a copy of the caller's
+    context (numpy's error state included), which then judges draw chunks
+    with the caller's thread; what it raises is raised here, after the
+    join.  The max of the best values and the sum of the counts do not
+    depend on who judged what, so the report has the bits of a serial run.
+    The caller allocates its draw buffers before the worker starts, the
+    worker after the grid's arrays are freed.  Passes when every efficiency
+    seen is below 1/2 and the supremum still clears 0.45 (the bound is
+    tight).
     """
     import contextvars
     import itertools
@@ -227,10 +213,8 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
 def _grid_leg():
     """The ceiling's grid leg: the best efficiency and the feasible count of
     a 48^4 grid over CEILING_BOX, then of a 21^4 grid over one coarse step
-    on each side of the coarse best point, clipped to the box.
-
-    The first maximum in C order wins, and the fine pass replaces it only
-    with a strictly greater value.
+    on each side of the coarse best point, clipped to the box.  The fine
+    pass replaces the first maximum in C order only if strictly greater.
     """
     import numpy as np
     n = 48
@@ -242,15 +226,14 @@ def _grid_leg():
 
 
 def _grid_pass(axes):
-    """(best, its point, feasible count) of the product grid of ``axes``:
-    the bits, first maximum in C order and count of the kernel run at every
-    point, without running it at every point.
+    """(best, its first point in C order, feasible count) of the product
+    grid of ``axes``, with the bits of the kernel run at every point.
 
     Along r only P = z dh varies, and eta does not fall as P rises, so the
     best of an (a, b, z) row is eta at its largest P, and a point is
-    feasible exactly when a > b z and P >= T(a, b) (`_thresholds`).  -inf
-    points are not counted, and a NaN raises DomainError.  With no feasible
-    point the best is -inf at the grid's first point.
+    feasible exactly when a > b z and P >= T(a, b) (`_thresholds`).  A NaN
+    raises DomainError.  With no feasible point the best is -inf at the
+    grid's first point.
     """
     import numpy as np
     a, b, z, r = (np.asarray(ax, dtype=float) for ax in axes)
@@ -321,48 +304,84 @@ def _draw_leg(samples, seed):
     one-shot stream whichever leg claims it.  The map to (a, b, z, r) is a
     product with the column of spans and a sum with the column of lows, as
     one column at a time would give.  One (4, n) float block holds the
-    uniforms (viewed (n, 4)), then the kernel's two factor rows, aliased as
-    `_efficiency_into` allows, and the eta row; ``zp`` is the z row.  Every
-    buffer and chunk view is made here, so no step allocates.
+    uniforms (viewed (n, 4)), then `_judge_rows`' two factor rows and x.
+    The best so far sets the next chunk's cut (`_z_cut`).
     """
     import numpy as np
     chunks = -(-samples // DRAW_CHUNK)
     bits = np.random.PCG64(seed)
     rng = np.random.Generator(bits)
     n = min(DRAW_CHUNK, samples)
-    block = np.empty((4, n))   # uniforms, then factor rows 0 and 1 and the eta row 2
+    block = np.empty((4, n))
     draws = np.empty((4, n))
-    colder, outside, feasible = np.empty((3, n), dtype=bool)
+    colder, inside = np.empty((2, n), dtype=bool)
     low, high = np.array(CEILING_BOX).T[:, :, None]
     span = high - low
 
-    def views(m):   # the buffers cut to a chunk of m rows
+    def views(m):   # the buffers cut to m rows
         uniform = block.reshape(n, 4)[:m]
-        f0, f1, eta = block[0, :m], block[1, :m], block[2, :m]
-        abzr = draws[:, :m]
-        a, b, z, r = abzr
-        work = (f0, f1, f1, f0, f0, f0, z, colder[:m], outside[:m])
-        return uniform, uniform.T, abzr, (a, b, z, r, eta, work), eta, feasible[:m]
+        f0, f1 = block[0, :m], block[1, :m]
+        a, b, z, r = abzr = draws[:, :m]
+        work = (f0, f1, f1, f0, f0, f0, z, colder[:m], inside[:m])
+        return uniform, uniform.T, abzr, (a, b, z, r, block[2, :m], work)
 
     whole, tail = views(n), views(samples - (chunks - 1) * n)
 
     def run(claims):
-        best, evaluations, used = -math.inf, 0, 0
+        best, cut, evaluations, used = -math.inf, math.inf, 0, 0
         for k in claims:
             if k >= chunks:
                 break
-            uniform, columns, abzr, args, e, mask = whole if k < chunks - 1 else tail
+            uniform, columns, abzr, rows = whole if k < chunks - 1 else tail
             bits.advance(4 * DRAW_CHUNK * k - used)
             rng.random(out=uniform)
             used = 4 * DRAW_CHUNK * k + uniform.size
             np.multiply(columns, span, out=abzr)
             abzr += low
-            _efficiency_into(*args)
-            evaluations += int(np.count_nonzero(np.greater(e, -np.inf, out=mask)))
-            best = max(best, float(e.max()))
+            count, top = _judge_rows(*rows, cut)
+            evaluations += count
+            if top > best:
+                best, cut = top, _z_cut(top)
         return best, evaluations
 
     return run
+
+
+def _judge_rows(a, b, z, r, x, work, cut):
+    """(feasible count, best eta or -inf) of the draw rows a, b, z, r.
+
+    x and the engine region are the kernel's, step for step, with factors
+    sharing work's rows f0 = fb = fa = bz and f1 = fr = dh (each is read
+    for the last time before the next is written).  eta's tail runs only on
+    engine rows with z < cut, gathered into f0 and f1: at z >= cut eta <=
+    U(z) <= U(cut) <= the best so far.
+    """
+    import numpy as np
+    _zdh_into(b, r, x, work)
+    inside = _engine_into(a, b, z, x, work)
+    count = int(np.count_nonzero(inside))
+    judged = np.less(z, cut, out=work[7])
+    judged &= inside
+    rows = np.flatnonzero(judged)
+    if not rows.size:
+        return count, -math.inf
+    f0, f1 = work[0][:rows.size], work[1][:rows.size]
+    np.take(x, rows, out=f0, mode="clip")   # no copy of out, unlike np.compress
+    np.take(z, rows, out=f1, mode="clip")
+    return count, float(_eta_tail(f0, f1, f1).max())
+
+
+def _z_cut(best):
+    """A z from which eta cannot beat ``best``: U(z) (`_eta_tail`) does not
+    rise with z, and U(cut) <= best holds, checked; inf if it fails."""
+    import numpy as np
+    cut = np.sqrt(np.float64(max(1.0 - 2.0 * best, 0.0)))
+    with np.errstate(divide="ignore"):
+        for _ in range(4):
+            if 1.0 / (2.0 / (1.0 - cut * cut)) <= best:
+                return float(cut)
+            cut = np.nextafter(cut, np.inf)
+    return math.inf
 
 
 def work_argmax(tau, r):
@@ -376,12 +395,8 @@ def work_argmax(tau, r):
     when t changes sign there, from + to -.  Where it does not, DomainError
     is raised before the objective is evaluated: at tau = 1/2 that is from
     r of about 10.6 on, and from about 373 on sech 2r underflows to 0.
-
     The polish step h = 1e-5 is fixed (the optimality rows' bits depend on
-    it), so the error grows as z* nears the lower bracket end: |z - z*| is
-    7.7e-10 at tau = 0.2, r = 5, 7.4e-9 at tau = 0.5, r = 10 and 9.5e-9 at
-    r = 10.5, where h is 0.2 % of z*.  On the optimality suite's grid
-    (r <= 5) the worst error is 1.1e-9, against its tolerance of 1e-8.
+    it); its error grows as z* nears the lower bracket end (README).
     """
     import numpy as np
     if not (np.all((tau > 0.0) & (tau < 1.0)) and np.all(np.isfinite(r) & (r >= 0.0))):

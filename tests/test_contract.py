@@ -7,10 +7,6 @@ call must return a value with no NaN anywhere in it (a float, a tuple or a
 record's fields; +-inf is allowed), or raise an ``OttoError``.  Functions
 that take a record argument are left out: a float there raises
 ``AttributeError``, as the README states.
-
-One known defect is allowlisted, by exact count: ``delta_h`` is NaN once
-expm1(beta*omega) overflows (beta*omega >= 709) while sinh(r)^2 underflows
-to 0.  The change that mends it empties the allowlist.
 """
 
 import inspect
@@ -33,7 +29,6 @@ BASE = 0.5   # a valid value of every argument; the wrong one goes in beside it
 
 RECORD_TAKING = {"cycle_energies", "efficiency_sudden", "heats_work", "lambda_sudden",
                  "work_ht", "cop_ht"}
-ALLOWED_DELTA_H_NANS = 459
 
 
 def _float_functions():
@@ -70,10 +65,6 @@ def _outcome(fn, args):
     return "nan" if _has_nan(value) else "ok"
 
 
-def _delta_h_allowed(beta, omega, r):
-    return beta * omega >= 709.0 and math.sinh(r) ** 2 == 0.0
-
-
 @pytest.mark.parametrize("fn", _float_functions())
 def test_every_edge_tuple_gives_a_value_without_nan_or_an_otto_error(fn):
     params = list(inspect.signature(fn).parameters.values())
@@ -91,11 +82,6 @@ def test_every_edge_tuple_gives_a_value_without_nan_or_an_otto_error(fn):
             calls += [(BASE, BASE, BASE, x) for x in EDGES]
         wrong = [[w if i == j else BASE for j in range(len(params))]
                  for i in range(len(params)) for w in WRONG]
-    nans = [args for args in calls if _outcome(fn, args) == "nan"]
-    if fn is cycle.delta_h:
-        assert all(_delta_h_allowed(*args) for args in nans)
-        assert len(nans) == ALLOWED_DELTA_H_NANS
-    else:
-        assert nans == []
+    assert [args for args in calls if _outcome(fn, args) == "nan"] == []
     for args in wrong:
         assert _outcome(fn, args) == "error", args

@@ -145,6 +145,27 @@ def test_delta_h_exceeds_one_for_positive_r():
     assert delta_h(2.0, 1.0, 1e-4) > 1.0
 
 
+@pytest.mark.parametrize("beta, omega, r", [
+    (709.0, 1.0, 1e-200), (710.0, 1.0, 1e-200), (1000.0, 1.0, 1e-200), (1.0, 710.0, 1e-170),
+    (1500.0, 1.0, 1e-300), (800.0, 1.0, 5e-324), (709.0, 1.0, 1.0), (710.0, 1.0, 0.5),
+    (709.5, 1.0, 1.0), (1000.0, 1.0, 1.0), (1e300, 1.0, 1e-300),
+])
+def test_delta_h_past_the_expm1_cut_matches_mpmath(beta, omega, r):
+    # At beta*omega >= 709 the term is exp(x + 2 ln sinh r): 0 * inf gave
+    # NaN once sinh^2 r underflowed, and inf stood for finite values up to
+    # x = 709.78.  The exponent's rounding bounds the error: 4 eps per unit
+    # of x + 2 |ln sinh r|, with x = beta*omega rounded.
+    with mpmath.workdps(50):
+        x = mpmath.mpf(beta) * mpmath.mpf(omega)
+        want = 1 + (1 + mpmath.exp(x)) * mpmath.sinh(mpmath.mpf(r)) ** 2
+        got = delta_h(beta, omega, r)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        else:
+            exponent = beta * omega + 2.0 * abs(math.log(math.sinh(r)))
+            assert abs(got - want) <= 4.0 * sys.float_info.epsilon * exponent * want
+
+
 # ---------------------------------------------------------------------------
 # Quench factor and domain types
 
@@ -497,6 +518,14 @@ def _temperature_mp(beta, omega, r):
     (effective_temperature, _temperature_mp, (1.0, 1e-300, 354.5)),
     (effective_temperature, _temperature_mp, (1e-292, 1e-30, 19.0)),
     (effective_temperature, _temperature_mp, (1.0, 1e-300, 800.0)),
+    # N overflows past r = 355 at beta*omega >= 1e-8: T = omega (N + 1/2),
+    # finite (it was inf) unless T itself overflows.
+    (effective_temperature, _temperature_mp, (1e300, 1e-290, 356.0)),
+    (effective_temperature, _temperature_mp, (1e300, 1e-300, 356.0)),
+    (effective_temperature, _temperature_mp, (1e292, 1e-300, 400.0)),
+    (effective_temperature, _temperature_mp, (1e305, 1e-310, 356.0)),
+    (effective_temperature, _temperature_mp, (1.0, 1.0, 356.0)),
+    (effective_temperature, _temperature_mp, (1.0, 1e-3, 360.0)),
 ], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
         "effective_temperature-N0", "effective_temperature-N-subnormal",
         "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
@@ -504,7 +533,10 @@ def _temperature_mp(beta, omega, r):
         "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal",
         "effective_temperature-sech-subnormal", "effective_temperature-sech-underflow",
         "effective_temperature-cosh-edge", "effective_temperature-beta-sech-subnormal",
-        "effective_temperature-T-overflow"])
+        "effective_temperature-T-overflow", "effective_temperature-N-overflow-x-large",
+        "effective_temperature-N-overflow-x-1", "effective_temperature-N-overflow-x-1e-8",
+        "effective_temperature-N-overflow-omega-subnormal",
+        "effective_temperature-N-overflow-T-overflow", "effective_temperature-T-overflow-x-1e-3"])
 def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, args):
     # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
     with mpmath.workdps(50):

@@ -5,11 +5,7 @@ records the ``repr`` of its result, or the type and message of what it
 raised (and a ModeError's ``mode``).  ``tests/golden/hotpaths.json``, which
 ``tests/_freeze_hotpath_golden.py`` generates, holds the recorded outcomes;
 a change to any bit of a result, an error type or an error text fails here.
-
-Three cases pin a known defect as it stands: ``delta_h`` returns NaN once
-expm1(beta*omega) overflows while sinh(r)^2 underflows.  The change that
-mends it regenerates those entries on purpose, and no entry may be a raw
-ZeroDivisionError or any other NaN.
+No entry may be a raw ZeroDivisionError or a NaN.
 """
 
 import json
@@ -191,12 +187,7 @@ def test_golden_covers_every_function():
     assert set(read_golden()) == set(CALLS)
 
 
-# delta_h's NaN at beta*omega >= 709 with sinh(r)^2 underflowed.  ROADMAP
-# item 4 (the saturation- and underflow-free cycle) empties this list.
-NAN_ALLOWED = {f"delta_h({bw}, 1.0, 1e-200)" for bw in (709.0, 710.0, 1000.0)}
-
-
-def test_golden_holds_no_raw_zero_division_and_no_unlisted_nan():
+def test_golden_holds_no_raw_zero_division_and_no_nan():
     entries = {key: value for by_key in read_golden().values() for key, value in by_key.items()}
     assert [key for key, value in entries.items() if value.startswith("ZeroDivisionError")] == []
-    assert {key for key, value in entries.items() if value == "nan"} == NAN_ALLOWED
+    assert [key for key, value in entries.items() if value == "nan"] == []

@@ -181,25 +181,31 @@ def test_chunked_draws_reproduce_a_one_shot_draw():
         assert f"plus {samples} seeded draws" in check.detail
 
 
-def _spy_on_the_kernel(monkeypatch):
-    """Record the arguments of every call of `verify._efficiency_into`."""
+def _spy_on(monkeypatch, name, keep=lambda args, result: args):
+    """Record ``keep(args, result)`` for every call of ``verify.<name>``."""
     calls = []
-    real = verify._efficiency_into
+    real = getattr(verify, name)
 
     def spy(*args):
-        calls.append(args)
-        return real(*args)
+        result = real(*args)
+        calls.append(keep(args, result))
+        return result
 
-    monkeypatch.setattr(verify, "_efficiency_into", spy)
+    monkeypatch.setattr(verify, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("samples", [0, 1, verify.DRAW_CHUNK, verify.DRAW_CHUNK + 1,
                                      3 * verify.DRAW_CHUNK + 5])
 def test_the_draw_leg_calls_the_kernel_once_per_chunk(monkeypatch, samples):
-    calls = _spy_on_the_kernel(monkeypatch)
+    # The kernel's first half and the engine region, once per chunk; eta's
+    # tail only where a row can beat the best so far.
+    halves = [_spy_on(monkeypatch, name) for name in ("_zdh_into", "_engine_into")]
+    tails = _spy_on(monkeypatch, "_eta_tail")
     _draws(samples, seed=3)
-    assert len(calls) == -(-samples // verify.DRAW_CHUNK)
+    chunks = -(-samples // verify.DRAW_CHUNK)
+    assert [len(calls) for calls in halves] == [chunks, chunks]
+    assert len(tails) <= chunks
 
 
 def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeypatch):
@@ -216,23 +222,86 @@ def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeyp
     assert np.any(colder & (x > 1.0)) and np.any(colder & (x < 1.0)) and np.any(~colder & (x > 1.0))
 
     want = verify.exact_efficiency(a, b, z, r)
+    engines = want[want > -np.inf]
 
-    kernel = verify._efficiency_into
-    calls = _spy_on_the_kernel(monkeypatch)
+    judge = verify._judge_rows
+    calls = _spy_on(monkeypatch, "_judge_rows")
     _draws(len(rows), seed=3)
     (args,) = calls
     fb, fr, dh, fa, bz, fz, zp = args[5][:7]
     assert fb is fa is bz is fz and fr is dh and zp is args[2]   # the aliasing under test
     for row, values in zip(args[:4], (a, b, z, r)):
         row[...] = values
-    assert kernel(*args).tobytes() == want.tobytes()
+    tails = _spy_on(monkeypatch, "_eta_tail", keep=lambda args, eta: eta.copy())
+    # With no best yet every engine row reaches the tail, in row order.
+    assert judge(*args[:-1], np.inf) == (engines.size, float(engines.max()))
+    (eta,) = tails
+    assert eta.tobytes() == engines.tobytes()
+
+
+def _bound(z):
+    """U(z) = 1 / (2 / (1 - z z)) through the kernel's numpy steps: eta on
+    an engine row at z is at most this."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, np.divide(2.0, np.subtract(1.0, np.multiply(z, z))))
+
+
+@pytest.mark.parametrize("best", [-np.inf, 0.0, 0.45, 0.4999999, 0.49999997944998625,
+                                  REFERENCE_ROWS[0][1], 0.5, 0.75])
+def test_the_draw_cut_skips_only_rows_that_cannot_beat_the_best(best):
+    # 0.4999999794... is the default-seed draw leg's best, the next the
+    # ceiling's.  U does not rise with z, so U <= best at the cut and above
+    # it covers every skipped row.
+    cut = verify._z_cut(best)
+    above = [cut]
+    for _ in range(4):
+        above.append(np.nextafter(above[-1], np.inf))
+    assert np.all(_bound(above) <= best)
+    if 0.0 < best < 0.5:
+        assert cut < 1.0 and np.diff(_bound(np.linspace(0.0, cut, 1001))).max() <= 0.0
+
+
+def test_eta_on_an_engine_row_is_at_most_its_envelope():
+    rng = np.random.default_rng(19)
+    lows, highs = np.array(verify.CEILING_BOX).T
+    a, b, z, r = rng.uniform(lows, highs, size=(20_000, 4)).T
+    eta = verify.exact_efficiency(a, b, z, r)
+    engine = eta > -np.inf
+    assert np.all(eta[engine] <= _bound(z[engine]))
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7])
+def test_a_best_draw_in_a_late_chunk_is_found(seed):
+    # In these streams the best row sits in chunk 3 of 5, after the cut has
+    # been set by the chunks before it; judged in either order, the draws
+    # keep the one-shot best and count.
+    n = verify.DRAW_CHUNK
+    samples = 4 * n + 5
+    best, count = _one_shot_draws(samples, seed)
+    assert best > _one_shot_draws(samples, seed, rows=slice(0, 3 * n))[0]
+    assert _draws(samples, seed) == (best, count)
+    assert verify._draw_leg(samples, seed)(iter([4, 3, 2, 1, 0])) == (best, count)
+
+
+def test_after_its_first_chunk_a_leg_sends_few_rows_to_the_eta_tail(monkeypatch):
+    # A clock-free guard on the cut: at the default budget and seed one leg
+    # judges 62 chunks.  Its first chunk (no best yet) sends every engine
+    # row to eta's tail, about 12 000; after that a few rows a chunk do,
+    # where a cut that judged every engine row would send ~12 000 each.
+    sizes = _spy_on(monkeypatch, "_eta_tail", keep=lambda args, eta: eta.size)
+    best, count = _draws(verify.DEFAULT_BUDGET)
+    chunks = -(-verify.DEFAULT_BUDGET // verify.DRAW_CHUNK)
+    first = _one_shot_draws(verify.DRAW_CHUNK, verify.DEFAULT_SEED)[1]
+    assert sizes[0] == first
+    assert len(sizes) <= chunks and max(sizes[1:]) <= 16 and sum(sizes[1:]) <= 3 * (chunks - 1)
+    assert (best, count) == _one_shot_draws(verify.DEFAULT_BUDGET, verify.DEFAULT_SEED)
 
 
 def _spy_on_the_worker(monkeypatch, then):
     """Pass each result of `verify._eta_into` computed off the calling
-    thread, where the grid leg and then a share of the draws run, through
-    ``then``; returns the threads of those calls.  The caller's calls pass
-    unchanged."""
+    thread, where the grid leg runs, through ``then``; returns the threads
+    of those calls.  The caller's calls pass unchanged."""
     caller = threading.current_thread()
     threads = []
     real = verify._eta_into
@@ -467,6 +536,16 @@ def test_exact_efficiency_past_the_expm1_overflow_matches_mpmath(point):
     # The exponent b + 2 ln sinh r carries about b eps absolute error.
     got = verify.exact_efficiency(*point)
     assert got.shape == () and abs(float(got) - _efficiency_mp(*point)) <= 1e-13 * got
+
+
+@pytest.mark.parametrize("point", [(1000.0, 700.0, 0.5, 10.0), (1000.0, 5.0, 0.5, 711.0)])
+def test_exact_efficiency_where_the_term_overflows_below_the_cut(point):
+    # (2 + expm1 b) sinh^2 r, then sinh r, overflows to inf, its limit:
+    # eta = (1 - z^2)/2.  This warned "overflow encountered" (an error here).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify.exact_efficiency(*point)
+    assert got == 0.375 and abs(float(got) - _efficiency_mp(*point)) <= 1e-15 * got
 
 
 def test_exact_efficiency_past_the_expm1_overflow_keeps_the_other_lanes():
