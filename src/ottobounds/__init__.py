@@ -33,8 +33,6 @@ _EXPORTS = {
         "efficiency_sudden",
         "heats_work",
         "lambda_sudden",
-        "squeezed_occupation",
-        "thermal_occupation",
     ),
     "engine": (
         "EngineBoundsReport",
@@ -46,7 +44,6 @@ _EXPORTS = {
         "eta_up",
         "eta_up_thermal",
         "generalized_carnot",
-        "pwc_ht",
         "work_ht",
         "z2_of_eta",
         "z_star",
@@ -55,11 +52,9 @@ _EXPORTS = {
         "FridgeBoundsReport",
         "FridgeParams",
         "cop_ht",
-        "cop_quasistatic",
         "fridge_report",
         "r_window",
         "tau_window",
-        "zeta_carnot",
         "zeta_up",
         "zeta_up_thermal",
     ),

@@ -39,8 +39,6 @@ __all__ = [
     "efficiency_sudden",
     "heats_work",
     "lambda_sudden",
-    "squeezed_occupation",
-    "thermal_occupation",
 ]
 
 # sinh(r)**2 overflows past this; occupations saturate to inf there.
@@ -56,25 +54,14 @@ _X_SMALL = 1e-8
 # validates nothing; internal callers, whose arguments are already valid,
 # call the kernels directly.
 
-def thermal_occupation(beta, omega):
-    """Mean thermal quanta 1/(e^{beta omega} - 1) of a mode at frequency omega."""
-    return _occupation(positive("beta", beta) * positive("omega", omega), 0.0)
-
-
-def squeezed_occupation(beta, omega, r):
-    """Mean quanta of a squeezed thermal state: <n> + (2<n> + 1) sinh^2(r)."""
-    x = positive("beta", beta) * positive("omega", omega)
-    return _occupation(x, nonnegative("r", r))
-
-
 def _occupation(x, r):
+    """Mean quanta of a squeezed thermal state at x = beta*omega:
+    N = n + (2n + 1) sinh^2 r with n = 1/(e^x - 1); inf where N overflows."""
     e = math.exp(-x)
     try:
         n = e / -math.expm1(-x)
     except ZeroDivisionError:   # x underflowed to 0: n ~ 1/x > 4e323
         return math.inf
-    if r == 0.0:
-        return n
     if r > _SINH_OVERFLOW:
         return math.inf
     s2 = math.sinh(r) ** 2
@@ -113,10 +100,17 @@ def lambda_sudden(freqs):
     """Non-adiabaticity factor of an instantaneous frequency quench.
 
     (omega1^2 + omega2^2) / (2 omega1 omega2); at least 1, with equality
-    only for equal frequencies (which FrequencyPair rejects).
+    only for equal frequencies (which FrequencyPair rejects).  Where the
+    numerator overflows or the denominator is not a normal double, it is
+    omega2/(2 omega1) + omega1/(2 omega2), inf only where that overflows.
     """
     w1, w2 = freqs.omega1, freqs.omega2
-    return (w1 * w1 + w2 * w2) / (2.0 * w1 * w2)
+    num, den = w1 * w1 + w2 * w2, 2.0 * w1 * w2
+    if num < math.inf and den >= _TINY:
+        return num / den
+    if w1 < 1.0:   # 2 w1 is exact and finite
+        return w2 / (2.0 * w1) + w1 / (2.0 * w2)
+    return 0.5 * (w2 / w1) + 0.5 * (w1 / w2)   # w2 / w1 <= DBL_MAX, 2 w1 may not be
 
 
 class BathSpec(Record):

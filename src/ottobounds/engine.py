@@ -31,7 +31,6 @@ __all__ = [
     "eta_up",
     "eta_up_thermal",
     "generalized_carnot",
-    "pwc_ht",
     "work_ht",
     "z_star",
     "z2_of_eta",
@@ -109,16 +108,6 @@ def efficiency_ht(z, tau, r):
             f"efficiency denominator vanishes at z={z}, tau={tau}, r={r}"
         )
     return (1.0 - z2) * (z2 - g) / den
-
-
-def pwc_ht(z, tau, r):
-    """Positive work condition: z^2 cosh(2r) > tau, strictly.
-
-    Boundary ties extract zero work and count as non-engine operation.
-    """
-    z = unit_open("z", z)
-    tau = unit_open("tau", tau)
-    return z * z > tau * sech(2.0 * nonnegative("r", r))
 
 
 def z_star(tau, r):
@@ -230,9 +219,10 @@ def engine_report(eta_c, r):
 
     Every field comes from one g = (1 - eta_c) sech(2r), with the same
     expressions as generalized_carnot, eta_up, eta_mw and z_star.  The flag
-    is z*^2 > g, as in pwc_ht, and holds in the limit where z* underflows to
-    0 (extreme r).  It is False within a few ulps of g = 1 (eta_c below ~3e-16
-    at r = 0), where z*^2 rounds to g or below: engine_report(1e-17, 0.0).
+    is the positive-work condition z*^2 > g, and holds in the limit where z*
+    underflows to 0 (extreme r).  It is False within a few ulps of g = 1
+    (eta_c below ~3e-16 at r = 0), where z*^2 rounds to g or below:
+    engine_report(1e-17, 0.0).
     """
     eta_c = unit_open("eta_c", eta_c)
     g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))

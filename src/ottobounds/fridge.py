@@ -9,12 +9,6 @@ does once tau_c >= 1, with a COP that grows without bound as z -> 1.  So the
 bound zeta_up, ``cooling_feasible`` and the windows mean tau_c in (1/2, 1),
 where a finite COP bound exists.  All windows are strict: their endpoints
 evaluate to the infeasible error rather than to a boundary value.
-
-Two distinct coefficient-of-performance notions appear.  ``cop_ht`` is the
-operational one, heat drawn from the cold bath per unit work input, and it
-is the quantity the upper bounds here actually cap.  ``cop_quasistatic`` is
-the frequency ratio omega1/(omega2 - omega1), the familiar quasi-static
-expression; it is exposed separately and is *not* bounded by zeta_up.
 """
 
 import math
@@ -31,13 +25,9 @@ __all__ = [
     "FridgeParams",
     "cooling_heat_ht",
     "cop_ht",
-    "cop_quasistatic",
-    "extracted_work_ht",
     "fridge_report",
-    "hot_heat_ht",
     "r_window",
     "tau_window",
-    "zeta_carnot",
     "zeta_up",
     "zeta_up_thermal",
 ]
@@ -93,25 +83,6 @@ def cooling_heat_ht(z, tau, r, beta2=1.0):
     return _cooling_heat(zf * zf, tc, positive("beta2", beta2))
 
 
-def hot_heat_ht(z, tau, r, beta2=1.0):
-    """Heat exchanged with the hot reservoir: (2 z^2 - tau_c (1 + z^2)) / (2 beta2 z^2)."""
-    z = unit_open("z", z)
-    tau = unit_open("tau", tau)
-    tc = _tau_c(tau, sech(2.0 * nonnegative("r", r)))
-    return _hot_heat(z * z, tc, positive("beta2", beta2))
-
-
-def extracted_work_ht(z, tau, r, beta2=1.0):
-    """Net extracted work: -(1 - z^2)(tau_c - z^2) / (2 beta2 z^2).
-
-    Negative throughout the cooling window (the refrigerator consumes work).
-    """
-    z = unit_open("z", z)
-    tau = unit_open("tau", tau)
-    tc = _tau_c(tau, sech(2.0 * nonnegative("r", r)))
-    return _work(z * z, tc, positive("beta2", beta2))
-
-
 def cop_ht(p):
     """Coefficient of performance Q_cold / W_in at one operating point.
 
@@ -138,18 +109,8 @@ def cop_ht(p):
     return q4 / -_work(z2, tc, 1.0)
 
 
-def cop_quasistatic(z):
-    """Frequency-ratio COP omega1/(omega2 - omega1) = z/(1 - z)."""
-    z = unit_open("z", z)
-    return z / (1.0 - z)
-
-
-def zeta_carnot(tau):
-    """Carnot COP tau/(1 - tau); grows without bound as tau -> 1."""
-    return _zeta_carnot(unit_open("tau", tau))
-
-
 def _zeta_carnot(tau):
+    """Carnot COP tau/(1 - tau); grows without bound as tau -> 1."""
     return tau / (1.0 - tau)
 
 
@@ -210,12 +171,18 @@ def r_window(tau):
 
     (acosh(1/(2 tau))/2, acosh(1/tau)/2) for tau below 1/2; from tau = 1/2
     upward the lower endpoint is 0 (cooling is already open at r = 0+).
+    Where 1/tau overflows (tau below ~5.6e-309) the endpoints are
+    -ln(tau)/2 and (ln 2 - ln tau)/2, finite for every tau.
     """
     return _r_window(unit_open("tau", tau))
 
 
 def _r_window(tau):
-    hi = 0.5 * math.acosh(1.0 / tau)
+    y = 1.0 / tau
+    if y == math.inf:   # tau < 1/DBL_MAX, where acosh(y) is ln(2y) to far below an ulp
+        ln_tau = math.log(tau)
+        return (-0.5 * ln_tau, 0.5 * (math.log(2.0) - ln_tau))
+    hi = 0.5 * math.acosh(y)
     lo = 0.5 * math.acosh(1.0 / (2.0 * tau)) if tau < 0.5 else 0.0
     return (lo, hi)
 

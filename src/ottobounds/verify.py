@@ -61,7 +61,8 @@ def exact_efficiency(a, b, z, r):
     Past b = ln(DBL_MAX) = 709.78 expm1(b) overflows, so there the term
     (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
     the term is, and about b eps off in the exponent.  Below that cut an
-    overflowing term is inf, its limit (eta = (1 - z^2)/2), with no warning.
+    overflowing term, or an x that overflows at a tiny b, is inf, its limit
+    (eta = (1 - z^2)/2), with no warning.
     """
     import numpy as np
     a, b, z, r = (np.asarray(v, dtype=float) for v in (a, b, z, r))
@@ -110,7 +111,8 @@ def _engine_into(a, b, z, x, work):
     np.multiply(0.5, a, out=fa)
     x *= np.tanh(fa, out=fa)
     np.multiply(0.5, b, out=fb)
-    x /= np.tanh(fb, out=fb)
+    with np.errstate(over="ignore", divide="ignore"):   # x = inf is the limit at a tiny b
+        x /= np.tanh(fb, out=fb)
     np.greater(x, 1.0, out=inside)
     np.greater(a, np.multiply(b, z, out=bz), out=colder)
     inside &= colder

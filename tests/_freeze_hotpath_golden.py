@@ -5,7 +5,8 @@
 For every function and input of ``tests/test_hotpaths.py`` it records the
 ``repr`` of the result, or the type and message of the raised exception,
 and prints the key of each entry whose outcome differs from the file it
-overwrites (or that the file lacks).
+overwrites (or that the file lacks), and each function and key that the
+file has and the new one drops.
 
 Regenerate only in a change that deliberately alters a result or an error
 text, and record in CHANGES.md which entries changed and why.  A refactor
@@ -29,6 +30,12 @@ def main():
         for key, value in entries.items():
             if was.get(key) != value:
                 print(f"  changed {key}: {was.get(key)} -> {value}")
+        for key in was.keys() - entries.keys():
+            print(f"  removed {key}")
+    for name in sorted(old.keys() - golden.keys()):
+        print(f"{name:24s} removed with its {len(old[name])} cases")
+        for key in old[name]:
+            print(f"  removed {key}")
 
 
 if __name__ == "__main__":

@@ -72,7 +72,6 @@ print("# cycle: occupations and enhancement factors")
 show("occupation(beta*omega=1)", occ(1))
 show("two_n_plus_one(beta*omega=1)", 2 * occ(1) + 1)
 show("sinh^2(0.5)", mp.sinh(0.5) ** 2)
-show("squeezed_occupation(1, 1, 0.5)", occ(1) + (2 * occ(1) + 1) * mp.sinh(0.5) ** 2)
 show("delta_h(1, 1, 1)", dh(1, 1))
 show("cosh(2)", mp.cosh(2))
 show("cosh(1)", mp.cosh(1))
@@ -110,7 +109,7 @@ show("cop = Q4/(-W)", q4 / (-w))
 
 print("\n# cycle: effective temperature, beta=1 omega=1 r=1")
 n_sq = occ(1) + (2 * occ(1) + 1) * mp.sinh(1) ** 2
-show("squeezed_occupation(1, 1, 1)", n_sq)
+show("squeezed occupation N(1, 1, 1)", n_sq)
 show("T_eff(1, 1, 1)", 1 / mp.log(1 + 1 / n_sq))
 
 print("\n# engine: bound spot values")

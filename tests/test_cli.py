@@ -203,6 +203,13 @@ def test_fridge_reports_the_documented_half_window():
     assert abs(hi - HALF_ACOSH_2) < 1e-12
 
 
+def test_fridge_window_at_a_tau_whose_reciprocal_overflows():
+    # 1/tau is inf here: the window was [Infinity, Infinity].
+    lo, hi = json.loads(run_cli("fridge", "--tau", "1e-320", "--r", "0.5").stdout)["r_window"]
+    assert math.isclose(lo, 368.413620445487, rel_tol=1e-14)
+    assert math.isclose(hi, 368.760194035767, rel_tol=1e-14)
+
+
 def test_fridge_usage_errors():
     # --r inf used to exit 1 from inside the report.
     for r in ("-1", "nan", "inf"):

@@ -6,7 +6,8 @@ floats below, and once per argument with a wrong type or NaN in it.  Each
 call must return a value with no NaN anywhere in it (a float, a tuple or a
 record's fields; +-inf is allowed), or raise an ``OttoError``.  Functions
 that take a record argument are left out: a float there raises
-``AttributeError``, as the README states.
+``AttributeError``, as the README states.  ``lambda_sudden`` is checked on
+records built from the edge floats instead.
 """
 
 import inspect
@@ -17,6 +18,7 @@ import sys
 import pytest
 
 from ottobounds import cycle, engine, fridge, special
+from ottobounds.cycle import FrequencyPair, lambda_sudden
 from ottobounds._record import Record
 from ottobounds.errors import OttoError
 
@@ -85,3 +87,11 @@ def test_every_edge_tuple_gives_a_value_without_nan_or_an_otto_error(fn):
     assert [args for args in calls if _outcome(fn, args) == "nan"] == []
     for args in wrong:
         assert _outcome(fn, args) == "error", args
+
+
+def test_lambda_sudden_is_at_least_one_on_every_edge_frequency_pair():
+    positive = [x for x in EDGES if 0.0 < x < math.inf]
+    pairs = [(w1, w2) for w1, w2 in itertools.product(positive, repeat=2) if w1 < w2]
+    assert len(pairs) == 276
+    # lambda >= 1 is False for NaN; a raw exception fails the test.
+    assert [p for p in pairs if not lambda_sudden(FrequencyPair(*p)) >= 1.0] == []

@@ -21,16 +21,12 @@ from ottobounds.cycle import (
     efficiency_sudden,
     heats_work,
     lambda_sudden,
-    squeezed_occupation,
-    thermal_occupation,
 )
 from ottobounds.errors import DomainError, ModeError
 
 # ---------------------------------------------------------------------------
 # Frozen high-precision references (tests/_freeze_reference_values.py).
 
-OCC_AT_1 = 0.58197670686932642            # 1/(e - 1)
-SQUEEZED_OCC_1_1_05 = 1.1695773036912272  # <n> + (2<n>+1) sinh^2(0.5) at x = 1
 DELTA_H_1_1_1 = 6.1353110224020706        # 1 + (2 + (e-1)) sinh^2(1)
 COSH_2 = 3.7621956910836315
 T_EFF_1_1_1 = 4.0500531190108279
@@ -77,55 +73,7 @@ def cold_fridge_example():
 
 
 # ---------------------------------------------------------------------------
-# Occupations and enhancement factor
-
-
-def test_thermal_occupation_at_log2_is_one():
-    assert math.isclose(thermal_occupation(math.log(2.0), 1.0), 1.0, rel_tol=1e-14)
-
-
-def test_thermal_occupation_high_precision():
-    assert math.isclose(thermal_occupation(1.0, 1.0), OCC_AT_1, rel_tol=1e-14)
-    assert math.isclose(thermal_occupation(0.5, 2.0), OCC_AT_1, rel_tol=1e-14)
-
-
-def test_thermal_occupation_exponentially_suppressed():
-    n = thermal_occupation(50.0, 1.0)
-    assert 0.0 < n < 1e-21
-
-
-def test_thermal_occupation_small_argument():
-    x = 1e-9
-    assert math.isclose(thermal_occupation(x, 1.0), 1.0 / x - 0.5, rel_tol=1e-9)
-
-
-@pytest.mark.parametrize("beta,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0)])
-def test_thermal_occupation_rejects_bad_args(beta, omega):
-    with pytest.raises(DomainError):
-        thermal_occupation(beta, omega)
-
-
-def test_squeezed_occupation_reduces_to_thermal_at_r_zero():
-    assert squeezed_occupation(1.3, 0.7, 0.0) == thermal_occupation(1.3, 0.7)
-
-
-def test_squeezed_occupation_high_precision():
-    assert math.isclose(squeezed_occupation(1.0, 1.0, 0.5), SQUEEZED_OCC_1_1_05, rel_tol=REL)
-
-
-def test_squeezed_occupation_cold_limit_is_pure_squeezing():
-    # beta*omega -> inf leaves (2*0 + 1) sinh^2 r
-    assert math.isclose(squeezed_occupation(60.0, 1.0, 1.2), math.sinh(1.2) ** 2, rel_tol=1e-12)
-
-
-@given(
-    beta=st.floats(0.05, 20.0),
-    omega=st.floats(0.05, 5.0),
-    r1=st.floats(0.0, 4.0),
-    dr=st.floats(1e-3, 3.0),
-)
-def test_squeezed_occupation_strictly_increasing_in_r(beta, omega, r1, dr):
-    assert squeezed_occupation(beta, omega, r1 + dr) > squeezed_occupation(beta, omega, r1)
+# Enhancement factor
 
 
 def test_delta_h_is_exactly_one_without_squeezing():
@@ -179,6 +127,27 @@ def test_lambda_sudden_near_equal_frequencies():
     lam = lambda_sudden(FrequencyPair(1.0, 1.0 + 1e-6))
     # lambda - 1 = (w2 - w1)^2 / (2 w1 w2) = 5e-13 here
     assert 1.0 <= lam <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("w1, w2", [
+    (5e-324, 1e-300),     # 2 w1 w2 underflows to 0: this raised ZeroDivisionError
+    (1e-200, 1e-190),     # the same with normal frequencies
+    (1e200, 1e201),       # both squares overflow: this was NaN
+    (1e-160, 1e-150),     # 2 w1 w2 is subnormal: this was 16 ulps off
+    (1e308, 1.5e308),     # 2 w1 overflows too
+    (1.0, 1.7e308),       # the squares overflow, lambda does not
+    (5e-324, 1e-15),      # w2 / w1 overflows, lambda does not
+    (5e-324, 1.0),        # lambda overflows
+])
+def test_lambda_sudden_at_extreme_frequencies_matches_mpmath(w1, w2):
+    got = lambda_sudden(FrequencyPair(w1, w2))
+    with mpmath.workdps(50):
+        w1, w2 = mpmath.mpf(w1), mpmath.mpf(w2)
+        want = (w1 * w1 + w2 * w2) / (2 * w1 * w2)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert abs(got - want) <= math.ulp(float(want))
 
 
 def test_frequency_pair_rejects_degenerate_and_reversed():
@@ -475,8 +444,9 @@ def test_effective_temperature_high_precision():
 def test_effective_temperature_inverts_the_squeezed_occupation():
     beta, omega, r = 0.8, 1.3, 0.9
     t = effective_temperature(beta, omega, r)
-    n = squeezed_occupation(beta, omega, r)
-    assert math.isclose(math.exp(-omega / t), n / (1.0 + n), rel_tol=1e-14)
+    with mpmath.workdps(50):
+        n = _occupation_mp(beta, omega, r)
+        assert math.isclose(math.exp(-omega / t), float(n / (1 + n)), rel_tol=1e-14)
 
 
 @given(beta=st.floats(0.05, 10.0), omega=st.floats(0.05, 5.0), r=st.floats(1e-4, 5.0))
@@ -495,16 +465,13 @@ def _temperature_mp(beta, omega, r):
 
 
 @pytest.mark.parametrize("fn, reference, args", [
-    # beta*omega underflows to 0: the occupations pass the double range, T is cosh(2r)/beta.
-    (thermal_occupation, lambda b, w: _occupation_mp(b, w, 0), (1e-200, 1e-200)),
-    (squeezed_occupation, _occupation_mp, (1e-200, 1e-200, 0.5)),
+    # beta*omega underflows to 0: the occupation passes the double range, T is cosh(2r)/beta.
     (effective_temperature, _temperature_mp, (1e-200, 1e-200, 0.5)),
     # N below the smallest normal double: 1/N overflows (0 and subnormal N).
     (effective_temperature, _temperature_mp, (1000.0, 1.0, 1e-200)),
     (effective_temperature, _temperature_mp, (710.0, 1.0, 1e-200)),
     # sinh^2 r underflows to 0 while 2n + 1 overflows: (2n + 1) * 0 was NaN.
-    (squeezed_occupation, _occupation_mp, (1e-300, 1e-8, 1e-300)),
-    (squeezed_occupation, _occupation_mp, (5e-324, 0.9, 5e-324)),
+    (effective_temperature, _temperature_mp, (1e-300, 1e-8, 1e-300)),
     (effective_temperature, _temperature_mp, (5e-324, 0.9, 5e-324)),
     # N overflows at a small but nonzero beta*omega, where T is still
     # cosh(2r)/beta to within x^2/12; T was inf.
@@ -526,10 +493,10 @@ def _temperature_mp(beta, omega, r):
     (effective_temperature, _temperature_mp, (1e305, 1e-310, 356.0)),
     (effective_temperature, _temperature_mp, (1.0, 1.0, 356.0)),
     (effective_temperature, _temperature_mp, (1.0, 1e-3, 360.0)),
-], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
+], ids=["effective_temperature-x0",
         "effective_temperature-N0", "effective_temperature-N-subnormal",
-        "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
-        "effective_temperature-x-subnormal", "effective_temperature-x-subnormal-finite-T",
+        "effective_temperature-sinh2-underflow", "effective_temperature-x-subnormal",
+        "effective_temperature-x-subnormal-finite-T",
         "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal",
         "effective_temperature-sech-subnormal", "effective_temperature-sech-underflow",
         "effective_temperature-cosh-edge", "effective_temperature-beta-sech-subnormal",

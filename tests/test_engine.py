@@ -18,7 +18,6 @@ from ottobounds.engine import (
     eta_up,
     eta_up_thermal,
     generalized_carnot,
-    pwc_ht,
     work_ht,
     z2_of_eta,
     z_star,
@@ -57,7 +56,6 @@ def test_work_vanishes_on_the_pwc_boundary():
 def test_work_positive_example():
     p = EngineParams(z=0.6, tau=0.5, r=0.5, beta2=1.0)
     assert math.isclose(work_ht(p), WORK_06_05_05, rel_tol=REL)
-    assert pwc_ht(0.6, 0.5, 0.5)
 
 
 def test_work_scales_inversely_with_beta2():
@@ -125,10 +123,15 @@ def test_efficiency_pole_raises():
         efficiency_ht(0.5, 0.4, 0.0)
 
 
+def _pwc(z, tau, r):
+    """The positive-work condition z^2 cosh 2r > tau, as the sign of the work."""
+    return work_ht(EngineParams(z, tau, r)) > 0.0
+
+
 def test_pwc_spot_cases():
-    assert not pwc_ht(0.5, 0.5, 0.0)          # 0.25 < 0.5
-    assert pwc_ht(0.5, 0.5, 1.0)              # 0.25 cosh 2 = 0.94 > 0.5
-    assert not pwc_ht(0.5, 0.25, 0.0)         # exact tie: strict inequality
+    assert not _pwc(0.5, 0.5, 0.0)          # 0.25 < 0.5
+    assert _pwc(0.5, 0.5, 1.0)              # 0.25 cosh 2 = 0.94 > 0.5
+    assert not _pwc(0.5, 0.25, 0.0)         # exact tie: strict inequality
 
 
 @given(z=st.floats(0.05, 0.95), tau=st.floats(0.05, 0.95), r=st.floats(0.0, 4.0))
@@ -139,9 +142,9 @@ def test_efficiency_in_the_engine_window(z, tau, r):
     try:
         eta = efficiency_ht(z, tau, r)
     except SingularityError:
-        assert not pwc_ht(z, tau, r)  # pole lies outside the engine region
+        assert not _pwc(z, tau, r)  # pole lies outside the engine region
         return
-    if pwc_ht(z, tau, r):
+    if _pwc(z, tau, r):
         assert 0.0 < eta < 0.5
     else:
         # Not an engine: either no work is extracted (eta <= 0) or the hot
@@ -369,7 +372,7 @@ def test_engine_report_bundles_consistent_fields():
     assert math.isclose(rep.z_star, z_star(0.8, 1.0), rel_tol=1e-15)
     assert rep.pwc_satisfied  # the work optimum clears the PWC
     assert rep.eta_mw <= rep.eta_up < rep.eta_c_gen
-    assert not pwc_ht(0.3, 0.8, 0.0)
+    assert not _pwc(0.3, 0.8, 0.0)
 
 
 def test_engine_report_takes_only_the_reservoir_parameters():
@@ -393,8 +396,8 @@ def test_engine_report_pwc_flag_fails_where_g_rounds_to_one():
     pytest.param(lambda: z2_of_eta(True, 0.5, 1), None, id="z2_of_eta(eta=True)"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, "1"), None, id="EngineParams(beta2='1')"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, True), None, id="EngineParams(beta2=True)"),
-    pytest.param(lambda: pwc_ht(np.float32(0.5), 0.8, 1),
-                 lambda: pwc_ht(float(np.float32(0.5)), 0.8, 1.0), id="pwc_ht(z=float32)"),
+    pytest.param(lambda: z_star(np.float32(0.5), 1),
+                 lambda: z_star(float(np.float32(0.5)), 1.0), id="z_star(tau=float32)"),
     pytest.param(lambda: EngineParams(0.5, 0.5, 0, np.int64(2)), lambda: EngineParams(0.5, 0.5, 0.0, 2.0),
                  id="EngineParams(beta2=int64)"),
     pytest.param(lambda: eta_up(np.float64(0.2), np.int64(1)), lambda: eta_up(0.2, 1.0),

@@ -55,8 +55,6 @@ def test_nonnegative_int():
 PUBLIC_SCALAR_CALLS = [
     (special.coth, (0.5,)),
     (special.sech, (0.5,)),
-    (cycle.thermal_occupation, (1.0, 1.0)),
-    (cycle.squeezed_occupation, (1.0, 1.0, 0.5)),
     (cycle.delta_h, (1.0, 1.0, 0.5)),
     (cycle.effective_temperature, (1.0, 1.0, 0.5)),
     (cycle.BathSpec, (1.0, 0.5)),
@@ -64,7 +62,6 @@ PUBLIC_SCALAR_CALLS = [
     (cycle.AdiabaticityMode.custom, (1.5,)),
     (engine.EngineParams, (0.5, 0.5, 0.5, 1.0)),
     (engine.efficiency_ht, (0.8, 0.3, 0.5)),
-    (engine.pwc_ht, (0.8, 0.3, 0.5)),
     (engine.z_star, (0.3, 0.5)),
     (engine.z2_of_eta, (0.1, 0.5, 0.5)),
     (engine.eta_up, (0.3, 0.5)),
@@ -75,10 +72,6 @@ PUBLIC_SCALAR_CALLS = [
     (engine.engine_report, (0.3, 0.5)),
     (fridge.FridgeParams, (0.5, 0.6, 0.1)),
     (fridge.cooling_heat_ht, (0.5, 0.6, 0.1, 1.0)),
-    (fridge.hot_heat_ht, (0.5, 0.6, 0.1, 1.0)),
-    (fridge.extracted_work_ht, (0.5, 0.6, 0.1, 1.0)),
-    (fridge.cop_quasistatic, (0.5,)),
-    (fridge.zeta_carnot, (0.6,)),
     (fridge.zeta_up_thermal, (2.0,)),
     (fridge.zeta_up, (0.6, 0.1)),
     (fridge.tau_window, (0.1,)),

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -19,19 +21,19 @@ from ottobounds.cycle import (
 from ottobounds.errors import DomainError, InfeasibleError, ModeError
 from ottobounds.fridge import (
     FridgeParams,
+    _hot_heat,
+    _tau_c,
+    _work,
     cooling_heat_ht,
     cop_ht,
-    cop_quasistatic,
-    extracted_work_ht,
     fridge_report,
-    hot_heat_ht,
     r_window,
     tau_window,
-    zeta_carnot,
     zeta_up,
     zeta_up_thermal,
 )
 from ottobounds.oracle import maximize_scalar
+from ottobounds.special import sech
 
 # Frozen high-precision references (tests/_freeze_reference_values.py).
 ZETA_UP_TH_2 = 0.071796769724490826   # 7 - 4 sqrt 3
@@ -62,14 +64,14 @@ def max_cop_over_z(tau, r):
 
 
 def test_zeta_carnot_values():
-    assert zeta_carnot(0.5) == 1.0
-    assert math.isclose(zeta_carnot(2.0 / 3.0), 2.0, rel_tol=1e-14)
+    assert fridge_report(0.5).zeta_c == 1.0
+    assert math.isclose(fridge_report(2.0 / 3.0).zeta_c, 2.0, rel_tol=1e-14)
 
 
 def test_zeta_carnot_blows_up_toward_equal_temperatures():
-    assert zeta_carnot(0.9999999999999999) > 1e15
+    assert fridge_report(0.9999999999999999).zeta_c > 1e15
     with pytest.raises(DomainError):
-        zeta_carnot(1.0)
+        fridge_report(1.0)
 
 
 def test_zeta_up_thermal_values():
@@ -101,7 +103,7 @@ def test_zeta_up_thermal_far_below_carnot():
 def test_zeta_up_reduces_to_thermal_bound_at_r_zero():
     tau = 2.0 / 3.0
     assert math.isclose(zeta_up(tau, 0.0), ZETA_UP_TH_2, rel_tol=REL)
-    assert math.isclose(zeta_up(tau, 0.0), zeta_up_thermal(zeta_carnot(tau)), rel_tol=1e-12)
+    assert math.isclose(zeta_up(tau, 0.0), zeta_up_thermal(tau / (1.0 - tau)), rel_tol=1e-12)
 
 
 def test_zeta_up_depends_only_on_the_effective_ratio():
@@ -151,6 +153,21 @@ def test_r_window_branches():
     lo, hi = r_window(0.75)
     assert lo == 0.0
     assert math.isclose(hi, HALF_ACOSH_43, rel_tol=REL)
+
+
+@pytest.mark.parametrize("tau", [1e-320, 5e-324, math.nextafter(1.0 / sys.float_info.max, 0.0),
+                                 1.0 / sys.float_info.max, 1e-308])
+def test_r_window_where_one_over_tau_overflows_matches_mpmath(tau):
+    # Below 1/DBL_MAX 1/tau overflowed, and both endpoints were inf; 1e-308
+    # is just above, on the acosh branch.
+    got = r_window(tau)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau)
+        want = (mpmath.acosh(1 / (2 * t)) / 2, mpmath.acosh(1 / t) / 2)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4 * math.ulp(float(w))
+    if tau == 1e-320:
+        assert [round(v, 12) for v in got] == [368.413620445487, 368.760194035767]
 
 
 @given(tau=st.floats(0.02, 0.98), r=st.floats(0.0, 3.0))
@@ -208,15 +225,21 @@ def test_cop_errors_outside_the_window_name_the_mode():
     assert err.value.mode is OperatingMode.HEATER
 
 
-def _cop_by_public_calls(p):
-    """cop_ht as three validated public calls, the route cop_ht used to take."""
+def _heats(z, tau, r, beta2=1.0):
+    """q2 and w_ext of the high-temperature cycle, from fridge's kernels."""
+    tc = _tau_c(tau, sech(2.0 * r))
+    return _hot_heat(z * z, tc, beta2), _work(z * z, tc, beta2)
+
+
+def _cop_by_the_heats(p):
+    """cop_ht from the validated cooling heat and the heat kernels."""
     q4 = cooling_heat_ht(p.z, p.tau, p.r)
     if not math.isfinite(q4):
         raise DomainError("heats not representable")
+    q2, w_ext = _heats(p.z, p.tau, p.r)
     if q4 <= 0.0:
-        q2 = hot_heat_ht(p.z, p.tau, p.r)
         raise ModeError("no cooling", mode=classify_mode(q2, q4, q2 + q4))
-    return q4 / -extracted_work_ht(p.z, p.tau, p.r)
+    return q4 / -w_ext
 
 
 def _outcome(fn, p):
@@ -226,7 +249,7 @@ def _outcome(fn, p):
         return type(exc).__name__, getattr(exc, "mode", None)
 
 
-def test_cop_has_the_bits_of_the_public_heats():
+def test_cop_has_the_bits_of_the_heats():
     rng = random.Random(11)
     points = [(rng.random(), rng.random(), rng.choice((0.0, rng.uniform(0.0, 3.0))))
               for _ in range(20_000)]
@@ -242,7 +265,7 @@ def test_cop_has_the_bits_of_the_public_heats():
             continue
         p = FridgeParams(z, tau, r)
         got = _outcome(cop_ht, p)
-        assert got == _outcome(_cop_by_public_calls, p), (z, tau, r)
+        assert got == _outcome(_cop_by_the_heats, p), (z, tau, r)
         kinds.add(got if isinstance(got, tuple) else "value")
     assert kinds == {"value", ("DomainError", None)} | {
         ("ModeError", mode) for mode in
@@ -252,8 +275,7 @@ def test_cop_has_the_bits_of_the_public_heats():
 def test_heats_diverge_at_an_underflowing_z():
     # z^2 = 0 in double precision: the heats take their z -> 0 limits.
     assert cooling_heat_ht(1e-200, 0.75, 0.0) == cooling_heat_ht(0.0, 0.75, 0.0) == 0.25
-    assert hot_heat_ht(1e-200, 0.75, 0.0) == -math.inf
-    assert extracted_work_ht(1e-200, 0.75, 0.0) == -math.inf
+    assert _heats(1e-200, 0.75, 0.0) == (-math.inf, -math.inf)
     assert cop_ht(FridgeParams(1e-200, 0.75, 0.0)) == 0.0
 
 
@@ -261,15 +283,14 @@ def test_heats_diverge_where_their_denominator_underflows():
     # 2 beta2 z^2 = 0 with z^2 > 0 used to raise a raw ZeroDivisionError.
     # The limit takes the sign of the numerator; 0/0 is an error, and only
     # for the quantity that has it.
-    assert hot_heat_ht(1e-20, 0.6, 0.1, beta2=1e-300) == -math.inf
-    assert extracted_work_ht(1e-20, 0.6, 0.1, beta2=1e-300) == -math.inf
+    assert _heats(1e-20, 0.6, 0.1, beta2=1e-300) == (-math.inf, -math.inf)
     z = math.sqrt(0.2)
-    assert hot_heat_ht(z, 0.3, 0.0, beta2=5e-324) == math.inf
-    assert extracted_work_ht(z, 0.1, 0.0, beta2=5e-324) == math.inf
+    assert _heats(z, 0.3, 0.0, beta2=5e-324)[0] == math.inf
+    assert _heats(z, 0.1, 0.0, beta2=5e-324)[1] == math.inf
     z = 1e-100   # tau_c = z^2: w_ext is 0/0, q2 and q4 are not
     with pytest.raises(DomainError):
-        extracted_work_ht(z, z * z, 0.0, beta2=1e-200)
-    assert hot_heat_ht(z, z * z, 0.0, beta2=1e-200) == math.inf
+        _work(z * z, z * z, 1e-200)
+    assert _hot_heat(z * z, z * z, 1e-200) == math.inf
     assert cooling_heat_ht(z, z * z, 0.0, beta2=1e-200) == (2.0 * z * z - 1.0 - z * z) / 2e-200
 
 
@@ -286,15 +307,6 @@ def test_cop_maximum_matches_the_bound_with_squeezing():
             continue
         rep = max_cop_over_z(tau, r)
         assert abs(rep.best_value - zeta_up(tau, r)) < 1e-6
-
-
-def test_quasistatic_cop_is_a_different_quantity():
-    assert cop_quasistatic(0.5) == 1.0
-    # The frequency-ratio COP is not capped by zeta_up: near the cooling
-    # boundary it exceeds the bound by orders of magnitude.
-    tau = 2.0 / 3.0
-    z_edge = math.sqrt(2.0 * tau - 1.0) * (1.0 - 1e-6)
-    assert cop_quasistatic(z_edge) > 10.0 * zeta_up(tau, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +326,9 @@ def test_ht_heats_match_the_exact_cold_squeezed_cycle():
     perf = heats_work(spec)
     assert perf.mode_label is OperatingMode.REFRIGERATOR
     assert math.isclose(perf.q4, cooling_heat_ht(z, tau, r, beta2=b2), rel_tol=1e-4)
-    assert math.isclose(perf.q2, hot_heat_ht(z, tau, r, beta2=b2), rel_tol=1e-4)
-    assert math.isclose(perf.w_ext, extracted_work_ht(z, tau, r, beta2=b2), rel_tol=1e-4)
+    q2, w_ext = _heats(z, tau, r, beta2=b2)
+    assert math.isclose(perf.q2, q2, rel_tol=1e-4)
+    assert math.isclose(perf.w_ext, w_ext, rel_tol=1e-4)
     assert math.isclose(perf.cop, cop_ht(FridgeParams(z, tau, r)), rel_tol=1e-4)
 
 
@@ -380,8 +393,6 @@ def test_fridge_report_boundary_tau_is_infeasible():
 
 @pytest.mark.parametrize("call, want", [
     pytest.param(lambda: cooling_heat_ht(0.5, 0.5, 0.1, beta2=0), None, id="cooling(beta2=0)"),
-    pytest.param(lambda: hot_heat_ht(0.5, 0.5, 0.1, beta2=-1), None, id="hot(beta2=-1)"),
-    pytest.param(lambda: extracted_work_ht(0.5, 0.5, 0.1, beta2="x"), None, id="work(beta2='x')"),
     pytest.param(lambda: cooling_heat_ht(True, 0.5, 0.1), None, id="cooling(z=True)"),
     pytest.param(lambda: zeta_up_thermal(True), None, id="zeta_up_thermal(True)"),
     pytest.param(lambda: fridge_report(0.4, np.float32(0.6)),

@@ -50,8 +50,6 @@ CALLS = {
     "heats_work": lambda *a: cycle.heats_work(_spec(*a)),
     "efficiency_sudden": lambda *a: cycle.efficiency_sudden(_spec(*a)),
     "delta_h": cycle.delta_h,
-    "thermal_occupation": cycle.thermal_occupation,
-    "squeezed_occupation": cycle.squeezed_occupation,
     "effective_temperature": cycle.effective_temperature,
     "fridge_report": fridge.fridge_report,
     "zeta_up": fridge.zeta_up,
@@ -148,8 +146,6 @@ def cases():
         "heats_work": cyc,
         "efficiency_sudden": cyc,
         "delta_h": occ,
-        "thermal_occupation": [a[:2] for a in occ],
-        "squeezed_occupation": occ,
         "effective_temperature": occ,
         "fridge_report": fr + [(0.7,), (0.3,), ("0.7",)],
         "zeta_up": fr,

@@ -1,4 +1,4 @@
-"""The package surface: 7 submodules and 41 re-exports, loaded on first access."""
+"""The package surface: 7 submodules and 36 re-exports, loaded on first access."""
 
 import importlib
 import subprocess
@@ -12,19 +12,18 @@ SUBMODULES = {"cycle", "engine", "errors", "fridge", "oracle", "special", "verif
 REEXPORTS = {
     "cycle": {"AdiabaticityMode", "BathSpec", "CyclePerformance", "CycleSpec", "FrequencyPair",
               "OperatingMode", "SqueezePlacement", "cycle_energies", "delta_h",
-              "effective_temperature", "efficiency_sudden", "heats_work", "lambda_sudden",
-              "squeezed_occupation", "thermal_occupation"},
+              "effective_temperature", "efficiency_sudden", "heats_work", "lambda_sudden"},
     "engine": {"EngineBoundsReport", "EngineParams", "efficiency_ht", "engine_report", "eta_mw",
-               "eta_rk", "eta_up", "eta_up_thermal", "generalized_carnot", "pwc_ht", "work_ht",
-               "z2_of_eta", "z_star"},
-    "fridge": {"FridgeBoundsReport", "FridgeParams", "cop_ht", "cop_quasistatic", "fridge_report",
-               "r_window", "tau_window", "zeta_carnot", "zeta_up", "zeta_up_thermal"},
+               "eta_rk", "eta_up", "eta_up_thermal", "generalized_carnot", "work_ht", "z2_of_eta",
+               "z_star"},
+    "fridge": {"FridgeBoundsReport", "FridgeParams", "cop_ht", "fridge_report", "r_window",
+               "tau_window", "zeta_up", "zeta_up_thermal"},
     "oracle": {"SupremumReport", "find_root_scalar", "maximize_scalar"},
 }
 
 
 def test_all_lists_the_submodules_and_the_reexports():
-    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 48
+    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 43
     assert set(ottobounds.__all__) == SUBMODULES.union(*REEXPORTS.values())
 
 
@@ -53,6 +52,22 @@ def test_star_import_binds_every_public_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ottobounds.no_such_name
+
+
+# Removed wrappers, with what replaces each: README, "Removed names".
+REMOVED = {"cycle": ("thermal_occupation", "squeezed_occupation"), "engine": ("pwc_ht",),
+           "fridge": ("cop_quasistatic", "zeta_carnot", "hot_heat_ht", "extracted_work_ht")}
+
+
+@pytest.mark.parametrize("home", sorted(REMOVED))
+def test_removed_names_are_attribute_errors(home):
+    module = importlib.import_module(f"ottobounds.{home}")
+    for name in REMOVED[home]:
+        assert name not in ottobounds.__all__ and name not in module.__all__
+        with pytest.raises(AttributeError):
+            getattr(ottobounds, name)
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 def test_the_first_access_binds_every_name_and_removes_the_hook():

@@ -57,8 +57,6 @@ def test_effective_temperature_checks_each_argument_once(checked, r):
 
 
 @pytest.mark.parametrize("fn, names", [
-    (cycle.thermal_occupation, ("beta", "omega")),
-    (cycle.squeezed_occupation, ("beta", "omega", "r")),
     (cycle.delta_h, ("beta", "omega", "r")),
 ])
 def test_occupation_functions_check_each_argument_once(checked, fn, names):

@@ -538,10 +538,13 @@ def test_exact_efficiency_past_the_expm1_overflow_matches_mpmath(point):
     assert got.shape == () and abs(float(got) - _efficiency_mp(*point)) <= 1e-13 * got
 
 
-@pytest.mark.parametrize("point", [(1000.0, 700.0, 0.5, 10.0), (1000.0, 5.0, 0.5, 711.0)])
+@pytest.mark.parametrize("point", [(1000.0, 700.0, 0.5, 10.0), (1000.0, 5.0, 0.5, 711.0),
+                                   (1000.0, 1e-300, 0.5, 300.0), (1.0, 5e-324, 0.5, 0.5)])
 def test_exact_efficiency_where_the_term_overflows_below_the_cut(point):
     # (2 + expm1 b) sinh^2 r, then sinh r, overflows to inf, its limit:
-    # eta = (1 - z^2)/2.  This warned "overflow encountered" (an error here).
+    # eta = (1 - z^2)/2.  So does x = z dh tanh(a/2) / tanh(b/2) at a tiny
+    # b, and where tanh(b/2) underflows to 0.  These warned "overflow
+    # encountered" or "divide by zero" (an error here).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = verify.exact_efficiency(*point)
