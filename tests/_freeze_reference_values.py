@@ -72,6 +72,7 @@ print("# cycle: occupations and enhancement factors")
 show("occupation(beta*omega=1)", occ(1))
 show("two_n_plus_one(beta*omega=1)", 2 * occ(1) + 1)
 show("sinh^2(0.5)", mp.sinh(0.5) ** 2)
+show("squeezed occupation N(1, 1, 0.5)", occ(1) + (2 * occ(1) + 1) * mp.sinh(0.5) ** 2)
 show("delta_h(1, 1, 1)", dh(1, 1))
 show("cosh(2)", mp.cosh(2))
 show("cosh(1)", mp.cosh(1))

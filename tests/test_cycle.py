@@ -20,6 +20,7 @@ from ottobounds.cycle import (
     effective_temperature,
     efficiency_sudden,
     heats_work,
+    _occupation,
     lambda_sudden,
 )
 from ottobounds.errors import DomainError, ModeError
@@ -27,6 +28,8 @@ from ottobounds.errors import DomainError, ModeError
 # ---------------------------------------------------------------------------
 # Frozen high-precision references (tests/_freeze_reference_values.py).
 
+OCC_AT_1 = 0.58197670686932642            # 1/(e - 1)
+SQUEEZED_OCC_1_1_05 = 1.1695773036912272  # <n> + (2<n>+1) sinh^2(0.5) at x = 1
 DELTA_H_1_1_1 = 6.1353110224020706        # 1 + (2 + (e-1)) sinh^2(1)
 COSH_2 = 3.7621956910836315
 T_EFF_1_1_1 = 4.0500531190108279
@@ -70,6 +73,62 @@ def cold_fridge_example():
         mode=AdiabaticityMode.sudden_switch(),
         placement=SqueezePlacement.COLD_BATH,
     )
+
+
+# ---------------------------------------------------------------------------
+# Occupation kernel: N = n + (2n + 1) sinh^2 r at x = beta*omega, the
+# quantity effective_temperature inverts.
+
+
+def test_thermal_occupation_at_log2_is_one():
+    assert math.isclose(_occupation(math.log(2.0), 0.0), 1.0, rel_tol=1e-14)
+
+
+def test_thermal_occupation_high_precision():
+    assert math.isclose(_occupation(1.0, 0.0), OCC_AT_1, rel_tol=1e-14)
+    assert math.isclose(_occupation(0.5 * 2.0, 0.0), OCC_AT_1, rel_tol=1e-14)
+
+
+def test_thermal_occupation_exponentially_suppressed():
+    n = _occupation(50.0, 0.0)
+    assert 0.0 < n < 1e-21
+
+
+def test_thermal_occupation_small_argument():
+    x = 1e-9
+    assert math.isclose(_occupation(x, 0.0), 1.0 / x - 0.5, rel_tol=1e-9)
+
+
+@given(x=st.floats(1e-300, 800.0))
+def test_occupation_at_r_zero_is_the_bose_factor_to_the_bit(x):
+    assert _occupation(x, 0.0) == math.exp(-x) / -math.expm1(-x)
+
+
+def test_squeezed_occupation_high_precision():
+    assert math.isclose(_occupation(1.0, 0.5), SQUEEZED_OCC_1_1_05, rel_tol=REL)
+
+
+def test_squeezed_occupation_cold_limit_is_pure_squeezing():
+    # beta*omega -> inf leaves (2*0 + 1) sinh^2 r
+    assert math.isclose(_occupation(60.0, 1.2), math.sinh(1.2) ** 2, rel_tol=1e-12)
+
+
+@given(
+    beta=st.floats(0.05, 20.0),
+    omega=st.floats(0.05, 5.0),
+    r1=st.floats(0.0, 4.0),
+    dr=st.floats(1e-3, 3.0),
+)
+def test_squeezed_occupation_strictly_increasing_in_r(beta, omega, r1, dr):
+    x = beta * omega
+    assert _occupation(x, r1 + dr) > _occupation(x, r1)
+
+
+@pytest.mark.parametrize("beta,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0)])
+def test_effective_temperature_at_r_zero_rejects_bad_args(beta, omega):
+    # At r = 0 T is 1/beta and omega is not used, but it is still checked.
+    with pytest.raises(DomainError):
+        effective_temperature(beta, omega, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +523,21 @@ def _temperature_mp(beta, omega, r):
     return mpmath.mpf(omega) / mpmath.log1p(1 / _occupation_mp(beta, omega, r))
 
 
+def _occupation_at(beta, omega, r):
+    return _occupation(beta * omega, r)
+
+
 @pytest.mark.parametrize("fn, reference, args", [
-    # beta*omega underflows to 0: the occupation passes the double range, T is cosh(2r)/beta.
+    # beta*omega underflows to 0: the occupations pass the double range, T is cosh(2r)/beta.
+    (_occupation_at, _occupation_mp, (1e-200, 1e-200, 0.0)),
+    (_occupation_at, _occupation_mp, (1e-200, 1e-200, 0.5)),
     (effective_temperature, _temperature_mp, (1e-200, 1e-200, 0.5)),
     # N below the smallest normal double: 1/N overflows (0 and subnormal N).
     (effective_temperature, _temperature_mp, (1000.0, 1.0, 1e-200)),
     (effective_temperature, _temperature_mp, (710.0, 1.0, 1e-200)),
     # sinh^2 r underflows to 0 while 2n + 1 overflows: (2n + 1) * 0 was NaN.
+    (_occupation_at, _occupation_mp, (1e-300, 1e-8, 1e-300)),
+    (_occupation_at, _occupation_mp, (5e-324, 0.9, 5e-324)),
     (effective_temperature, _temperature_mp, (1e-300, 1e-8, 1e-300)),
     (effective_temperature, _temperature_mp, (5e-324, 0.9, 5e-324)),
     # N overflows at a small but nonzero beta*omega, where T is still
@@ -493,8 +560,9 @@ def _temperature_mp(beta, omega, r):
     (effective_temperature, _temperature_mp, (1e305, 1e-310, 356.0)),
     (effective_temperature, _temperature_mp, (1.0, 1.0, 356.0)),
     (effective_temperature, _temperature_mp, (1.0, 1e-3, 360.0)),
-], ids=["effective_temperature-x0",
+], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
         "effective_temperature-N0", "effective_temperature-N-subnormal",
+        "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
         "effective_temperature-sinh2-underflow", "effective_temperature-x-subnormal",
         "effective_temperature-x-subnormal-finite-T",
         "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal",

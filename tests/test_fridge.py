@@ -393,6 +393,8 @@ def test_fridge_report_boundary_tau_is_infeasible():
 
 @pytest.mark.parametrize("call, want", [
     pytest.param(lambda: cooling_heat_ht(0.5, 0.5, 0.1, beta2=0), None, id="cooling(beta2=0)"),
+    pytest.param(lambda: cooling_heat_ht(0.5, 0.5, 0.1, beta2=-1), None, id="cooling(beta2=-1)"),
+    pytest.param(lambda: cooling_heat_ht(0.5, 0.5, 0.1, beta2="x"), None, id="cooling(beta2='x')"),
     pytest.param(lambda: cooling_heat_ht(True, 0.5, 0.1), None, id="cooling(z=True)"),
     pytest.param(lambda: zeta_up_thermal(True), None, id="zeta_up_thermal(True)"),
     pytest.param(lambda: fridge_report(0.4, np.float32(0.6)),
