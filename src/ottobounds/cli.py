@@ -133,12 +133,12 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The command-line parser; given a subcommand name, only that one gets its arguments.
+def build_parser(command):
+    """The command-line parser, with the arguments of the subcommand ``command`` alone.
 
-    Every subcommand is registered either way, so help and "invalid choice"
-    errors read the same.  Only the named one (every one for None) gets its
-    arguments, and with them the imports they need.
+    Every subcommand is registered, so help and "invalid choice" errors read
+    the same whatever the name.  Only the named one gets its arguments, and
+    with them the imports they need; any other string adds none.
     """
     parser = argparse.ArgumentParser(
         prog="ottobounds",
@@ -151,7 +151,7 @@ def build_parser(command=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if command is None or command == name:
+        if command == name:
             add_arguments(p)
             p.add_argument("--out", default=None, help="output path (default stdout)")
             p.set_defaults(parser=p)   # so that later usage errors print this subcommand's usage

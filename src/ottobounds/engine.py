@@ -16,8 +16,8 @@ import math
 import sys
 
 from ._record import Record
-from .errors import DomainError, NoSolutionError, SingularityError, nonnegative, positive, unit_open
-from .special import ratio, sech
+from .errors import DomainError, NoSolutionError, SingularityError, nonnegative, unit_open
+from .special import sech
 
 __all__ = [
     "EngineBoundsReport",
@@ -46,11 +46,10 @@ HT_BETA_OMEGA_MAX = 0.3
 
 
 class EngineParams(Record):
-    """Engine operating point ``z``, ``tau``, ``r``; ``beta2`` only sets the scale of work values."""
+    """Engine operating point ``z``, ``tau``, ``r``; the work is in units of 1/beta_hot."""
 
-    def __init__(self, z, tau, r=0.0, beta2=1.0):
-        self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau),
-                             r=nonnegative("r", r), beta2=positive("beta2", beta2))
+    def __init__(self, z, tau, r=0.0):
+        self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau), r=nonnegative("r", r))
 
 
 class EngineBoundsReport(Record):
@@ -62,32 +61,28 @@ class EngineBoundsReport(Record):
 
 
 def work_ht(p):
-    """Extracted work per cycle, (1 - z^2)(z^2 cosh 2r - tau) / (2 z^2 beta2).
+    """Extracted work per cycle, (1 - z^2)(z^2 cosh 2r - tau) / (2 z^2), in units of 1/beta_hot.
 
     Positive exactly when the positive-work condition holds.  Evaluated in
     the grouped form
 
-        [(1 - sqrt(g))^2 - (sqrt(g)/z - z)^2] / (2 beta2 sech(2r)),
+        [(1 - sqrt(g))^2 - (sqrt(g)/z - z)^2] / (2 sech(2r)),
 
     g = tau sech(2r), which keeps the maximum over z resolvable to machine
     precision; the distributed form loses half its digits to cancellation
-    near the optimum.  Returns +-inf once the denominator underflows
-    (sech(2r) at r ~ 370+, or a tiny beta2), and DomainError for 0/0 there.
+    near the optimum.  Returns +inf once sech(2r) underflows (r ~ 370+):
+    the numerator is then 1 - z^2 > 0.
     """
     u = sech(2.0 * p.r)
-    sg = math.sqrt(p.tau * u)
-    if 2.0 * p.beta2 * u == 0.0:
-        # The limit has the numerator's sign; with u = 0.5 _grouped_work divides it by 1.
-        # Only a 0/0 reads the text, so p's four float reprs are formatted only then.
-        num = _grouped_work(p.z, sg, 0.5)
-        return ratio(num, 0.0, f"the work at {p}" if num == 0.0 else None)
-    return _grouped_work(p.z, sg, u, p.beta2)
+    if u == 0.0:
+        return math.inf
+    return _grouped_work(p.z, math.sqrt(p.tau * u), u)
 
 
-def _grouped_work(z, sg, u, beta2=1.0):
+def _grouped_work(z, sg, u):
     """Grouped work, sg = sqrt(tau u); products, not ** 2, so floats and arrays agree bitwise."""
     t = sg / z - z
-    return ((1.0 - sg) * (1.0 - sg) - t * t) / (2.0 * beta2 * u)
+    return ((1.0 - sg) * (1.0 - sg) - t * t) / (2.0 * u)
 
 
 def efficiency_ht(z, tau, r):
@@ -135,9 +130,9 @@ def z2_of_eta(eta, eta_c, r):
     (b - sqrt(b^2 - 4c)) / 2 loses every digit once g is small against
     (1 - 2 eta)^2.
     """
+    eta = nonnegative("eta", eta)
     eta_c = unit_open("eta_c", eta_c)
     r = nonnegative("r", r)
-    eta = nonnegative("eta", eta)
     g = (1.0 - eta_c) * sech(2.0 * r)
     bound = _eta_up(g)
     if eta >= bound:

@@ -15,10 +15,8 @@ import math
 
 from ._record import Record
 from .cycle import _classify_mode
-from .errors import (
-    DomainError, InfeasibleError, ModeError, as_real, nonnegative, positive, unit_open,
-)
-from .special import ratio, sech
+from .errors import DomainError, InfeasibleError, ModeError, as_real, nonnegative, unit_open
+from .special import sech
 
 __all__ = [
     "FridgeBoundsReport",
@@ -39,7 +37,7 @@ def _tau_c(tau, u):
 
 
 class FridgeParams(Record):
-    """Refrigerator operating point ``z``, ``tau``, ``r`` (dimensionless; heats scale with 1/beta2)."""
+    """Refrigerator operating point ``z``, ``tau``, ``r``; the heats are in units of 1/beta_hot."""
 
     def __init__(self, z, tau, r=0.0):
         self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau), r=nonnegative("r", r))
@@ -53,23 +51,23 @@ class FridgeBoundsReport(Record):
                              r_window=r_window, cooling_feasible=cooling_feasible, reason=reason)
 
 
-def _cooling_heat(z2, tc, beta2):
-    """q4 at z^2, tau_c and beta2.  _hot_heat and _work give q2 and w_ext, which
-    are +-inf where their denominator 2 beta2 z^2 underflows (-inf at z^2 = 0,
-    i.e. z below ~1.5e-162)."""
-    return (2.0 * tc - 1.0 - z2) / (2.0 * beta2)
+def _cooling_heat(z2, tc):
+    """q4 at z^2 and tau_c.  _hot_heat and _work give q2 and w_ext, which
+    take their limit -inf where the denominator 2 z^2 underflows to 0 (z
+    below ~1.5e-162): both numerators are -tau_c < 0 there."""
+    return (2.0 * tc - 1.0 - z2) / 2.0
 
 
-def _hot_heat(z2, tc, beta2):
-    return ratio(2.0 * z2 - tc * (1.0 + z2), 2.0 * beta2 * z2, "the hot heat q2")
+def _hot_heat(z2, tc):
+    return -math.inf if z2 == 0.0 else (2.0 * z2 - tc * (1.0 + z2)) / (2.0 * z2)
 
 
-def _work(z2, tc, beta2):
-    return ratio(-(1.0 - z2) * (tc - z2), 2.0 * beta2 * z2, "the work w_ext")
+def _work(z2, tc):
+    return -math.inf if z2 == 0.0 else -(1.0 - z2) * (tc - z2) / (2.0 * z2)
 
 
-def cooling_heat_ht(z, tau, r, beta2=1.0):
-    """Heat drawn from the cold reservoir: (2 tau cosh 2r - 1 - z^2) / (2 beta2).
+def cooling_heat_ht(z, tau, r):
+    """Heat drawn from the cold reservoir, (2 tau cosh 2r - 1 - z^2) / 2, in units of 1/beta_hot.
 
     Accepts the closed interval z in [0, 1] so the edges of the cooling
     window can be probed; the endpoints bracket where the sign change in r
@@ -80,7 +78,7 @@ def cooling_heat_ht(z, tau, r, beta2=1.0):
         raise DomainError(f"z must lie in [0, 1], got {z!r}")
     tau = unit_open("tau", tau)
     tc = _tau_c(tau, sech(2.0 * nonnegative("r", r)))
-    return _cooling_heat(zf * zf, tc, positive("beta2", beta2))
+    return _cooling_heat(zf * zf, tc)
 
 
 def cop_ht(p):
@@ -92,21 +90,21 @@ def cop_ht(p):
     cooling vanishes).
     """
     z2, tc = p.z * p.z, _tau_c(p.tau, sech(2.0 * p.r))
-    q4 = _cooling_heat(z2, tc, 1.0)
+    q4 = _cooling_heat(z2, tc)
     if not math.isfinite(q4):
         raise DomainError(
             f"tau*cosh(2r) exceeds the double range at r={p.r}; "
             f"the heats are no longer representable"
         )
     if q4 <= 0.0:
-        q2 = _hot_heat(z2, tc, 1.0)
+        q2 = _hot_heat(z2, tc)
         mode = _classify_mode(q2, q4, q2 + q4)
         raise ModeError(
             f"no cooling at z={p.z}, tau={p.tau}, r={p.r}: "
             f"the cycle operates as a {mode._value_}",
             mode=mode,
         )
-    return q4 / -_work(z2, tc, 1.0)
+    return q4 / -_work(z2, tc)
 
 
 def _zeta_carnot(tau):

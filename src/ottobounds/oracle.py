@@ -12,7 +12,7 @@ grid scan lives in `verify`, next to the kernel it runs.
 import math
 
 from ._record import Record
-from .errors import BracketError, DomainError, as_real, nonnegative_int, positive
+from .errors import BracketError, DomainError, as_real, nonnegative_int
 
 __all__ = [
     "SupremumReport",
@@ -24,6 +24,8 @@ __all__ = [
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
+TOL = 1e-12        # bracket width at which the golden search and the bisection stop
+POLISH_H = 1e-5    # refine_parabolic's sample spacing, well outside the sqrt(eps) plateau
 
 
 def _finite_interval(lo, hi, what):
@@ -74,30 +76,29 @@ def _out(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def maximize_scalar(fn, lo, hi, tol=1e-10):
-    """Golden-section maximisation of ``fn`` on [lo, hi] to ``tol``.
+def maximize_scalar(fn, lo, hi):
+    """Golden-section maximisation of ``fn`` on [lo, hi] to a bracket of width TOL.
 
     ``fn`` maps a float to a float, or an array of lane points to lane
     values, and is assumed unimodal on the bracket: each use in this
     package documents why that holds (and the tests check it by second
     differences).  The bracket shrinks by 1/phi per iteration; the step
-    count is fixed up front as ceil(log(width/tol)/log(phi)), so the report
+    count is fixed up front as ceil(log(width/TOL)/log(phi)), so the report
     is a deterministic function of the inputs.  best_input is the best
     point actually evaluated, which always lies inside the final bracket.
     Lanes run in lockstep, one call per step, and each gets bitwise the
     result of its own one-lane search; evaluations counts all.
     """
     a, b = _finite_interval(lo, hi, "interval")
-    tol = positive("tol", tol)
     import numpy as np
     h = b - a
-    if h <= tol:
+    if h <= TOL:
         x = 0.5 * (a + b)
         y = _eval_finite(fn, x)
         x = np.broadcast_to(x, np.shape(y))
         return SupremumReport(_out(x), _out(y), np.size(y))
 
-    n = int(math.ceil(math.log(h / tol) / math.log(1.0 / INV_PHI)))
+    n = int(math.ceil(math.log(h / TOL) / math.log(1.0 / INV_PHI)))
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
     yc = _eval_finite(fn, c)
@@ -123,8 +124,8 @@ def maximize_scalar(fn, lo, hi, tol=1e-10):
     return SupremumReport(_out(best_x), _out(best_y), (n + 2) * np.size(best_y))
 
 
-def refine_parabolic(fn, x, h=1e-5):
-    """One parabolic-fit step through (x - h, x, x + h) around a maximum.
+def refine_parabolic(fn, x):
+    """One parabolic-fit step through (x - h, x, x + h), h = POLISH_H, around a maximum.
 
     Any comparison-based search (golden section included) stalls once the
     objective differences near a smooth interior maximum fall under the
@@ -135,6 +136,7 @@ def refine_parabolic(fn, x, h=1e-5):
     ``x`` may be an array of lane points.
     """
     import numpy as np
+    h = POLISH_H
     f0 = _eval_finite(fn, x)
     fp = _eval_finite(fn, x + h)
     fm = _eval_finite(fn, x - h)
@@ -143,11 +145,10 @@ def refine_parabolic(fn, x, h=1e-5):
     return _out(_pick(den >= 0.0, x, x - step))
 
 
-def find_root_scalar(g, bracket, tol=1e-12):
-    """Bisection root of a continuous function with a sign change on the bracket."""
+def find_root_scalar(g, bracket):
+    """Bisection root of a continuous function with a sign change on the bracket, to TOL."""
     lo, hi = bracket
     a, b = _finite_interval(lo, hi, "bracket")
-    tol = positive("tol", tol)
     fa = g(a)
     fb = g(b)
     if fa == 0.0:
@@ -156,7 +157,7 @@ def find_root_scalar(g, bracket, tol=1e-12):
         return b
     if math.isnan(fa) or math.isnan(fb) or (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: g(a)={fa}, g(b)={fb}")
-    while b - a > tol:
+    while b - a > TOL:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # interval no longer splittable in floats
             break

@@ -3,8 +3,7 @@
 The textbook cosh/sinh ratios overflow in double precision near x ~ 355,
 while the formulas in this package take unbounded squeezing and inverse
 temperature arguments.  The forms below stay finite for every positive
-float input and keep full relative accuracy for small arguments.  ``ratio``
-gives a quotient's limit once its denominator underflows to 0.
+float input and keep full relative accuracy for small arguments.
 """
 
 import math
@@ -41,9 +40,3 @@ def sech(x):
     e = math.exp(-abs(v))
     return 2.0 * e / (1.0 + e * e)
 
-
-def ratio(num, den, what):
-    """num / den for den >= 0; once den underflows to 0, the limit +-inf by the sign of num."""
-    if den == 0.0 and num == 0.0:
-        raise DomainError(f"{what} is 0/0: its denominator underflows to 0")
-    return num / den if den != 0.0 else math.copysign(math.inf, num)

@@ -111,7 +111,9 @@ def _engine_into(a, b, z, x, work):
     np.multiply(0.5, a, out=fa)
     x *= np.tanh(fa, out=fa)
     np.multiply(0.5, b, out=fb)
-    with np.errstate(over="ignore", divide="ignore"):   # x = inf is the limit at a tiny b
+    # x = inf is the limit at a tiny b; 0/0, where both tanh underflow, is NaN
+    # and fails x > 1 below, so the point is off the engine region.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x /= np.tanh(fb, out=fb)
     np.greater(x, 1.0, out=inside)
     np.greater(a, np.multiply(b, z, out=bz), out=colder)
@@ -397,7 +399,7 @@ def work_argmax(tau, r):
     when t changes sign there, from + to -.  Where it does not, DomainError
     is raised before the objective is evaluated: at tau = 1/2 that is from
     r of about 10.6 on, and from about 373 on sech 2r underflows to 0.
-    The polish step h = 1e-5 is fixed (the optimality rows' bits depend on
+    The polish step is oracle.POLISH_H (the optimality rows' bits depend on
     it); its error grows as z* nears the lower bracket end (README).
     """
     import numpy as np
@@ -411,8 +413,8 @@ def work_argmax(tau, r):
                           f"at tau={tau}, r={r}")
     def work(zz):
         return engine._grouped_work(zz, sg, u)
-    rep = maximize_scalar(work, lo, hi, tol=1e-12)
-    polished = refine_parabolic(work, rep.best_input, h=1e-5)
+    rep = maximize_scalar(work, lo, hi)
+    polished = refine_parabolic(work, rep.best_input)
     return polished, rep.evaluations + 3 * np.size(polished)
 
 
@@ -489,10 +491,10 @@ def windows_check():
 
     for tau in (0.25, 0.5, 0.75):
         lo, hi = fridge.r_window(tau)
-        root_hi = find_root_scalar(q4_at(1.0, tau), (0.0, 5.0), tol=1e-12)
+        root_hi = find_root_scalar(q4_at(1.0, tau), (0.0, 5.0))
         worst = max(worst, abs(root_hi - hi))
         if lo > 0.0:
-            root_lo = find_root_scalar(q4_at(0.0, tau), (0.0, 5.0), tol=1e-12)
+            root_lo = find_root_scalar(q4_at(0.0, tau), (0.0, 5.0))
             worst = max(worst, abs(root_lo - lo))
         else:
             calls[0] += 1

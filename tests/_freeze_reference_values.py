@@ -123,7 +123,7 @@ show("eta_up_thermal(0.5)", eta_up(mp.mpf("0.5"), 0))
 show("eta_rk(0.5)", eta_mw(mp.mpf("0.5"), 0))
 show("eta_up_thermal(0.2)", eta_up(mp.mpf("0.2"), 0))
 show("eta_rk(0.2)", eta_mw(mp.mpf("0.2"), 0))
-show("work_ht(z=0.6, tau=0.5, r=0.5, beta2=1)",
+show("work_ht(z=0.6, tau=0.5, r=0.5)",
      (1 - mp.mpf("0.36")) * (mp.mpf("0.36") * mp.cosh(1) - mp.mpf("0.5")) / (2 * mp.mpf("0.36")))
 
 print("\n# engine: Carnot crossings of the bounds (Fig.-2 style anchors)")

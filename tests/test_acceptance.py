@@ -104,7 +104,7 @@ def test_criterion_04_squeezed_bounds_vs_carnot():
     }
     worst_cross = 0.0
     for g, anchor in crossings.values():
-        root = find_root_scalar(g, (0.0, 6.0), tol=1e-9)
+        root = find_root_scalar(g, (0.0, 6.0))
         worst_cross = max(worst_cross, abs(root - anchor))
     tail = engine.eta_up(0.2, 6.0)
     big_ok = all(engine.eta_up(0.8, float(r)) < 0.8 for r in np.linspace(0.0, 20.0, 201))
@@ -151,13 +151,13 @@ def test_criterion_06_fridge_bound_by_maximisation():
         hi = math.sqrt(2.0 * tc - 1.0) * (1.0 - 1e-12)
         best = maximize_scalar(
             lambda z, tau=tau, r=r: fridge.cop_ht(fridge.FridgeParams(z, tau, r)),
-            lo=1e-6, hi=hi, tol=1e-10,
+            lo=1e-6, hi=hi,
         ).best_value
         worst = max(worst, abs(best - fridge.zeta_up(tau, r)))
     spot = abs(
         maximize_scalar(
             lambda z: fridge.cop_ht(fridge.FridgeParams(z, 2.0 / 3.0, 0.0)),
-            lo=1e-6, hi=math.sqrt(1.0 / 3.0) * (1.0 - 1e-12), tol=1e-10,
+            lo=1e-6, hi=math.sqrt(1.0 / 3.0) * (1.0 - 1e-12),
         ).best_value
         - (7.0 - 4.0 * math.sqrt(3.0))
     )
@@ -175,12 +175,12 @@ def test_criterion_07_cooling_windows():
     for tau in (0.25, 0.5, 0.75):
         lo, hi = fridge.r_window(tau)
         root = find_root_scalar(
-            lambda r, tau=tau: fridge.cooling_heat_ht(1.0, tau, r), (0.0, 5.0), tol=1e-12
+            lambda r, tau=tau: fridge.cooling_heat_ht(1.0, tau, r), (0.0, 5.0)
         )
         worst = max(worst, abs(root - hi))
         if lo > 0.0:
             root = find_root_scalar(
-                lambda r, tau=tau: fridge.cooling_heat_ht(0.0, tau, r), (0.0, 5.0), tol=1e-12
+                lambda r, tau=tau: fridge.cooling_heat_ht(0.0, tau, r), (0.0, 5.0)
             )
             worst = max(worst, abs(root - lo))
         else:

@@ -5,9 +5,11 @@ Every function in the ``__all__`` of ``cycle``, ``engine``, ``fridge`` and
 floats below, and once per argument with a wrong type or NaN in it.  Each
 call must return a value with no NaN anywhere in it (a float, a tuple or a
 record's fields; +-inf is allowed), or raise an ``OttoError``.  Functions
-that take a record argument are left out: a float there raises
-``AttributeError``, as the README states.  ``lambda_sudden`` is checked on
-records built from the edge floats instead.
+that take a record argument are left out there: a float there raises
+``AttributeError``, as the README states.  They are checked on records
+built from the edge floats instead: ``lambda_sudden`` on frequency pairs,
+``heats_work`` and ``efficiency_sudden`` on cycle specs, ``work_ht`` and
+``cop_ht`` on operating points.
 """
 
 import inspect
@@ -18,9 +20,12 @@ import sys
 import pytest
 
 from ottobounds import cycle, engine, fridge, special
-from ottobounds.cycle import FrequencyPair, lambda_sudden
+from ottobounds.cycle import (
+    AdiabaticityMode, BathSpec, CycleSpec, FrequencyPair, OperatingMode, SqueezePlacement,
+    efficiency_sudden, heats_work, lambda_sudden,
+)
 from ottobounds._record import Record
-from ottobounds.errors import OttoError
+from ottobounds.errors import ModeError, OttoError
 
 EPS = sys.float_info.epsilon
 EDGES = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 0.9, 1.0 - EPS / 2,
@@ -77,11 +82,7 @@ def test_every_edge_tuple_gives_a_value_without_nan_or_an_otto_error(fn):
         calls += itertools.product(EDGES, repeat=2)
         wrong = [[[w], [BASE]] for w in WRONG] + [[[BASE], [w]] for w in WRONG]
     else:
-        # Every tuple over the first three arguments; a fourth (fridge's
-        # beta2, which has a default) is swept alone beside the base values.
-        calls = list(itertools.product(EDGES, repeat=min(len(params), 3)))
-        if len(params) == 4:
-            calls += [(BASE, BASE, BASE, x) for x in EDGES]
+        calls = list(itertools.product(EDGES, repeat=len(params)))
         wrong = [[w if i == j else BASE for j in range(len(params))]
                  for i in range(len(params)) for w in WRONG]
     assert [args for args in calls if _outcome(fn, args) == "nan"] == []
@@ -95,3 +96,54 @@ def test_lambda_sudden_is_at_least_one_on_every_edge_frequency_pair():
     assert len(pairs) == 276
     # lambda >= 1 is False for NaN; a raw exception fails the test.
     assert [p for p in pairs if not lambda_sudden(FrequencyPair(*p)) >= 1.0] == []
+
+
+# Cycle specs from the edge floats that make moderate beta*omega: every
+# ordered pair of frequencies and of inverse temperatures, three squeezing
+# strengths, both placements and all three driving modes.
+SPEC_FLOATS = [x for x in EDGES if 1e-8 <= x <= 10.0]
+MODES = (AdiabaticityMode.adiabatic(), AdiabaticityMode.sudden_switch(),
+         AdiabaticityMode.custom(2.0))
+
+
+def _edge_specs():
+    pairs = list(itertools.combinations(SPEC_FLOATS, 2))   # (smaller, larger)
+    for (w1, w2), (b_hot, b_cold), r, placement, mode in itertools.product(
+            pairs, pairs, (0.0, 0.5, 5.0), SqueezePlacement, MODES):
+        hot = placement is SqueezePlacement.HOT_BATH
+        yield CycleSpec(cold=BathSpec(b_cold, 0.0 if hot else r),
+                        hot=BathSpec(b_hot, r if hot else 0.0),
+                        freqs=FrequencyPair(w1, w2), mode=mode, placement=placement)
+
+
+def _keeps_the_cycle_contract(spec):
+    """heats_work has no NaN, closes the first law and its q2, q4 identities,
+    and sets eta or cop by its mode; efficiency_sudden returns that eta or
+    raises a ModeError carrying the mode."""
+    perf = heats_work(spec)
+    mode = perf.mode_label
+    engine_mode = mode is OperatingMode.ENGINE
+    ok = (not _has_nan(perf)
+          and perf.q2 == perf.h_c - perf.h_b and perf.q4 == perf.h_a - perf.h_d
+          and perf.w_ext == perf.q2 + perf.q4
+          and (perf.eta is not None) == engine_mode
+          and (perf.cop is not None) == (mode is OperatingMode.REFRIGERATOR))
+    try:
+        eta = efficiency_sudden(spec)
+    except ModeError as exc:
+        return ok and not engine_mode and exc.mode is mode
+    return ok and engine_mode and eta == perf.eta
+
+
+def test_heats_work_and_efficiency_sudden_keep_their_contract_on_edge_specs():
+    specs = list(_edge_specs())
+    assert len(specs) == 36_450
+    assert [spec for spec in specs if not _keeps_the_cycle_contract(spec)] == []
+
+
+def test_work_and_cop_on_every_edge_operating_point():
+    unit = [x for x in EDGES if 0.0 < x < 1.0]
+    rs = [x for x in EDGES if 0.0 <= x < math.inf]
+    points = list(itertools.product(unit, unit, rs))
+    for params, fn in ((engine.EngineParams, engine.work_ht), (fridge.FridgeParams, fridge.cop_ht)):
+        assert [p for p in points if _outcome(lambda *a: fn(params(*a)), p) == "nan"] == []

@@ -54,14 +54,8 @@ def test_work_vanishes_on_the_pwc_boundary():
 
 
 def test_work_positive_example():
-    p = EngineParams(z=0.6, tau=0.5, r=0.5, beta2=1.0)
+    p = EngineParams(z=0.6, tau=0.5, r=0.5)
     assert math.isclose(work_ht(p), WORK_06_05_05, rel_tol=REL)
-
-
-def test_work_scales_inversely_with_beta2():
-    w1 = work_ht(EngineParams(0.6, 0.5, 0.5, beta2=1.0))
-    w2 = work_ht(EngineParams(0.6, 0.5, 0.5, beta2=4.0))
-    assert math.isclose(w1, 4.0 * w2, rel_tol=1e-15)
 
 
 @given(
@@ -81,15 +75,13 @@ def test_work_near_degenerate_ratio_tends_to_zero():
 
 
 def test_work_diverges_where_its_denominator_underflows():
-    # sech(2r) = 0 (r ~ 370+) as before, and 2 beta2 sech(2r) = 0 with
-    # sech(2r) > 0, which used to raise a raw ZeroDivisionError: the limit
-    # takes the sign of the work, and 0/0 on the PWC boundary is an error.
-    assert work_ht(EngineParams(0.5, 0.5, 400.0)) == math.inf
-    assert work_ht(EngineParams(0.5, 0.5, 40.0, 1e-300)) == math.inf
-    assert work_ht(EngineParams(1e-18, 0.5, 40.0, 1e-300)) == -math.inf
-    z = math.sqrt(0.5 * sech(2.4))   # z^2 = tau sech(2r): zero work
-    with pytest.raises(DomainError):
-        work_ht(EngineParams(z, 0.5, 1.2, 5e-324))
+    # Once sech(2r) underflows to 0 (r ~ 370+) the numerator is 1 - z^2 > 0
+    # for every z, so the work is +inf; at a subnormal sech(2r) the
+    # quotient overflows to the same limit.
+    for z in (1e-18, 0.5, 1.0 - 1e-16):
+        assert work_ht(EngineParams(z, 0.5, 400.0)) == math.inf
+    assert 0.0 < sech(2.0 * 372.0) < sys.float_info.min
+    assert work_ht(EngineParams(0.5, 0.5, 372.0)) == math.inf
 
 
 def test_engine_params_validation():
@@ -99,8 +91,6 @@ def test_engine_params_validation():
         EngineParams(z=0.5, tau=0.0)
     with pytest.raises(DomainError):
         EngineParams(z=0.5, tau=0.5, r=-0.2)
-    with pytest.raises(DomainError):
-        EngineParams(z=0.5, tau=0.5, beta2=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +188,16 @@ def test_z2_of_eta_rejects_unreachable_efficiencies():
         z2_of_eta(bound + 1e-9, 0.3, 1.0)
     with pytest.raises(DomainError):
         z2_of_eta(-0.1, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    (("x", 2.0, 0.1), "eta"), ((-0.1, 0.5, -1.0), "eta"), ((0.1, 2.0, -1.0), "eta_c"),
+])
+def test_z2_of_eta_names_the_first_bad_argument(args, name):
+    # Arguments are checked in signature order (eta, eta_c, r); eta_c used
+    # to be checked first.
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        z2_of_eta(*args)
 
 
 @pytest.mark.parametrize("eta, eta_c, r", [(0.3, 0.5, 400.0), (0.0, 0.5, 360.0)])
@@ -327,13 +327,13 @@ def test_reduction_identities_on_grid():
 
 
 def test_bounds_cross_carnot_at_finite_squeezing():
-    root = find_root_scalar(lambda r: eta_up(0.2, r) - 0.2, (0.0, 5.0), tol=1e-10)
+    root = find_root_scalar(lambda r: eta_up(0.2, r) - 0.2, (0.0, 5.0))
     assert abs(root - R_CROSS_UP_02) < 1e-8
-    root = find_root_scalar(lambda r: eta_mw(0.2, r) - 0.2, (0.0, 5.0), tol=1e-10)
+    root = find_root_scalar(lambda r: eta_mw(0.2, r) - 0.2, (0.0, 5.0))
     assert abs(root - R_CROSS_MW_02) < 1e-8
-    root = find_root_scalar(lambda r: eta_up(0.4, r) - 0.4, (0.0, 6.0), tol=1e-10)
+    root = find_root_scalar(lambda r: eta_up(0.4, r) - 0.4, (0.0, 6.0))
     assert abs(root - R_CROSS_UP_04) < 1e-8
-    root = find_root_scalar(lambda r: eta_mw(0.4, r) - 0.4, (0.0, 6.0), tol=1e-10)
+    root = find_root_scalar(lambda r: eta_mw(0.4, r) - 0.4, (0.0, 6.0))
     assert abs(root - R_CROSS_MW_04) < 1e-8
 
 
@@ -394,12 +394,12 @@ def test_engine_report_pwc_flag_fails_where_g_rounds_to_one():
 @pytest.mark.parametrize("call, want", [
     pytest.param(lambda: eta_up(0.2, True), None, id="eta_up(r=True)"),
     pytest.param(lambda: z2_of_eta(True, 0.5, 1), None, id="z2_of_eta(eta=True)"),
-    pytest.param(lambda: EngineParams(0.5, 0.5, 0, "1"), None, id="EngineParams(beta2='1')"),
-    pytest.param(lambda: EngineParams(0.5, 0.5, 0, True), None, id="EngineParams(beta2=True)"),
+    pytest.param(lambda: EngineParams(0.5, 0.5, "1"), None, id="EngineParams(r='1')"),
+    pytest.param(lambda: EngineParams(0.5, 0.5, True), None, id="EngineParams(r=True)"),
     pytest.param(lambda: z_star(np.float32(0.5), 1),
                  lambda: z_star(float(np.float32(0.5)), 1.0), id="z_star(tau=float32)"),
-    pytest.param(lambda: EngineParams(0.5, 0.5, 0, np.int64(2)), lambda: EngineParams(0.5, 0.5, 0.0, 2.0),
-                 id="EngineParams(beta2=int64)"),
+    pytest.param(lambda: EngineParams(0.5, 0.5, np.int64(2)), lambda: EngineParams(0.5, 0.5, 2.0),
+                 id="EngineParams(r=int64)"),
     pytest.param(lambda: eta_up(np.float64(0.2), np.int64(1)), lambda: eta_up(0.2, 1.0),
                  id="eta_up(numpy)"),
 ])

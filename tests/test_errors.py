@@ -60,7 +60,7 @@ PUBLIC_SCALAR_CALLS = [
     (cycle.BathSpec, (1.0, 0.5)),
     (cycle.FrequencyPair, (1.0, 2.0)),
     (cycle.AdiabaticityMode.custom, (1.5,)),
-    (engine.EngineParams, (0.5, 0.5, 0.5, 1.0)),
+    (engine.EngineParams, (0.5, 0.5, 0.5)),
     (engine.efficiency_ht, (0.8, 0.3, 0.5)),
     (engine.z_star, (0.3, 0.5)),
     (engine.z2_of_eta, (0.1, 0.5, 0.5)),
@@ -71,7 +71,7 @@ PUBLIC_SCALAR_CALLS = [
     (engine.eta_rk, (0.3,)),
     (engine.engine_report, (0.3, 0.5)),
     (fridge.FridgeParams, (0.5, 0.6, 0.1)),
-    (fridge.cooling_heat_ht, (0.5, 0.6, 0.1, 1.0)),
+    (fridge.cooling_heat_ht, (0.5, 0.6, 0.1)),
     (fridge.zeta_up_thermal, (2.0,)),
     (fridge.zeta_up, (0.6, 0.1)),
     (fridge.tau_window, (0.1,)),

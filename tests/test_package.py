@@ -1,6 +1,8 @@
-"""The package surface: 7 submodules and 36 re-exports, loaded on first access."""
+"""The package surface: 7 submodules and 36 re-exports, loaded on first access; their signatures."""
 
+import enum
 import importlib
+import inspect
 import subprocess
 import sys
 
@@ -91,3 +93,59 @@ def test_submodules_resolve_through_the_package_in_a_fresh_interpreter():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert float(res.stdout) == ottobounds.eta_rk(0.5)
+
+
+# The signature of every callable re-export, and of three public functions
+# outside ``__all__``, so that a new parameter shows up in review as a
+# one-line diff here.  The enums are left out: their call signature is the
+# enum machinery's, and it changes between Python versions.
+SIGNATURES = {
+    "AdiabaticityMode": "(kind, lam=None)",
+    "BathSpec": "(beta, r=0.0)",
+    "CyclePerformance": "(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode_label, eta=None, cop=None)",
+    "CycleSpec": "(cold, hot, freqs, mode, placement=<SqueezePlacement.HOT_BATH: 'hot'>)",
+    "FrequencyPair": "(omega1, omega2)",
+    "cycle_energies": "(spec)",
+    "delta_h": "(beta, omega, r)",
+    "effective_temperature": "(beta, omega, r)",
+    "efficiency_sudden": "(spec)",
+    "heats_work": "(spec)",
+    "lambda_sudden": "(freqs)",
+    "EngineBoundsReport": "(eta_c, eta_c_gen, eta_up, eta_mw, z_star, pwc_satisfied)",
+    "EngineParams": "(z, tau, r=0.0)",
+    "efficiency_ht": "(z, tau, r)",
+    "engine_report": "(eta_c, r)",
+    "eta_mw": "(eta_c, r)",
+    "eta_rk": "(eta_c)",
+    "eta_up": "(eta_c, r)",
+    "eta_up_thermal": "(eta_c)",
+    "generalized_carnot": "(eta_c, r)",
+    "work_ht": "(p)",
+    "z2_of_eta": "(eta, eta_c, r)",
+    "z_star": "(tau, r)",
+    "FridgeBoundsReport": "(zeta_c, zeta_up, tau_window, r_window, cooling_feasible, reason=None)",
+    "FridgeParams": "(z, tau, r=0.0)",
+    "cop_ht": "(p)",
+    "fridge_report": "(tau, r=0.0)",
+    "r_window": "(tau)",
+    "tau_window": "(r)",
+    "zeta_up": "(tau, r)",
+    "zeta_up_thermal": "(zeta_c)",
+    "SupremumReport": "(best_input, best_value, evaluations)",
+    "find_root_scalar": "(g, bracket)",
+    "maximize_scalar": "(fn, lo, hi)",
+    "oracle.refine_parabolic": "(fn, x)",
+    "fridge.cooling_heat_ht": "(z, tau, r)",
+    "cli.build_parser": "(command)",
+}
+
+
+def test_public_signatures_match_the_table():
+    from ottobounds import cli, fridge, oracle
+    callables = {name: getattr(ottobounds, name) for name in ottobounds.__all__}
+    callables = {name: obj for name, obj in callables.items()
+                 if callable(obj) and not isinstance(obj, enum.EnumMeta)}
+    callables.update({"oracle.refine_parabolic": oracle.refine_parabolic,
+                      "fridge.cooling_heat_ht": fridge.cooling_heat_ht,
+                      "cli.build_parser": cli.build_parser})
+    assert {name: str(inspect.signature(obj)) for name, obj in callables.items()} == SIGNATURES

@@ -46,8 +46,7 @@ RECORDS = [
      (1.0, 2.0, 3.0, 4.0, 1.0, -3.0, -2.0, OperatingMode.ACCELERATOR, None, None),
      "CyclePerformance(h_a=1.0, h_b=2.0, h_c=3.0, h_d=4.0, q2=1.0, q4=-3.0, w_ext=-2.0, "
      "mode_label=<OperatingMode.ACCELERATOR: 'accelerator'>, eta=None, cop=None)"),
-    (EngineParams, ("z", "tau", "r", "beta2"), (0.5, 0.2, 0.5, 2.0),
-     "EngineParams(z=0.5, tau=0.2, r=0.5, beta2=2.0)"),
+    (EngineParams, ("z", "tau", "r"), (0.5, 0.2, 0.5), "EngineParams(z=0.5, tau=0.2, r=0.5)"),
     (EngineBoundsReport, ("eta_c", "eta_c_gen", "eta_up", "eta_mw", "z_star", "pwc_satisfied"),
      (0.2, 0.7, 0.3, 0.25, 0.8, True),
      "EngineBoundsReport(eta_c=0.2, eta_c_gen=0.7, eta_up=0.3, eta_mw=0.25, z_star=0.8, "
@@ -115,7 +114,7 @@ def test_copy_and_pickle_round_trip(record):
 def test_equality_is_per_class():
     # Same field values, different class: never equal (NotImplemented both ways).
     assert EngineBoundsReport(0.2, 0.7, 0.3, 0.25, 0.8, True) != (0.2, 0.7, 0.3, 0.25, 0.8, True)
-    assert FridgeParams(0.5, 0.6, 0.1) != EngineParams(0.5, 0.6, 0.1, 1.0)
+    assert FridgeParams(0.5, 0.6, 0.1) != EngineParams(0.5, 0.6, 0.1)
     assert BathSpec(2.0).__eq__(FridgeParams(0.5, 0.6)) is NotImplemented
     assert BathSpec(2.0) != BathSpec(2.0, 0.1)
 
@@ -123,7 +122,7 @@ def test_equality_is_per_class():
 def test_defaults():
     assert BathSpec(2.0) == BathSpec(2.0, 0.0)
     assert AdiabaticityMode("sudden") == AdiabaticityMode("sudden", None)
-    assert EngineParams(0.5, 0.2) == EngineParams(0.5, 0.2, 0.0, 1.0)
+    assert EngineParams(0.5, 0.2) == EngineParams(0.5, 0.2, 0.0)
     assert FridgeParams(0.5, 0.6) == FridgeParams(0.5, 0.6, 0.0)
     assert CycleSpec(*_SPEC_ARGS[:4]).placement is SqueezePlacement.HOT_BATH
     assert FridgeBoundsReport(1.5, None, (0.25, 0.5), (0.0, 0.3), False).reason is None

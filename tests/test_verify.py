@@ -551,6 +551,16 @@ def test_exact_efficiency_where_the_term_overflows_below_the_cut(point):
     assert got == 0.375 and abs(float(got) - _efficiency_mp(*point)) <= 1e-15 * got
 
 
+def test_exact_efficiency_where_both_tanh_underflow():
+    # tanh(a/2) and tanh(b/2) both underflow to 0, so x = 0/0 is NaN, which
+    # fails x > 1: no engine, as mpmath's x = 0.77 says.  The 0/0 warned
+    # "invalid value encountered in divide" (an error here).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify.exact_efficiency(5e-324, 5e-324, 0.5, 0.5)
+    assert got == -np.inf
+
+
 def test_exact_efficiency_past_the_expm1_overflow_keeps_the_other_lanes():
     # At r = 0, dh = 1 and x = z tanh(a/2) < 1: no engine, as mpmath says.
     assert verify.exact_efficiency(2000.0, 1000.0, 0.9, 0.0) == -np.inf
