@@ -174,14 +174,11 @@ def test_criterion_07_cooling_windows():
     opens = True
     for tau in (0.25, 0.5, 0.75):
         lo, hi = fridge.r_window(tau)
-        root = find_root_scalar(
-            lambda r, tau=tau: fridge.cooling_heat_ht(1.0, tau, r), (0.0, 5.0)
-        )
+        root = find_root_scalar(lambda r, tau=tau: fridge.cooling_heat_ht(1.0, tau, r), (0.0, 5.0))
         worst = max(worst, abs(root - hi))
         if lo > 0.0:
-            root = find_root_scalar(
-                lambda r, tau=tau: fridge.cooling_heat_ht(0.0, tau, r), (0.0, 5.0)
-            )
+            root = find_root_scalar(lambda r, tau=tau: fridge.cooling_heat_ht(0.0, tau, r),
+                                    (0.0, 5.0))
             worst = max(worst, abs(root - lo))
         else:
             opens = opens and fridge.cooling_heat_ht(0.0, tau, 1e-6) > 0.0
