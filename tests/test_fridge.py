@@ -389,6 +389,10 @@ def test_fridge_report_boundary_tau_is_infeasible():
                  lambda: fridge_report(0.4, float(np.float32(0.6))), id="fridge_report(r=float32)"),
     pytest.param(lambda: cooling_heat_ht(np.int64(1), 0.75, 0), lambda: cooling_heat_ht(1.0, 0.75, 0.0),
                  id="cooling(z=int64)"),
+    pytest.param(lambda: cooling_heat_ht(0.5, 1.0, 0.1), None, id="cooling(tau=1)"),
+    pytest.param(lambda: cooling_heat_ht(0.5, 0.5, -1), None, id="cooling(r=-1)"),
+    pytest.param(lambda: cooling_heat_ht(0.5, np.float32(0.75), np.int64(1)),
+                 lambda: cooling_heat_ht(0.5, float(np.float32(0.75)), 1.0), id="cooling(tau=float32,r=int64)"),
     pytest.param(lambda: zeta_up_thermal(np.float32(2.0)), lambda: zeta_up_thermal(2.0),
                  id="zeta_up_thermal(float32)"),
 ])
