@@ -28,7 +28,6 @@ _EXPORTS = {
         "OperatingMode",
         "SqueezePlacement",
         "cycle_energies",
-        "delta_h",
         "effective_temperature",
         "efficiency_sudden",
         "heats_work",
@@ -54,7 +53,6 @@ _EXPORTS = {
         "cop_ht",
         "fridge_report",
         "r_window",
-        "tau_window",
         "zeta_up",
         "zeta_up_thermal",
     ),

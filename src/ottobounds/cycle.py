@@ -6,7 +6,7 @@ against a cold thermal reservoir and one against a hot reservoir; either
 reservoir may be squeezed.  Everything here is evaluated at finite
 temperature with no high-temperature approximation, except for one
 convention: the squeezed corners are scaled by the occupation ratio
-delta_h = N/n (``delta_h``), which tends to the squeezed state's energy
+delta_h = N/n (``_delta_h``), which tends to the squeezed state's energy
 ratio cosh 2r only as beta*omega -> 0.  Units: hbar = k_B = 1, so
 frequencies, inverse temperatures and energies share one energy scale.
 
@@ -21,7 +21,7 @@ import sys
 from enum import Enum
 
 from ._record import Record
-from .errors import DomainError, ModeError, as_real, nonnegative, positive, real
+from .errors import DomainError, ModeError, as_real, nonnegative, positive
 from .special import coth
 
 __all__ = [
@@ -32,9 +32,7 @@ __all__ = [
     "FrequencyPair",
     "OperatingMode",
     "SqueezePlacement",
-    "classify_mode",
     "cycle_energies",
-    "delta_h",
     "effective_temperature",
     "efficiency_sudden",
     "heats_work",
@@ -70,18 +68,13 @@ def _occupation(x, r):
     return n + (2.0 * n + 1.0) * s2
 
 
-def delta_h(beta, omega, r):
-    """Squeezing enhancement of the mean occupation, 1 + (2 + 1/<n>) sinh^2(r).
-
-    Equals 1 exactly at r = 0 and tends to cosh(2r) as beta*omega -> 0.
-    For beta*omega beyond ~709 (or r beyond ~355) the factor exceeds the
-    double range and saturates to inf.
-    """
-    x = positive("beta", beta) * positive("omega", omega)
-    return _delta_h(x, nonnegative("r", r))
-
-
 def _delta_h(x, r):
+    """Squeezing enhancement of the mean occupation at x = beta*omega,
+    N/n = 1 + (2 + 1/n) sinh^2 r = 1 + (2 + expm1 x) sinh^2 r.
+
+    Equals 1 exactly at r = 0 and tends to cosh(2r) as x -> 0; inf only
+    where the factor exceeds the double range (r beyond ~355, or x large).
+    """
     if r == 0.0:
         return 1.0
     if r > _SINH_OVERFLOW:
@@ -277,7 +270,7 @@ def cycle_energies(spec):
     return h_a, h_b, h_c, h_d
 
 
-def classify_mode(q2, q4, w_ext):
+def _classify_mode(q2, q4, w_ext):
     """Operating-mode label from the sign pattern of the heats and work.
 
     Engine: absorbs at the hot contact, rejects at the cold one, extracts
@@ -286,14 +279,12 @@ def classify_mode(q2, q4, w_ext):
     Boundary ties are never labelled engine: a zero-work tie with
     engine-pattern heats counts as an accelerator, and every remaining
     pattern (both heats rejected, or exact zeros in the heats) as a heater.
-    This is the one definition of a refrigerator, `fridge`'s included; its
-    ``cooling_feasible`` asks only whether a finite COP bound exists.
-    Each argument may be +-inf; NaN and non-reals raise DomainError.
+    NaN fails every comparison: NaN work with engine-pattern heats is an
+    accelerator, any other NaN a heater.  This is the one definition of a
+    refrigerator, `fridge`'s included; its ``cooling_feasible`` asks only
+    whether a finite COP bound exists.  ``heats_work(spec).mode_label`` is
+    this label for a cycle.
     """
-    return _classify_mode(real("q2", q2), real("q4", q4), real("w_ext", w_ext))
-
-
-def _classify_mode(q2, q4, w_ext):
     if q2 > 0.0 and q4 < 0.0:
         return _ENGINE if w_ext > 0.0 else _ACCELERATOR
     if q2 < 0.0 and q4 > 0.0 and w_ext < 0.0:

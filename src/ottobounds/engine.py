@@ -38,7 +38,7 @@ __all__ = [
 
 # Advisory ceiling on beta*omega for trusting the high-temperature forms.
 # Their gap to the exact cycle is second order in beta*omega without
-# squeezing and first order with it (cycle.delta_h tends to cosh 2r only to
+# squeezing and first order with it (cycle._delta_h tends to cosh 2r only to
 # first order).  Relative gap of the efficiency at z = 0.5, tau = 0.2, for
 # beta2*omega2 = 1e-4 / 1e-2 / 0.3: 1.3e-8 / 1.3e-4 / 12 % at r = 0, and
 # 1.1e-5 / 1.0e-3 / 1.3 % at r = 0.5.

@@ -74,14 +74,6 @@ def nonnegative(name, value):
     raise DomainError(f"{name} must be a non-negative finite number, got {value!r}")
 
 
-def real(name, value):
-    """A real, +-inf included: only NaN and non-reals are turned away."""
-    v = value if type(value) is float else as_real(value)
-    if v == v:
-        return v
-    raise DomainError(f"{name} must be a real number, got {value!r}")
-
-
 def unit_open(name, value):
     """A real strictly inside (0, 1)."""
     v = value if type(value) is float else as_real(value)

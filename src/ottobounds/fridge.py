@@ -3,12 +3,14 @@
 High-temperature, sudden-quench regime in the variables z = omega1/omega2,
 tau = beta_hot/beta_cold and the cold-bath squeezing r.  The combination
 ``tau_c = tau * cosh(2r)`` is the temperature ratio against the cold bath's
-effective temperature.  A refrigerator is what `cycle.classify_mode`'s sign
-pattern says: here some z refrigerates exactly when tau_c > 1/2, and every z
-does once tau_c >= 1, with a COP that grows without bound as z -> 1.  So the
-bound zeta_up, ``cooling_feasible`` and the windows mean tau_c in (1/2, 1),
-where a finite COP bound exists.  All windows are strict: their endpoints
-evaluate to the infeasible error rather than to a boundary value.
+effective temperature.  A refrigerator is what the sign rule of
+`cycle._classify_mode` (a cycle's ``mode_label``) says: here some z
+refrigerates exactly when tau_c > 1/2, and every z does once tau_c >= 1,
+with a COP that grows without bound as z -> 1.  So the bound zeta_up,
+``cooling_feasible`` and the windows (``fridge_report``'s ``tau_window``
+and ``r_window``) mean tau_c in (1/2, 1), where a finite COP bound exists.
+All windows are strict: their endpoints evaluate to the infeasible error
+rather than to a boundary value.
 """
 
 import math
@@ -25,7 +27,6 @@ __all__ = [
     "cop_ht",
     "fridge_report",
     "r_window",
-    "tau_window",
     "zeta_up",
     "zeta_up_thermal",
 ]
@@ -155,12 +156,8 @@ def _zeta_up(tc, tau, r):
     return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (tc - 1.0) ** 2), None
 
 
-def tau_window(r):
-    """Open interval of temperature ratios with a finite COP bound: (sech(2r)/2, sech(2r))."""
-    return _tau_window(sech(2.0 * nonnegative("r", r)))
-
-
 def _tau_window(u):
+    """Open interval of temperature ratios with a finite COP bound at u = sech(2r): (u/2, u)."""
     return (0.5 * u, u)
 
 

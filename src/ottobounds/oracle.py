@@ -36,6 +36,20 @@ def _finite_interval(lo, hi, what):
     raise DomainError(f"{what} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
 
 
+def _finite(name, value):
+    """value as a Python float if it is a finite real, else DomainError."""
+    v = as_real(value)
+    if -math.inf < v < math.inf:
+        return v
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _objective(fn):
+    if not callable(fn):
+        raise DomainError(f"the objective must be callable, got {fn!r}")
+    return fn
+
+
 class SupremumReport(Record):
     """Best point found by a golden-section search, its value and the evaluations it took."""
 
@@ -50,6 +64,7 @@ def axis_points(start, stop, count):
     The arithmetic of np.linspace, i*step + start, on plain floats; a count
     of 0 gives no points, as np.linspace does.
     """
+    start, stop = _finite("start", start), _finite("stop", stop)
     count = nonnegative_int("count", count)
     if count < 2:
         return [start] * count
@@ -57,11 +72,17 @@ def axis_points(start, stop, count):
     return [i * step + start for i in range(count - 1)] + [stop]
 
 
-def _eval_finite(fn, x):
+def _finite_reals(v):
+    """Whether v is a finite real or an array of them: no NaN, inf, bool or string."""
     import numpy as np
+    v = np.asarray(v)
+    return v.dtype.kind in "fiu" and bool(np.isfinite(v).all())
+
+
+def _eval_finite(fn, x):
     y = fn(x)
-    if not np.isfinite(y).all():
-        raise DomainError(f"objective returned a non-finite value {y!r} at x={x}")
+    if not _finite_reals(y):
+        raise DomainError(f"objective returned {y!r} at x={x}, not a finite real number")
     return y
 
 
@@ -89,6 +110,7 @@ def maximize_scalar(fn, lo, hi):
     Lanes run in lockstep, one call per step, and each gets bitwise the
     result of its own one-lane search; evaluations counts all.
     """
+    fn = _objective(fn)
     a, b = _finite_interval(lo, hi, "interval")
     import numpy as np
     h = b - a
@@ -136,6 +158,11 @@ def refine_parabolic(fn, x):
     ``x`` may be an array of lane points.
     """
     import numpy as np
+    fn = _objective(fn)
+    if not isinstance(x, np.ndarray):
+        x = _finite("x", x)
+    elif not _finite_reals(x):
+        raise DomainError(f"x must hold finite real lane points, got {x!r}")
     h = POLISH_H
     f0 = _eval_finite(fn, x)
     fp = _eval_finite(fn, x + h)
@@ -145,23 +172,41 @@ def refine_parabolic(fn, x):
     return _out(_pick(den >= 0.0, x, x - step))
 
 
+def _real_value(g, x):
+    """g(x) as a Python float, +-inf included; DomainError for NaN or a non-real."""
+    y = g(x)
+    v = as_real(y)
+    if v == v:
+        return v
+    raise DomainError(f"objective returned {y!r} at x={x}, not a real number")
+
+
 def find_root_scalar(g, bracket):
-    """Bisection root of a continuous function with a sign change on the bracket, to TOL."""
-    lo, hi = bracket
+    """Bisection root of a continuous function with a sign change on the bracket, to TOL.
+
+    ``bracket`` is a pair (lo, hi).  g may return +-inf; a NaN or non-real
+    value anywhere the bisection looks is a DomainError, since a root next
+    to it could be anywhere.
+    """
+    g = _objective(g)
+    try:
+        lo, hi = bracket
+    except (TypeError, ValueError):
+        raise DomainError(f"bracket must be a pair (lo, hi), got {bracket!r}") from None
     a, b = _finite_interval(lo, hi, "bracket")
-    fa = g(a)
-    fb = g(b)
+    fa = _real_value(g, a)
+    fb = _real_value(g, b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if math.isnan(fa) or math.isnan(fb) or (fa > 0.0) == (fb > 0.0):
+    if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: g(a)={fa}, g(b)={fb}")
     while b - a > TOL:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # interval no longer splittable in floats
             break
-        fm = g(mid)
+        fm = _real_value(g, mid)
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (fa > 0.0):

@@ -62,11 +62,21 @@ def exact_efficiency(a, b, z, r):
     (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
     the term is, and about b eps off in the exponent.  Below that cut an
     overflowing term, or an x that overflows at a tiny b, is inf, its limit
-    (eta = (1 - z^2)/2), with no warning.
+    (eta = (1 - z^2)/2), with no warning.  Arguments that are not real
+    numbers or arrays of them (bools and strings included), NaN, or shapes
+    that do not broadcast raise DomainError.
     """
     import numpy as np
-    a, b, z, r = (np.asarray(v, dtype=float) for v in (a, b, z, r))
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape, z.shape, r.shape))
+    try:
+        args = [np.asarray(v) for v in (a, b, z, r)]
+        shape = np.broadcast_shapes(*(v.shape for v in args))
+    except ValueError as exc:   # a ragged list, or shapes that do not broadcast
+        raise DomainError(f"a, b, z, r must be arrays that broadcast: {exc}") from None
+    for name, v in zip("abzr", args):
+        if v.dtype.kind not in "fiu" or np.isnan(v).any():
+            raise DomainError(f"{name} must be real numbers, not NaN, got {v!r}")
+    a, b, z, r = (v.astype(float, copy=False) for v in args)
+    out = np.empty(shape)
     work = _efficiency_work(a, b, z, r)
     wide = b > 709.782712893384
     with np.errstate(over="ignore"):

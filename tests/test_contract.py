@@ -9,7 +9,10 @@ that take a record argument are left out there: a float there raises
 ``AttributeError``, as the README states.  They are checked on records
 built from the edge floats instead: ``lambda_sudden`` on frequency pairs,
 ``heats_work`` and ``efficiency_sudden`` on cycle specs, ``work_ht`` and
-``cop_ht`` on operating points.
+``cop_ht`` on operating points.  The search primitives of ``oracle`` take
+callables: they are called on the edge floats and the wrong values with
+objectives that behave and objectives that return None, inf or NaN, and
+must keep the same contract.
 """
 
 import inspect
@@ -19,7 +22,7 @@ import sys
 
 import pytest
 
-from ottobounds import cycle, engine, fridge, special
+from ottobounds import cycle, engine, fridge, oracle, special, verify
 from ottobounds.cycle import (
     AdiabaticityMode, BathSpec, CycleSpec, FrequencyPair, OperatingMode, SqueezePlacement,
     efficiency_sudden, heats_work, lambda_sudden,
@@ -98,6 +101,32 @@ def test_lambda_sudden_is_at_least_one_on_every_edge_frequency_pair():
     assert [p for p in pairs if not lambda_sudden(FrequencyPair(*p)) >= 1.0] == []
 
 
+# The kernels behind three names removed from the API (README, "Removed
+# names"), on every edge value their callers can pass them.
+
+def test_delta_h_kernel_is_at_least_one_on_every_edge_product():
+    positive = [x for x in EDGES if 0.0 < x < math.inf]
+    rs = [x for x in EDGES if 0.0 <= x < math.inf]
+    xs = sorted({beta * omega for beta, omega in itertools.product(positive, repeat=2)})
+    # x = beta*omega may underflow to 0 or overflow to inf; >= 1 is False for NaN.
+    assert [(x, r) for x in xs for r in rs if not cycle._delta_h(x, r) >= 1.0] == []
+
+
+def test_classify_mode_kernel_labels_every_signed_edge_triple_by_its_sign_rule():
+    signed = (*EDGES, *(-x for x in EDGES), math.nan)
+    for q2, q4, w_ext in itertools.product(signed, repeat=3):
+        mode = cycle._classify_mode(q2, q4, w_ext)
+        assert (mode is OperatingMode.ENGINE) == (q2 > 0.0 > q4 and w_ext > 0.0)
+        assert (mode is OperatingMode.ACCELERATOR) == (q2 > 0.0 > q4 and not w_ext > 0.0)
+        assert (mode is OperatingMode.REFRIGERATOR) == (q2 < 0.0 < q4 and w_ext < 0.0)
+
+
+def test_tau_window_kernel_is_an_ordered_pair_in_the_unit_interval():
+    rs = [x for x in EDGES if 0.0 <= x < math.inf]
+    windows = [fridge._tau_window(special.sech(2.0 * r)) for r in rs]
+    assert [w for w in windows if not 0.0 <= w[0] <= w[1] <= 1.0] == []
+
+
 # Cycle specs from the edge floats that make moderate beta*omega: every
 # ordered pair of frequencies and of inverse temperatures, three squeezing
 # strengths, both placements and all three driving modes.
@@ -147,3 +176,44 @@ def test_work_and_cop_on_every_edge_operating_point():
     points = list(itertools.product(unit, unit, rs))
     for params, fn in ((engine.EngineParams, engine.work_ht), (fridge.FridgeParams, fridge.cop_ht)):
         assert [p for p in points if _outcome(lambda *a: fn(params(*a)), p) == "nan"] == []
+
+
+# ---------------------------------------------------------------------------
+# oracle: each primitive on every pair of search ends (or point) drawn from
+# the edge floats in [-1, 10] and the wrong values, with each objective.
+
+SEARCH_FLOATS = [x for x in EDGES if -1.0 <= x <= 10.0] + list(WRONG)
+OBJECTIVES = (
+    lambda x: x - 0.5,
+    lambda x: -(x - 0.5) * (x - 0.5),
+    lambda x: math.inf,
+    lambda x: None,
+    lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5,   # a bisection lands on the NaN
+    "not callable",
+)
+
+
+def _oracle_calls():
+    pairs = list(itertools.product(SEARCH_FLOATS, repeat=2))
+    yield "axis_points", [(oracle.axis_points, (lo, hi, n)) for lo, hi in
+                          itertools.product(EDGES + WRONG, repeat=2)
+                          for n in (0, 1, 3, -1, 2.0, True, None)]
+    yield "find_root_scalar", [(oracle.find_root_scalar, (g, pair)) for g in OBJECTIVES
+                               for pair in pairs + [(0.0,), (0.0, 1.0, 2.0), None]]
+    yield "maximize_scalar", [(oracle.maximize_scalar, (fn, lo, hi)) for fn in OBJECTIVES
+                              for lo, hi in pairs]
+    yield "refine_parabolic", [(oracle.refine_parabolic, (fn, x)) for fn in OBJECTIVES
+                               for x in SEARCH_FLOATS]
+
+
+@pytest.mark.parametrize("calls", [pytest.param(c, id=name) for name, c in _oracle_calls()])
+def test_oracle_gives_a_value_without_nan_or_an_otto_error(calls):
+    assert [args for fn, args in calls if _outcome(fn, args) == "nan"] == []
+
+
+def test_exact_efficiency_turns_each_wrong_argument_into_an_otto_error():
+    # [0.5] is a valid one-lane array here; a pair does not broadcast with a triple.
+    wrong = [w for w in WRONG if w != [0.5]]
+    calls = [[w if i == j else BASE for j in range(4)] for i in range(4) for w in wrong]
+    calls.append([[2.0, 3.0], [1.0, 1.0, 1.0], BASE, BASE])
+    assert [args for args in calls if _outcome(verify.exact_efficiency, args) != "error"] == []

@@ -14,13 +14,13 @@ from ottobounds.cycle import (
     FrequencyPair,
     OperatingMode,
     SqueezePlacement,
-    classify_mode,
+    _classify_mode,
+    _delta_h,
+    _occupation,
     cycle_energies,
-    delta_h,
     effective_temperature,
     efficiency_sudden,
     heats_work,
-    _occupation,
     lambda_sudden,
 )
 from ottobounds.errors import DomainError, ModeError
@@ -132,24 +132,25 @@ def test_effective_temperature_at_r_zero_rejects_bad_args(beta, omega):
 
 
 # ---------------------------------------------------------------------------
-# Enhancement factor
+# Enhancement factor: the kernel _delta_h(x, r) that cycle_energies applies
+# to the squeezed corners, at x = beta*omega.
 
 
 def test_delta_h_is_exactly_one_without_squeezing():
-    assert delta_h(3.7, 0.9, 0.0) == 1.0
+    assert _delta_h(3.7 * 0.9, 0.0) == 1.0
 
 
 def test_delta_h_high_precision():
-    assert math.isclose(delta_h(1.0, 1.0, 1.0), DELTA_H_1_1_1, rel_tol=REL)
+    assert math.isclose(_delta_h(1.0, 1.0), DELTA_H_1_1_1, rel_tol=REL)
 
 
 def test_delta_h_high_temperature_limit_is_cosh_2r():
-    assert math.isclose(delta_h(1e-6, 1.0, 1.0), math.cosh(2.0), rel_tol=1e-5)
-    assert math.isclose(delta_h(1e-8, 1.0, 0.3), math.cosh(0.6), rel_tol=1e-7)
+    assert math.isclose(_delta_h(1e-6, 1.0), math.cosh(2.0), rel_tol=1e-5)
+    assert math.isclose(_delta_h(1e-8, 0.3), math.cosh(0.6), rel_tol=1e-7)
 
 
 def test_delta_h_exceeds_one_for_positive_r():
-    assert delta_h(2.0, 1.0, 1e-4) > 1.0
+    assert _delta_h(2.0, 1e-4) > 1.0
 
 
 @pytest.mark.parametrize("beta, omega, r", [
@@ -165,7 +166,7 @@ def test_delta_h_past_the_expm1_cut_matches_mpmath(beta, omega, r):
     with mpmath.workdps(50):
         x = mpmath.mpf(beta) * mpmath.mpf(omega)
         want = 1 + (1 + mpmath.exp(x)) * mpmath.sinh(mpmath.mpf(r)) ** 2
-        got = delta_h(beta, omega, r)
+        got = _delta_h(beta * omega, r)
         if want > sys.float_info.max:
             assert got == math.inf
         else:
@@ -479,8 +480,8 @@ def test_mode_labels_cover_all_four_regimes():
 
 
 def test_classify_mode_boundary_ties_are_not_engines():
-    assert classify_mode(1.0, -1.0, 0.0) is OperatingMode.ACCELERATOR
-    assert classify_mode(0.0, 0.0, 0.0) is OperatingMode.HEATER
+    assert _classify_mode(1.0, -1.0, 0.0) is OperatingMode.ACCELERATOR
+    assert _classify_mode(0.0, 0.0, 0.0) is OperatingMode.HEATER
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +602,6 @@ def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, a
     pytest.param(lambda: BathSpec(np.int64(2)), lambda: BathSpec(2.0), id="BathSpec(int64)"),
     pytest.param(lambda: AdiabaticityMode.custom(np.int64(2)), lambda: AdiabaticityMode.custom(2.0),
                  id="custom(int64)"),
-    pytest.param(lambda: delta_h(np.float64(1.0), 1, np.float32(0.5)),
-                 lambda: delta_h(1.0, 1.0, float(np.float32(0.5))), id="delta_h(numpy)"),
 ])
 def test_argument_types(call, want):
     if want is None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ottobounds import cycle, engine, fridge, special, verify
+from ottobounds import cycle, engine, fridge, oracle, special, verify
 from ottobounds.errors import DomainError, as_real, nonnegative, nonnegative_int, positive, unit_open
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,6 @@ def test_nonnegative_int():
 PUBLIC_SCALAR_CALLS = [
     (special.coth, (0.5,)),
     (special.sech, (0.5,)),
-    (cycle.delta_h, (1.0, 1.0, 0.5)),
     (cycle.effective_temperature, (1.0, 1.0, 0.5)),
     (cycle.BathSpec, (1.0, 0.5)),
     (cycle.FrequencyPair, (1.0, 2.0)),
@@ -74,7 +73,6 @@ PUBLIC_SCALAR_CALLS = [
     (fridge.cooling_heat_ht, (0.5, 0.6, 0.1)),
     (fridge.zeta_up_thermal, (2.0,)),
     (fridge.zeta_up, (0.6, 0.1)),
-    (fridge.tau_window, (0.1,)),
     (fridge.r_window, (0.6,)),
     (fridge.fridge_report, (0.6, 0.1)),
     (verify.ceiling_check, (0, 1)),
@@ -101,3 +99,63 @@ def test_non_finite_reals_raise_domain_error(fn, args, bad, pos):
         return
     with pytest.raises(DomainError):
         fn(*call)
+
+
+# ---------------------------------------------------------------------------
+# The search primitives and the exact-efficiency kernel, which take
+# callables and arrays, turn what they cannot use into DomainError too.
+# Each of these raised a raw TypeError or ValueError, or returned a value.
+
+
+def _nan_inside(r):
+    """r - 0.5, except NaN on (0.3, 0.7): the root is not where a bisection lands."""
+    return math.nan if 0.3 < r < 0.7 else r - 0.5
+
+
+def _line(x):
+    return x - 0.5
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: oracle.axis_points(math.nan, 1.0, 3), id="axis_points(nan)"),
+    pytest.param(lambda: oracle.axis_points("a", 1.0, 3), id="axis_points('a')"),
+    pytest.param(lambda: oracle.axis_points(0.0, math.inf, 3), id="axis_points(stop=inf)"),
+    pytest.param(lambda: oracle.refine_parabolic(_line, "a"), id="refine_parabolic(x='a')"),
+    pytest.param(lambda: oracle.refine_parabolic(0.5, 0.5), id="refine_parabolic(fn=0.5)"),
+    pytest.param(lambda: oracle.find_root_scalar(_line, (0, 1, 2)), id="find_root(3 ends)"),
+    pytest.param(lambda: oracle.find_root_scalar(_line, None), id="find_root(bracket=None)"),
+    pytest.param(lambda: oracle.find_root_scalar(lambda r: None, (0.0, 1.0)),
+                 id="find_root(g->None)"),
+    pytest.param(lambda: oracle.find_root_scalar(_nan_inside, (0.0, 1.0)),
+                 id="find_root(g NaN inside)"),
+    pytest.param(lambda: oracle.find_root_scalar("g", (0.0, 1.0)), id="find_root(g='g')"),
+    pytest.param(lambda: oracle.maximize_scalar(lambda x: None, 0.0, 1.0),
+                 id="maximize(fn->None)"),
+    pytest.param(lambda: oracle.maximize_scalar(lambda x: "0.5", 0.0, 1.0),
+                 id="maximize(fn->'0.5')"),
+    pytest.param(lambda: oracle.maximize_scalar(None, 0.0, 1.0), id="maximize(fn=None)"),
+    pytest.param(lambda: verify.exact_efficiency("a", 1.0, 0.5, 0.5), id="exact_efficiency('a')"),
+    pytest.param(lambda: verify.exact_efficiency("2", 1.0, 0.5, 0.5), id="exact_efficiency('2')"),
+    pytest.param(lambda: verify.exact_efficiency(2.0, None, 0.5, 0.5),
+                 id="exact_efficiency(b=None)"),
+    pytest.param(lambda: verify.exact_efficiency(2.0, 1.0, True, 0.5),
+                 id="exact_efficiency(z=True)"),
+    pytest.param(lambda: verify.exact_efficiency([2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 0.5),
+                 id="exact_efficiency(shapes)"),
+    pytest.param(lambda: verify.exact_efficiency(2.0, 1.0, 0.5, [0.5, [0.5]]),
+                 id="exact_efficiency(ragged)"),
+    pytest.param(lambda: verify.exact_efficiency(2.0, 1.0, 0.5, [0.5, math.nan]),
+                 id="exact_efficiency(nan)"),
+])
+def test_search_primitives_and_the_exact_efficiency_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_the_search_primitives_keep_their_valid_calls():
+    assert oracle.axis_points(np.float64(0.0), 1, 3) == [0.0, 0.5, 1.0]
+    assert abs(oracle.find_root_scalar(lambda r: -math.inf if r < 0.5 else r - 0.5 + 1e-3,
+                                       (0.0, 1.0)) - 0.5) < 1e-11
+    vertex = oracle.refine_parabolic(lambda x: -(x - 0.25) * (x - 0.25), np.int64(0))
+    assert type(vertex) is float and abs(vertex - 0.25) < 1e-8
+    assert verify.exact_efficiency(5.0, np.int64(1), 0.5, [0.0]).dtype == np.float64

@@ -15,7 +15,7 @@ from ottobounds.cycle import (
     FrequencyPair,
     OperatingMode,
     SqueezePlacement,
-    classify_mode,
+    _classify_mode,
     heats_work,
 )
 from ottobounds.errors import DomainError, InfeasibleError, ModeError
@@ -23,12 +23,12 @@ from ottobounds.fridge import (
     FridgeParams,
     _hot_heat,
     _tau_c,
+    _tau_window,
     _work,
     cooling_heat_ht,
     cop_ht,
     fridge_report,
     r_window,
-    tau_window,
     zeta_up,
     zeta_up_thermal,
 )
@@ -131,15 +131,16 @@ def test_zeta_up_infeasible_sides_are_named():
 
 
 def test_tau_window_values():
-    lo, hi = tau_window(0.0)
+    lo, hi = _tau_window(sech(0.0))
     assert (lo, hi) == (0.5, 1.0)
-    lo, hi = tau_window(0.5)
+    lo, hi = _tau_window(sech(1.0))
     assert math.isclose(lo, 0.5 * SECH_1, rel_tol=1e-14)
     assert math.isclose(hi, SECH_1, rel_tol=1e-14)
+    assert fridge_report(0.3, 0.5).tau_window == (lo, hi)
 
 
 def test_tau_window_shrinks_to_zero():
-    lo, hi = tau_window(40.0)
+    lo, hi = _tau_window(sech(80.0))
     assert 0.0 <= lo < hi < 1e-10
 
 
@@ -181,7 +182,7 @@ def test_window_duality(tau, r):
     assume(abs(tc - 0.5) > 1e-9 and abs(tc - 1.0) > 1e-9)
     in_tc = 0.5 < tc < 1.0
     r_lo, r_hi = r_window(tau)
-    t_lo, t_hi = tau_window(r)
+    t_lo, t_hi = _tau_window(sech(2.0 * r))
     assert (r_lo < r < r_hi) == in_tc
     assert (t_lo < tau < t_hi) == in_tc
 
@@ -238,7 +239,7 @@ def _cop_by_the_heats(p):
         raise DomainError("heats not representable")
     q2, w_ext = _heats(p.z, p.tau, p.r)
     if q4 <= 0.0:
-        raise ModeError("no cooling", mode=classify_mode(q2, q4, q2 + q4))
+        raise ModeError("no cooling", mode=_classify_mode(q2, q4, q2 + q4))
     return q4 / -w_ext
 
 
@@ -355,7 +356,8 @@ def test_fridge_report_infeasible_is_an_answer():
 
 def test_past_the_finite_bound_the_cycle_still_refrigerates():
     # tau cosh 2r = 1.243 >= 1: no finite COP bound, yet by the sign pattern
-    # of classify_mode every z refrigerates, with a COP unbounded as z -> 1.
+    # behind a cycle's mode_label every z refrigerates, with a COP unbounded
+    # as z -> 1.
     tau, r = 0.4, 0.9
     assert math.isclose(tau * math.cosh(2.0 * r), 1.243, abs_tol=5e-4)
     assert math.isclose(cop_ht(FridgeParams(0.5, tau, r)), 0.415, abs_tol=5e-4)

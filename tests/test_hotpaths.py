@@ -49,7 +49,6 @@ def _spec(w1, w2, b_cold, b_hot, r, placement, mode, lam):
 CALLS = {
     "heats_work": lambda *a: cycle.heats_work(_spec(*a)),
     "efficiency_sudden": lambda *a: cycle.efficiency_sudden(_spec(*a)),
-    "delta_h": cycle.delta_h,
     "effective_temperature": cycle.effective_temperature,
     "fridge_report": fridge.fridge_report,
     "zeta_up": fridge.zeta_up,
@@ -143,7 +142,6 @@ def cases():
     return {
         "heats_work": cyc,
         "efficiency_sudden": cyc,
-        "delta_h": occ,
         "effective_temperature": occ,
         "fridge_report": fr + [(0.7,), (0.3,), ("0.7",)],
         "zeta_up": fr,

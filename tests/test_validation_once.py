@@ -56,14 +56,6 @@ def test_effective_temperature_checks_each_argument_once(checked, r):
     assert checked == {"beta": 1, "omega": 1, "r": 1}
 
 
-@pytest.mark.parametrize("fn, names", [
-    (cycle.delta_h, ("beta", "omega", "r")),
-])
-def test_occupation_functions_check_each_argument_once(checked, fn, names):
-    fn(*[0.5] * len(names))
-    assert checked == dict.fromkeys(names, 1)
-
-
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("fn", [cycle.heats_work, cycle.cycle_energies, cycle.efficiency_sudden])
 def test_a_validated_spec_is_not_checked_again(checked, fn, spec):
