@@ -1,10 +1,11 @@
 """Immutable records: the small base class of the package's value types.
 
-A subclass's ``__init__`` validates its arguments and stores them once, with
-``self.__dict__.update(...)`` in field order; that order is the order of
-``repr``, equality, hashing and ``vars()``.  Records behave like frozen
-dataclasses without importing ``dataclasses`` at start-up: assignment and
-deletion raise ``dataclasses.FrozenInstanceError``, imported when raised.
+A subclass's ``__init__`` validates its arguments and stores them once, one
+item store per field in field order (``d = self.__dict__``, then
+``d["beta"] = ...``); that order is the order of ``repr``, equality,
+hashing and ``vars()``.  Records behave like frozen dataclasses without
+importing ``dataclasses`` at start-up: assignment and deletion raise
+``dataclasses.FrozenInstanceError``, imported when raised.
 """
 
 

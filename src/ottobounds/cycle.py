@@ -110,7 +110,9 @@ class BathSpec(Record):
     """One reservoir: inverse temperature ``beta`` and squeezing strength ``r``."""
 
     def __init__(self, beta, r=0.0):
-        self.__dict__.update(beta=positive("beta", beta), r=nonnegative("r", r))
+        d = self.__dict__
+        d["beta"] = positive("beta", beta)
+        d["r"] = nonnegative("r", r)
 
 
 class FrequencyPair(Record):
@@ -128,7 +130,9 @@ class FrequencyPair(Record):
             raise DomainError(
                 f"need omega1 < omega2 strictly, got omega1={omega1}, omega2={omega2}"
             )
-        self.__dict__.update(omega1=omega1, omega2=omega2)
+        d = self.__dict__
+        d["omega1"] = omega1
+        d["omega2"] = omega2
 
 
 class AdiabaticityMode(Record):
@@ -151,7 +155,9 @@ class AdiabaticityMode(Record):
             lam = factor
         elif lam is not None:
             raise DomainError(f"{kind!r} mode does not take an explicit factor")
-        self.__dict__.update(kind=kind, lam=lam)
+        d = self.__dict__
+        d["kind"] = kind
+        d["lam"] = lam
 
     @classmethod
     def adiabatic(cls):
@@ -218,7 +224,12 @@ class CycleSpec(Record):
                 f"the non-squeezed ({'cold' if idle is cold else 'hot'}) bath must have r = 0, "
                 f"got r={idle.r}"
             )
-        self.__dict__.update(cold=cold, hot=hot, freqs=freqs, mode=mode, placement=placement)
+        d = self.__dict__
+        d["cold"] = cold
+        d["hot"] = hot
+        d["freqs"] = freqs
+        d["mode"] = mode
+        d["placement"] = placement
 
 
 class CyclePerformance(Record):
@@ -230,8 +241,17 @@ class CyclePerformance(Record):
     """
 
     def __init__(self, h_a, h_b, h_c, h_d, q2, q4, w_ext, mode_label, eta=None, cop=None):
-        self.__dict__.update(h_a=h_a, h_b=h_b, h_c=h_c, h_d=h_d, q2=q2, q4=q4, w_ext=w_ext,
-                             mode_label=mode_label, eta=eta, cop=cop)
+        d = self.__dict__
+        d["h_a"] = h_a
+        d["h_b"] = h_b
+        d["h_c"] = h_c
+        d["h_d"] = h_d
+        d["q2"] = q2
+        d["q4"] = q4
+        d["w_ext"] = w_ext
+        d["mode_label"] = mode_label
+        d["eta"] = eta
+        d["cop"] = cop
 
     @property
     def work_input(self):
@@ -254,14 +274,15 @@ def cycle_energies(spec):
     high-temperature forms (factor cosh 2r) are recovered as the
     beta*omega -> 0 limit of this choice.
     """
-    w1, w2 = spec.freqs.omega1, spec.freqs.omega2
-    lam = spec.mode.lambda_for(spec.freqs)
-    c_cold = coth(0.5 * spec.cold.beta * w1)
-    c_hot = coth(0.5 * spec.hot.beta * w2)
+    freqs, cold, hot = spec.freqs, spec.cold, spec.hot
+    w1, w2 = freqs.omega1, freqs.omega2
+    lam = spec.mode.lambda_for(freqs)
+    c_cold = coth(0.5 * cold.beta * w1)
+    c_hot = coth(0.5 * hot.beta * w2)
     if spec.placement is _HOT_BATH:
-        f_cold, f_hot = 1.0, _delta_h(spec.hot.beta * w2, spec.hot.r)
+        f_cold, f_hot = 1.0, _delta_h(hot.beta * w2, hot.r)
     else:
-        f_cold, f_hot = _delta_h(spec.cold.beta * w1, spec.cold.r), 1.0
+        f_cold, f_hot = _delta_h(cold.beta * w1, cold.r), 1.0
     # The idle side's factor is 1.0, and x * 1.0 is exactly x.
     h_a = 0.5 * w1 * c_cold * f_cold
     h_b = 0.5 * w2 * lam * c_cold * f_cold
@@ -292,13 +313,18 @@ def _classify_mode(q2, q4, w_ext):
     return _HEATER
 
 
-def heats_work(spec):
-    """Evaluate one full cycle: corner energies, heats, work, mode label."""
+def _heats(spec):
+    """(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode) of one cycle, no record built."""
     h_a, h_b, h_c, h_d = cycle_energies(spec)
     q2 = h_c - h_b
     q4 = h_a - h_d
     w_ext = q2 + q4
-    mode = _classify_mode(q2, q4, w_ext)
+    return h_a, h_b, h_c, h_d, q2, q4, w_ext, _classify_mode(q2, q4, w_ext)
+
+
+def heats_work(spec):
+    """Evaluate one full cycle: corner energies, heats, work, mode label."""
+    h_a, h_b, h_c, h_d, q2, q4, w_ext, mode = _heats(spec)
     eta = w_ext / q2 if mode is _ENGINE else None
     cop = q4 / -w_ext if mode is _REFRIGERATOR else None
     return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
@@ -310,14 +336,14 @@ def efficiency_sudden(spec):
     Raises ModeError, naming the actual operating mode, when the spec does
     not extract positive work from positive hot-side heat.
     """
-    perf = heats_work(spec)
-    if perf.mode_label is not _ENGINE:
+    _, _, _, _, q2, _, w_ext, mode = _heats(spec)
+    if mode is not _ENGINE:
         raise ModeError(
             f"efficiency is defined for engine operation only; "
-            f"this cycle runs as a {perf.mode_label._value_}",
-            mode=perf.mode_label,
+            f"this cycle runs as a {mode._value_}",
+            mode=mode,
         )
-    return perf.eta
+    return w_ext / q2
 
 
 def effective_temperature(beta, omega, r):

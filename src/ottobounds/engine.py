@@ -49,15 +49,23 @@ class EngineParams(Record):
     """Engine operating point ``z``, ``tau``, ``r``; the work is in units of 1/beta_hot."""
 
     def __init__(self, z, tau, r=0.0):
-        self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau), r=nonnegative("r", r))
+        d = self.__dict__
+        d["z"] = unit_open("z", z)
+        d["tau"] = unit_open("tau", tau)
+        d["r"] = nonnegative("r", r)
 
 
 class EngineBoundsReport(Record):
     """Bounds at one (eta_c, r) point, plus the work-optimal ratio."""
 
     def __init__(self, eta_c, eta_c_gen, eta_up, eta_mw, z_star, pwc_satisfied):
-        self.__dict__.update(eta_c=eta_c, eta_c_gen=eta_c_gen, eta_up=eta_up, eta_mw=eta_mw,
-                             z_star=z_star, pwc_satisfied=pwc_satisfied)
+        d = self.__dict__
+        d["eta_c"] = eta_c
+        d["eta_c_gen"] = eta_c_gen
+        d["eta_up"] = eta_up
+        d["eta_mw"] = eta_mw
+        d["z_star"] = z_star
+        d["pwc_satisfied"] = pwc_satisfied
 
 
 def work_ht(p):

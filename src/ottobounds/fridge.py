@@ -41,15 +41,23 @@ class FridgeParams(Record):
     """Refrigerator operating point ``z``, ``tau``, ``r``; the heats are in units of 1/beta_hot."""
 
     def __init__(self, z, tau, r=0.0):
-        self.__dict__.update(z=unit_open("z", z), tau=unit_open("tau", tau), r=nonnegative("r", r))
+        d = self.__dict__
+        d["z"] = unit_open("z", z)
+        d["tau"] = unit_open("tau", tau)
+        d["r"] = nonnegative("r", r)
 
 
 class FridgeBoundsReport(Record):
     """Carnot COP, the squeezed bound (None when infeasible) and both windows."""
 
     def __init__(self, zeta_c, zeta_up, tau_window, r_window, cooling_feasible, reason=None):
-        self.__dict__.update(zeta_c=zeta_c, zeta_up=zeta_up, tau_window=tau_window,
-                             r_window=r_window, cooling_feasible=cooling_feasible, reason=reason)
+        d = self.__dict__
+        d["zeta_c"] = zeta_c
+        d["zeta_up"] = zeta_up
+        d["tau_window"] = tau_window
+        d["r_window"] = r_window
+        d["cooling_feasible"] = cooling_feasible
+        d["reason"] = reason
 
 
 def _cooling_heat(z2, tc):

@@ -54,8 +54,10 @@ class SupremumReport(Record):
     """Best point found by a golden-section search, its value and the evaluations it took."""
 
     def __init__(self, best_input, best_value, evaluations):
-        self.__dict__.update(best_input=best_input, best_value=best_value,
-                             evaluations=evaluations)
+        d = self.__dict__
+        d["best_input"] = best_input
+        d["best_value"] = best_value
+        d["evaluations"] = evaluations
 
 
 def axis_points(start, stop, count):

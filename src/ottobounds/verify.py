@@ -41,8 +41,12 @@ class CheckResult(Record):
     """Outcome of one check: worst observed violation and the work done."""
 
     def __init__(self, name, passed, worst, evaluations, detail):
-        self.__dict__.update(name=name, passed=passed, worst=worst,
-                             evaluations=evaluations, detail=detail)
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["worst"] = worst
+        d["evaluations"] = evaluations
+        d["detail"] = detail
 
 
 def exact_efficiency(a, b, z, r):
@@ -62,9 +66,10 @@ def exact_efficiency(a, b, z, r):
     (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
     the term is, and about b eps off in the exponent.  Below that cut an
     overflowing term, or an x that overflows at a tiny b, is inf, its limit
-    (eta = (1 - z^2)/2), with no warning.  Arguments that are not real
-    numbers or arrays of them (bools and strings included), NaN, or shapes
-    that do not broadcast raise DomainError.
+    (eta = (1 - z^2)/2), with no warning.  Where tanh(a/2) underflows to 0,
+    x is taken in log space.  Arguments that are not real numbers or arrays
+    of them (bools and strings included), NaN, or shapes that do not
+    broadcast raise DomainError.
     """
     import numpy as np
     try:
@@ -84,7 +89,27 @@ def exact_efficiency(a, b, z, r):
     if wide.any():   # ln sinh 0 = -inf; 0 inf = NaN is off the engine region
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.copyto(out, z * (1.0 + np.exp(b + 2.0 * np.log(np.sinh(r)))), where=wide)
-    return _eta_into(a, b, z, out, work)
+    lost = np.broadcast_to(0.5 * a == 0.0, shape)   # tanh(a/2) = 0
+    out[lost] = 1.0   # so the kernel forms 1 * 0, not inf * 0; replaced below
+    eta = _eta_into(a, b, z, out, work)
+    if lost.any():
+        eta[lost] = _log_space_eta(*(np.broadcast_to(v, shape)[lost] for v in (a, b, z, r)))
+    return eta
+
+
+def _log_space_eta(a, b, z, r):
+    """eta from ln x = ln z + ln dh + ln(a/2) - ln tanh(b/2), about 2000 eps
+    off, with ln sinh r = r - ln 2 past r = 20 and tanh(b/2) = b/2 below
+    b = 1e-300, where b/2 may underflow too."""
+    import numpy as np
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_s = np.where(r < 20.0, np.log(np.sinh(r)), r - np.log(2.0))
+        log_dh = np.logaddexp(0.0, np.logaddexp(0.0, b) + 2.0 * log_s)
+        x = np.exp(np.log(z) + log_dh + np.log(a)
+                   - np.log(np.where(b < 1e-300, b, 2.0 * np.tanh(0.5 * b))))
+    inside = (x > 1.0) & (a > b * z)
+    _eta_tail(x, z, np.empty_like(x))
+    return np.where(inside, x, -np.inf)
 
 
 def _efficiency_work(a, b, z, r):

@@ -8,10 +8,12 @@ fingerprints results with it), immutability, copying and pickling.
 
 import copy
 import dataclasses
+import importlib
 import pickle
 
 import pytest
 
+from ottobounds._record import Record
 from ottobounds.cycle import (
     AdiabaticityMode,
     BathSpec,
@@ -126,3 +128,15 @@ def test_defaults():
     assert FridgeParams(0.5, 0.6) == FridgeParams(0.5, 0.6, 0.0)
     assert CycleSpec(*_SPEC_ARGS[:4]).placement is SqueezePlacement.HOT_BATH
     assert FridgeBoundsReport(1.5, None, (0.25, 0.5), (0.0, 0.3), False).reason is None
+
+
+def test_every_record_type_is_checked():
+    # A record type missing from RECORDS would skip every check above.
+    for name in ("cli", "cycle", "engine", "errors", "fridge", "oracle", "special", "verify"):
+        importlib.import_module(f"ottobounds.{name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(cls)
+            todo.append(cls)
+    assert found == {row[0] for row in RECORDS}

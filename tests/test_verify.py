@@ -539,12 +539,15 @@ def test_exact_efficiency_past_the_expm1_overflow_matches_mpmath(point):
 
 
 @pytest.mark.parametrize("point", [(1000.0, 700.0, 0.5, 10.0), (1000.0, 5.0, 0.5, 711.0),
-                                   (1000.0, 1e-300, 0.5, 300.0), (1.0, 5e-324, 0.5, 0.5)])
+                                   (1000.0, 1e-300, 0.5, 300.0), (1.0, 5e-324, 0.5, 0.5),
+                                   (5e-324, 5e-324, 0.5, 356.0)])
 def test_exact_efficiency_where_the_term_overflows_below_the_cut(point):
     # (2 + expm1 b) sinh^2 r, then sinh r, overflows to inf, its limit:
     # eta = (1 - z^2)/2.  So does x = z dh tanh(a/2) / tanh(b/2) at a tiny
     # b, and where tanh(b/2) underflows to 0.  These warned "overflow
-    # encountered" or "divide by zero" (an error here).
+    # encountered" or "divide by zero" (an error here).  Where tanh(a/2)
+    # underflows to 0 as well, x = inf 0 warned "invalid value encountered
+    # in multiply" and gave -inf; in log space x is e^710, no longer 0 inf.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = verify.exact_efficiency(*point)
@@ -552,13 +555,24 @@ def test_exact_efficiency_where_the_term_overflows_below_the_cut(point):
 
 
 def test_exact_efficiency_where_both_tanh_underflow():
-    # tanh(a/2) and tanh(b/2) both underflow to 0, so x = 0/0 is NaN, which
-    # fails x > 1: no engine, as mpmath's x = 0.77 says.  The 0/0 warned
-    # "invalid value encountered in divide" (an error here).
+    # tanh(a/2) and tanh(b/2) both underflow to 0.  x = 0/0 warned "invalid
+    # value encountered in divide" (an error here); in log space x = 0.77,
+    # as mpmath says, which fails x > 1: no engine.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = verify.exact_efficiency(5e-324, 5e-324, 0.5, 0.5)
     assert got == -np.inf
+
+
+def test_the_log_space_lanes_match_mpmath_and_keep_the_other_lanes():
+    # ln z + ln dh stays finite where z dh overflows: x = e^20.5 here, not inf.
+    a, b, z, r = 5e-324, [5e-324, 3e-320, 1.0], [1e-300, 1e-5, 0.5], [356.0, 360.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lanes = verify.exact_efficiency(a, b, z, r)
+    for k in range(2):
+        assert abs(lanes[k] - _efficiency_mp(a, b[k], z[k], r[k])) <= 1e-15 * lanes[k]
+    assert lanes[2] == verify.exact_efficiency(a, 1.0, 0.5, 0.5) == -np.inf   # a < b z
 
 
 def test_exact_efficiency_past_the_expm1_overflow_keeps_the_other_lanes():
