@@ -66,8 +66,8 @@ def exact_efficiency(a, b, z, r):
     (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
     the term is, and about b eps off in the exponent.  Below that cut an
     overflowing term, or an x that overflows at a tiny b, is inf, its limit
-    (eta = (1 - z^2)/2), with no warning.  Where tanh(a/2) underflows to 0,
-    x is taken in log space.  Arguments that are not real numbers or arrays
+    (eta = (1 - z^2)/2), with no warning.  Where a/2 or b/2 is below 1e-310
+    (rounded or 0), x is taken in log space.  Arguments that are not real numbers or arrays
     of them (bools and strings included), NaN, or shapes that do not
     broadcast raise DomainError.
     """
@@ -89,7 +89,7 @@ def exact_efficiency(a, b, z, r):
     if wide.any():   # ln sinh 0 = -inf; 0 inf = NaN is off the engine region
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.copyto(out, z * (1.0 + np.exp(b + 2.0 * np.log(np.sinh(r)))), where=wide)
-    lost = np.broadcast_to(0.5 * a == 0.0, shape)   # tanh(a/2) = 0
+    lost = np.broadcast_to((0.5 * a < 1e-310) | (0.5 * b < 1e-310), shape)
     out[lost] = 1.0   # so the kernel forms 1 * 0, not inf * 0; replaced below
     eta = _eta_into(a, b, z, out, work)
     if lost.any():
@@ -98,14 +98,14 @@ def exact_efficiency(a, b, z, r):
 
 
 def _log_space_eta(a, b, z, r):
-    """eta from ln x = ln z + ln dh + ln(a/2) - ln tanh(b/2), about 2000 eps
-    off, with ln sinh r = r - ln 2 past r = 20 and tanh(b/2) = b/2 below
-    b = 1e-300, where b/2 may underflow too."""
+    """eta from ln x = ln z + ln dh + ln 2tanh(a/2) - ln 2tanh(b/2), about
+    2000 eps off, with ln sinh r = r - ln 2 past r = 20 and 2tanh(v/2) = v
+    below v = 1e-300."""
     import numpy as np
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_s = np.where(r < 20.0, np.log(np.sinh(r)), r - np.log(2.0))
         log_dh = np.logaddexp(0.0, np.logaddexp(0.0, b) + 2.0 * log_s)
-        x = np.exp(np.log(z) + log_dh + np.log(a)
+        x = np.exp(np.log(z) + log_dh + np.log(np.where(a < 1e-300, a, 2.0 * np.tanh(0.5 * a)))
                    - np.log(np.where(b < 1e-300, b, 2.0 * np.tanh(0.5 * b))))
     inside = (x > 1.0) & (a > b * z)
     _eta_tail(x, z, np.empty_like(x))

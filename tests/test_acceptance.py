@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+import _reference as ref
 from ottobounds import engine, fridge, verify
 from ottobounds.cycle import (
     AdiabaticityMode,
@@ -22,12 +23,6 @@ from ottobounds.cycle import (
 )
 from ottobounds.oracle import find_root_scalar, maximize_scalar
 from ottobounds.verify import work_argmax
-
-# High-precision crossing anchors (tests/_freeze_reference_values.py).
-R_CROSS_UP_02 = 0.89529439182932804
-R_CROSS_MW_02 = 0.91546900346346075
-R_CROSS_UP_04 = 1.9933065475870387
-R_CROSS_MW_04 = 2.0369262490014615
 
 ETA_GRID = np.linspace(0.05, 0.95, 20)
 R_GRID = np.linspace(0.0, 5.0, 20)
@@ -96,16 +91,11 @@ def test_criterion_03_reduction_identities():
 
 
 def test_criterion_04_squeezed_bounds_vs_carnot():
-    crossings = {
-        "eta_up@0.2": (lambda r: engine.eta_up(0.2, r) - 0.2, R_CROSS_UP_02),
-        "eta_mw@0.2": (lambda r: engine.eta_mw(0.2, r) - 0.2, R_CROSS_MW_02),
-        "eta_up@0.4": (lambda r: engine.eta_up(0.4, r) - 0.4, R_CROSS_UP_04),
-        "eta_mw@0.4": (lambda r: engine.eta_mw(0.4, r) - 0.4, R_CROSS_MW_04),
-    }
     worst_cross = 0.0
-    for g, anchor in crossings.values():
-        root = find_root_scalar(g, (0.0, 6.0))
-        worst_cross = max(worst_cross, abs(root - anchor))
+    for bound, anchor in ((engine.eta_up, ref.eta_up), (engine.eta_mw, ref.eta_mw)):
+        for eta_c in (0.2, 0.4):
+            root = find_root_scalar(lambda r: bound(eta_c, r) - eta_c, (0.0, 6.0))
+            worst_cross = max(worst_cross, float(abs(root - ref.carnot_crossing(anchor, eta_c))))
     tail = engine.eta_up(0.2, 6.0)
     big_ok = all(engine.eta_up(0.8, float(r)) < 0.8 for r in np.linspace(0.0, 20.0, 201))
     order_ok = all(

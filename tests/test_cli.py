@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import _reference as ref
 from ottobounds.engine import eta_rk, eta_up_thermal
-
-ETA_ENGINE_EXAMPLE = 0.26718391220891028
-ZETA_UP_TH_2 = 0.071796769724490826
-HALF_ACOSH_2 = 0.65847894846240835
 
 
 def run_cli(*args):
@@ -37,7 +34,8 @@ def test_eval_engine_example():
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["mode"] == "engine"
-    assert math.isclose(payload["eta"], ETA_ENGINE_EXAMPLE, rel_tol=1e-10)
+    q2, _, w_ext = ref.heats(1.0, 2.0, 2.0, 0.2, 0.0)
+    assert math.isclose(payload["eta"], w_ext / q2, rel_tol=1e-10)
     assert payload["cop"] is None
     assert math.isclose(payload["w_ext"], payload["q2"] + payload["q4"], rel_tol=1e-12)
     assert payload["w_in"] == -payload["w_ext"]
@@ -182,7 +180,7 @@ def test_fridge_feasible_point():
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["cooling_feasible"] is True
-    assert math.isclose(payload["zeta_up"], ZETA_UP_TH_2, rel_tol=1e-10)
+    assert math.isclose(payload["zeta_up"], ref.zeta_up(2.0 / 3.0, 0.0), rel_tol=1e-10)
     assert math.isclose(payload["zeta_c"], 2.0, rel_tol=1e-12)
 
 
@@ -200,7 +198,7 @@ def test_fridge_reports_the_documented_half_window():
     payload = json.loads(res.stdout)
     lo, hi = payload["r_window"]
     assert lo == 0.0
-    assert abs(hi - HALF_ACOSH_2) < 1e-12
+    assert abs(hi - ref.r_window(0.5)[1]) < 1e-12
 
 
 def test_fridge_window_at_a_tau_whose_reciprocal_overflows():

@@ -28,7 +28,7 @@ CASES = {
                   "--r", "0.2", "--placement", "cold"],
     "eval_custom_lam": ENGINE + ["--mode", "custom", "--lam", "1.25"],
     "eval_adiabatic": ENGINE + ["--r", "0.3", "--mode", "adiabatic"],
-    # Known defect (ROADMAP items 2 and 3): the hot-bath factor overflows, so
+    # Known defect (ROADMAP [total-cycle]): the hot-bath factor overflows, so
     # this pins "q2": Infinity, "w_ext": NaN and "mode": "accelerator" with
     # exit 0.  The change that fixes the saturation updates this case on purpose.
     "eval_r400": ENGINE + ["--r", "400"],

@@ -1,12 +1,12 @@
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from ottobounds.cycle import (
     AdiabaticityMode,
     BathSpec,
@@ -24,34 +24,6 @@ from ottobounds.cycle import (
     lambda_sudden,
 )
 from ottobounds.errors import DomainError, ModeError
-
-# ---------------------------------------------------------------------------
-# Frozen high-precision references (tests/_freeze_reference_values.py).
-
-OCC_AT_1 = 0.58197670686932642            # 1/(e - 1)
-SQUEEZED_OCC_1_1_05 = 1.1695773036912272  # <n> + (2<n>+1) sinh^2(0.5) at x = 1
-DELTA_H_1_1_1 = 6.1353110224020706        # 1 + (2 + (e-1)) sinh^2(1)
-COSH_2 = 3.7621956910836315
-T_EFF_1_1_1 = 4.0500531190108279
-
-# Engine example: w1=1, w2=2, b1=2, b2=0.2, r=0, sudden quench, hot placement.
-H_A = 0.65651764274966565
-H_B = 1.6412941068741641
-H_C = 5.0664895634394727
-H_D = 3.1665559771496704
-Q2 = 3.4251954565653086
-Q4 = -2.5100383344000048
-W_EXT = 0.91515712216530379
-ETA = 0.26718391220891028
-
-# Same cycle with hot-bath squeezing r = 0.5.
-Q2_R05 = 6.8533386942844867
-Q4_R05 = -4.6526278579744911
-W_R05 = 2.2007108363099956
-ETA_R05 = 0.32111514321411452
-
-# Cold-squeezed refrigerator: w1=1, w2=2, b2=0.01, b1=b2/0.75, r=0.2, sudden.
-COP_COLD = 0.22119056561800734
 
 REL = 1e-12
 
@@ -85,8 +57,8 @@ def test_thermal_occupation_at_log2_is_one():
 
 
 def test_thermal_occupation_high_precision():
-    assert math.isclose(_occupation(1.0, 0.0), OCC_AT_1, rel_tol=1e-14)
-    assert math.isclose(_occupation(0.5 * 2.0, 0.0), OCC_AT_1, rel_tol=1e-14)
+    assert math.isclose(_occupation(1.0, 0.0), ref.occupation(1.0, 1.0, 0.0), rel_tol=1e-14)
+    assert math.isclose(_occupation(0.5 * 2.0, 0.0), ref.occupation(0.5, 2.0, 0.0), rel_tol=1e-14)
 
 
 def test_thermal_occupation_exponentially_suppressed():
@@ -105,7 +77,7 @@ def test_occupation_at_r_zero_is_the_bose_factor_to_the_bit(x):
 
 
 def test_squeezed_occupation_high_precision():
-    assert math.isclose(_occupation(1.0, 0.5), SQUEEZED_OCC_1_1_05, rel_tol=REL)
+    assert math.isclose(_occupation(1.0, 0.5), ref.occupation(1.0, 1.0, 0.5), rel_tol=REL)
 
 
 def test_squeezed_occupation_cold_limit_is_pure_squeezing():
@@ -141,7 +113,7 @@ def test_delta_h_is_exactly_one_without_squeezing():
 
 
 def test_delta_h_high_precision():
-    assert math.isclose(_delta_h(1.0, 1.0), DELTA_H_1_1_1, rel_tol=REL)
+    assert math.isclose(_delta_h(1.0, 1.0), ref.delta_h(1.0, 1.0, 1.0), rel_tol=REL)
 
 
 def test_delta_h_high_temperature_limit_is_cosh_2r():
@@ -163,15 +135,13 @@ def test_delta_h_past_the_expm1_cut_matches_mpmath(beta, omega, r):
     # NaN once sinh^2 r underflowed, and inf stood for finite values up to
     # x = 709.78.  The exponent's rounding bounds the error: 4 eps per unit
     # of x + 2 |ln sinh r|, with x = beta*omega rounded.
-    with mpmath.workdps(50):
-        x = mpmath.mpf(beta) * mpmath.mpf(omega)
-        want = 1 + (1 + mpmath.exp(x)) * mpmath.sinh(mpmath.mpf(r)) ** 2
-        got = _delta_h(beta * omega, r)
-        if want > sys.float_info.max:
-            assert got == math.inf
-        else:
-            exponent = beta * omega + 2.0 * abs(math.log(math.sinh(r)))
-            assert abs(got - want) <= 4.0 * sys.float_info.epsilon * exponent * want
+    want = ref.delta_h(beta, omega, r)
+    got = _delta_h(beta * omega, r)
+    if want > sys.float_info.max:
+        assert got == math.inf
+    else:
+        exponent = beta * omega + 2.0 * abs(math.log(math.sinh(r)))
+        assert abs(got - want) <= 4.0 * sys.float_info.epsilon * exponent * want
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +171,11 @@ def test_lambda_sudden_near_equal_frequencies():
 ])
 def test_lambda_sudden_at_extreme_frequencies_matches_mpmath(w1, w2):
     got = lambda_sudden(FrequencyPair(w1, w2))
-    with mpmath.workdps(50):
-        w1, w2 = mpmath.mpf(w1), mpmath.mpf(w2)
-        want = (w1 * w1 + w2 * w2) / (2 * w1 * w2)
-        if want > sys.float_info.max:
-            assert got == math.inf
-        else:
-            assert abs(got - want) <= math.ulp(float(want))
+    want = ref.lambda_sudden(w1, w2)
+    if want > sys.float_info.max:
+        assert got == math.inf
+    else:
+        assert abs(got - want) <= math.ulp(float(want))
 
 
 def test_frequency_pair_rejects_degenerate_and_reversed():
@@ -268,7 +236,7 @@ def test_cycle_spec_rejects_squeezing_on_the_idle_bath():
 
 def test_cycle_energies_engine_example():
     h = cycle_energies(engine_example())
-    for got, want in zip(h, (H_A, H_B, H_C, H_D)):
+    for got, want in zip(h, ref.corner_energies(1.0, 2.0, 2.0, 0.2, 0.0)):
         assert math.isclose(got, want, rel_tol=REL)
 
 
@@ -298,20 +266,22 @@ def test_placement_is_irrelevant_without_squeezing():
 
 def test_heats_work_engine_example():
     perf = heats_work(engine_example())
-    assert math.isclose(perf.q2, Q2, rel_tol=REL)
-    assert math.isclose(perf.q4, Q4, rel_tol=REL)
-    assert math.isclose(perf.w_ext, W_EXT, rel_tol=REL)
+    q2, q4, w_ext = ref.heats(1.0, 2.0, 2.0, 0.2, 0.0)
+    assert math.isclose(perf.q2, q2, rel_tol=REL)
+    assert math.isclose(perf.q4, q4, rel_tol=REL)
+    assert math.isclose(perf.w_ext, w_ext, rel_tol=REL)
     assert perf.mode_label is OperatingMode.ENGINE
-    assert math.isclose(perf.eta, ETA, rel_tol=REL)
+    assert math.isclose(perf.eta, w_ext / q2, rel_tol=REL)
     assert perf.cop is None
 
 
 def test_heats_work_squeezed_engine_example():
     perf = heats_work(engine_example(r=0.5))
-    assert math.isclose(perf.q2, Q2_R05, rel_tol=REL)
-    assert math.isclose(perf.q4, Q4_R05, rel_tol=REL)
-    assert math.isclose(perf.w_ext, W_R05, rel_tol=REL)
-    assert math.isclose(perf.eta, ETA_R05, rel_tol=REL)
+    q2, q4, w_ext = ref.heats(1.0, 2.0, 2.0, 0.2, 0.5)
+    assert math.isclose(perf.q2, q2, rel_tol=REL)
+    assert math.isclose(perf.q4, q4, rel_tol=REL)
+    assert math.isclose(perf.w_ext, w_ext, rel_tol=REL)
+    assert math.isclose(perf.eta, w_ext / q2, rel_tol=REL)
 
 
 def test_heats_work_cold_squeezed_refrigerator():
@@ -319,7 +289,8 @@ def test_heats_work_cold_squeezed_refrigerator():
     assert perf.mode_label is OperatingMode.REFRIGERATOR
     assert perf.q4 > 0 > perf.q2
     assert perf.w_ext < 0
-    assert math.isclose(perf.cop, COP_COLD, rel_tol=1e-11)
+    _, q4, w_ext = ref.heats(1.0, 2.0, 0.01 / 0.75, 0.01, 0.2, placement="cold")
+    assert math.isclose(perf.cop, q4 / -w_ext, rel_tol=1e-11)
     assert perf.work_input == -perf.w_ext
     assert perf.eta is None
 
@@ -498,30 +469,20 @@ def test_effective_temperature_high_temperature_limit():
 
 
 def test_effective_temperature_high_precision():
-    assert math.isclose(effective_temperature(1.0, 1.0, 1.0), T_EFF_1_1_1, rel_tol=REL)
+    want = ref.effective_temperature(1.0, 1.0, 1.0)
+    assert math.isclose(effective_temperature(1.0, 1.0, 1.0), want, rel_tol=REL)
 
 
 def test_effective_temperature_inverts_the_squeezed_occupation():
     beta, omega, r = 0.8, 1.3, 0.9
     t = effective_temperature(beta, omega, r)
-    with mpmath.workdps(50):
-        n = _occupation_mp(beta, omega, r)
-        assert math.isclose(math.exp(-omega / t), float(n / (1 + n)), rel_tol=1e-14)
+    n = ref.occupation(beta, omega, r)
+    assert math.isclose(math.exp(-omega / t), float(n / (1 + n)), rel_tol=1e-14)
 
 
 @given(beta=st.floats(0.05, 10.0), omega=st.floats(0.05, 5.0), r=st.floats(1e-4, 5.0))
 def test_effective_temperature_exceeds_bath_temperature(beta, omega, r):
     assert effective_temperature(beta, omega, r) > 1.0 / beta
-
-
-def _occupation_mp(beta, omega, r):
-    """The squeezed occupation N at 50 digits, for the exact float inputs."""
-    n = 1 / mpmath.expm1(mpmath.mpf(beta) * mpmath.mpf(omega))
-    return n + (2 * n + 1) * mpmath.sinh(mpmath.mpf(r)) ** 2
-
-
-def _temperature_mp(beta, omega, r):
-    return mpmath.mpf(omega) / mpmath.log1p(1 / _occupation_mp(beta, omega, r))
 
 
 def _occupation_at(beta, omega, r):
@@ -530,37 +491,37 @@ def _occupation_at(beta, omega, r):
 
 @pytest.mark.parametrize("fn, reference, args", [
     # beta*omega underflows to 0: the occupations pass the double range, T is cosh(2r)/beta.
-    (_occupation_at, _occupation_mp, (1e-200, 1e-200, 0.0)),
-    (_occupation_at, _occupation_mp, (1e-200, 1e-200, 0.5)),
-    (effective_temperature, _temperature_mp, (1e-200, 1e-200, 0.5)),
+    (_occupation_at, ref.occupation, (1e-200, 1e-200, 0.0)),
+    (_occupation_at, ref.occupation, (1e-200, 1e-200, 0.5)),
+    (effective_temperature, ref.effective_temperature, (1e-200, 1e-200, 0.5)),
     # N below the smallest normal double: 1/N overflows (0 and subnormal N).
-    (effective_temperature, _temperature_mp, (1000.0, 1.0, 1e-200)),
-    (effective_temperature, _temperature_mp, (710.0, 1.0, 1e-200)),
+    (effective_temperature, ref.effective_temperature, (1000.0, 1.0, 1e-200)),
+    (effective_temperature, ref.effective_temperature, (710.0, 1.0, 1e-200)),
     # sinh^2 r underflows to 0 while 2n + 1 overflows: (2n + 1) * 0 was NaN.
-    (_occupation_at, _occupation_mp, (1e-300, 1e-8, 1e-300)),
-    (_occupation_at, _occupation_mp, (5e-324, 0.9, 5e-324)),
-    (effective_temperature, _temperature_mp, (1e-300, 1e-8, 1e-300)),
-    (effective_temperature, _temperature_mp, (5e-324, 0.9, 5e-324)),
+    (_occupation_at, ref.occupation, (1e-300, 1e-8, 1e-300)),
+    (_occupation_at, ref.occupation, (5e-324, 0.9, 5e-324)),
+    (effective_temperature, ref.effective_temperature, (1e-300, 1e-8, 1e-300)),
+    (effective_temperature, ref.effective_temperature, (5e-324, 0.9, 5e-324)),
     # N overflows at a small but nonzero beta*omega, where T is still
     # cosh(2r)/beta to within x^2/12; T was inf.
-    (effective_temperature, _temperature_mp, (1e-300, 1e-20, 0.5)),
-    (effective_temperature, _temperature_mp, (1e-160, 1e-160, 0.5)),
-    (effective_temperature, _temperature_mp, (1e-280, 1e-27, 2.0)),
+    (effective_temperature, ref.effective_temperature, (1e-300, 1e-20, 0.5)),
+    (effective_temperature, ref.effective_temperature, (1e-160, 1e-160, 0.5)),
+    (effective_temperature, ref.effective_temperature, (1e-280, 1e-27, 2.0)),
     # cosh(2r)/beta where sech 2r (r > 354) or beta sech 2r would be
     # subnormal; 1/(beta sech 2r) lost digits there, or gave inf.
-    (effective_temperature, _temperature_mp, (1e6, 1e-20, 360.0)),
-    (effective_temperature, _temperature_mp, (1e300, 1e-320, 400.0)),
-    (effective_temperature, _temperature_mp, (1.0, 1e-300, 354.5)),
-    (effective_temperature, _temperature_mp, (1e-292, 1e-30, 19.0)),
-    (effective_temperature, _temperature_mp, (1.0, 1e-300, 800.0)),
+    (effective_temperature, ref.effective_temperature, (1e6, 1e-20, 360.0)),
+    (effective_temperature, ref.effective_temperature, (1e300, 1e-320, 400.0)),
+    (effective_temperature, ref.effective_temperature, (1.0, 1e-300, 354.5)),
+    (effective_temperature, ref.effective_temperature, (1e-292, 1e-30, 19.0)),
+    (effective_temperature, ref.effective_temperature, (1.0, 1e-300, 800.0)),
     # N overflows past r = 355 at beta*omega >= 1e-8: T = omega (N + 1/2),
     # finite (it was inf) unless T itself overflows.
-    (effective_temperature, _temperature_mp, (1e300, 1e-290, 356.0)),
-    (effective_temperature, _temperature_mp, (1e300, 1e-300, 356.0)),
-    (effective_temperature, _temperature_mp, (1e292, 1e-300, 400.0)),
-    (effective_temperature, _temperature_mp, (1e305, 1e-310, 356.0)),
-    (effective_temperature, _temperature_mp, (1.0, 1.0, 356.0)),
-    (effective_temperature, _temperature_mp, (1.0, 1e-3, 360.0)),
+    (effective_temperature, ref.effective_temperature, (1e300, 1e-290, 356.0)),
+    (effective_temperature, ref.effective_temperature, (1e300, 1e-300, 356.0)),
+    (effective_temperature, ref.effective_temperature, (1e292, 1e-300, 400.0)),
+    (effective_temperature, ref.effective_temperature, (1e305, 1e-310, 356.0)),
+    (effective_temperature, ref.effective_temperature, (1.0, 1.0, 356.0)),
+    (effective_temperature, ref.effective_temperature, (1.0, 1e-3, 360.0)),
 ], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
         "effective_temperature-N0", "effective_temperature-N-subnormal",
         "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
@@ -575,13 +536,12 @@ def _occupation_at(beta, omega, r):
         "effective_temperature-N-overflow-T-overflow", "effective_temperature-T-overflow-x-1e-3"])
 def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, args):
     # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
-    with mpmath.workdps(50):
-        want = reference(*args)
-        got = fn(*args)
-        if want > sys.float_info.max:
-            assert got == math.inf
-        else:
-            assert abs(got - want) <= 1e-15 * want
+    want = reference(*args)
+    got = fn(*args)
+    if want > sys.float_info.max:
+        assert got == math.inf
+    else:
+        assert abs(got - want) <= 1e-15 * want
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@ import inspect
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import _reference as ref
 from ottobounds.engine import (
     EngineParams,
     efficiency_ht,
@@ -26,21 +26,6 @@ from ottobounds.errors import DomainError, NoSolutionError, SingularityError
 from ottobounds.oracle import find_root_scalar
 from ottobounds.special import sech
 
-# Frozen high-precision references (tests/_freeze_reference_values.py).
-ETA_UP_02_1 = 0.22387738483056396
-ETA_MW_02_1 = 0.2189517832537392
-GEN_CARNOT_02_1 = 0.78735821693273625
-ETA_UP_02_6 = 0.49778539432639543
-ETA_UP_TH_05 = 0.11111111111111111
-ETA_RK_05 = 0.10819418755438784
-ETA_UP_TH_02 = 0.03752470442573563
-ETA_RK_02 = 0.036474508437578864
-WORK_06_05_05 = 0.049341358696433565
-R_CROSS_UP_02 = 0.89529439182932804   # eta_up(0.2, r) = 0.2
-R_CROSS_MW_02 = 0.91546900346346075   # eta_mw(0.2, r) = 0.2
-R_CROSS_UP_04 = 1.9933065475870387
-R_CROSS_MW_04 = 2.0369262490014615
-
 REL = 1e-12
 
 
@@ -55,7 +40,7 @@ def test_work_vanishes_on_the_pwc_boundary():
 
 def test_work_positive_example():
     p = EngineParams(z=0.6, tau=0.5, r=0.5)
-    assert math.isclose(work_ht(p), WORK_06_05_05, rel_tol=REL)
+    assert math.isclose(work_ht(p), ref.work_ht(0.6, 0.5, 0.5), rel_tol=REL)
 
 
 @given(
@@ -208,16 +193,6 @@ def test_z2_of_eta_below_the_double_range_is_a_domain_error(eta, eta_c, r):
         z2_of_eta(eta, eta_c, r)
 
 
-def _z2_mpmath(eta, eta_c, r):
-    """(smaller root, b / sqrt(disc)) at 50 digits, for the exact float inputs."""
-    with mpmath.workdps(50):
-        eta, eta_c, r = map(mpmath.mpf, (eta, eta_c, r))
-        g = (1 - eta_c) * mpmath.sech(2 * r)
-        b = (1 - 2 * eta) + g * (1 + eta)
-        root = mpmath.sqrt(b * b - 4 * g * (1 - eta))
-        return 2 * g * (1 - eta) / (b + root), b / root
-
-
 @pytest.mark.parametrize("eta_c", [0.02, 0.3, 0.5, 0.6, 0.9, 0.99])
 def test_z2_of_eta_matches_mpmath_out_to_the_saturated_bath(eta_c):
     # Relative budget 8 eps (1 + b / sqrt(disc)): the b / sqrt(disc) term is
@@ -230,8 +205,8 @@ def test_z2_of_eta_matches_mpmath_out_to_the_saturated_bath(eta_c):
         for frac in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999):
             eta = frac * eta_up(eta_c, r)
             got = z2_of_eta(eta, eta_c, r)
-            ref, cond = _z2_mpmath(eta, eta_c, r)
-            assert abs(got - ref) <= 8 * eps * (1 + cond) * ref, (eta_c, r, frac, got)
+            want, cond = ref.z2_of_eta(eta, eta_c, r)
+            assert abs(got - want) <= 8 * eps * (1 + cond) * want, (eta_c, r, frac, got)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +214,8 @@ def test_z2_of_eta_matches_mpmath_out_to_the_saturated_bath(eta_c):
 
 
 def test_eta_up_high_precision_values():
-    assert math.isclose(eta_up(0.2, 1.0), ETA_UP_02_1, rel_tol=REL)
-    assert math.isclose(eta_up(0.2, 6.0), ETA_UP_02_6, rel_tol=REL)
+    assert math.isclose(eta_up(0.2, 1.0), ref.eta_up(0.2, 1.0), rel_tol=REL)
+    assert math.isclose(eta_up(0.2, 6.0), ref.eta_up(0.2, 6.0), rel_tol=REL)
 
 
 def test_eta_up_reduces_to_thermal_bound_at_r_zero():
@@ -260,9 +235,9 @@ def test_eta_up_strictly_below_half_everywhere_sampled():
 
 
 def test_eta_mw_high_precision_values():
-    assert math.isclose(eta_mw(0.2, 1.0), ETA_MW_02_1, rel_tol=REL)
-    assert math.isclose(eta_rk(0.5), ETA_RK_05, rel_tol=REL)
-    assert math.isclose(eta_mw(0.5, 0.0), ETA_RK_05, rel_tol=1e-14)
+    assert math.isclose(eta_mw(0.2, 1.0), ref.eta_mw(0.2, 1.0), rel_tol=REL)
+    assert math.isclose(eta_rk(0.5), ref.eta_mw(0.5, 0.0), rel_tol=REL)
+    assert math.isclose(eta_mw(0.5, 0.0), ref.eta_mw(0.5, 0.0), rel_tol=1e-14)
 
 
 def test_eta_mw_limit_at_unit_carnot():
@@ -277,7 +252,8 @@ def test_eta_mw_never_exceeds_eta_up():
 
 def test_generalized_carnot_values():
     assert math.isclose(generalized_carnot(0.2, 0.0), 0.2, rel_tol=1e-15)
-    assert math.isclose(generalized_carnot(0.2, 1.0), GEN_CARNOT_02_1, rel_tol=REL)
+    want = ref.generalized_carnot(0.2, 1.0)
+    assert math.isclose(generalized_carnot(0.2, 1.0), want, rel_tol=REL)
     assert generalized_carnot(0.01, 10.0) > 1.0 - 1e-8
 
 
@@ -293,9 +269,9 @@ def test_eta_up_never_exceeds_generalized_carnot():
 
 
 def test_thermal_bound_values_and_chain():
-    assert math.isclose(eta_up_thermal(0.5), ETA_UP_TH_05, rel_tol=1e-15)
-    assert math.isclose(eta_up_thermal(0.2), ETA_UP_TH_02, rel_tol=REL)
-    assert math.isclose(eta_rk(0.2), ETA_RK_02, rel_tol=REL)
+    assert math.isclose(eta_up_thermal(0.5), ref.eta_up(0.5, 0.0), rel_tol=1e-15)
+    assert math.isclose(eta_up_thermal(0.2), ref.eta_up(0.2, 0.0), rel_tol=REL)
+    assert math.isclose(eta_rk(0.2), ref.eta_mw(0.2, 0.0), rel_tol=REL)
     for x in np.linspace(0.01, 0.99, 99):
         x = float(x)
         assert eta_rk(x) <= eta_up_thermal(x) <= 0.5 * x
@@ -327,14 +303,10 @@ def test_reduction_identities_on_grid():
 
 
 def test_bounds_cross_carnot_at_finite_squeezing():
-    root = find_root_scalar(lambda r: eta_up(0.2, r) - 0.2, (0.0, 5.0))
-    assert abs(root - R_CROSS_UP_02) < 1e-8
-    root = find_root_scalar(lambda r: eta_mw(0.2, r) - 0.2, (0.0, 5.0))
-    assert abs(root - R_CROSS_MW_02) < 1e-8
-    root = find_root_scalar(lambda r: eta_up(0.4, r) - 0.4, (0.0, 6.0))
-    assert abs(root - R_CROSS_UP_04) < 1e-8
-    root = find_root_scalar(lambda r: eta_mw(0.4, r) - 0.4, (0.0, 6.0))
-    assert abs(root - R_CROSS_MW_04) < 1e-8
+    for eta_c, top in ((0.2, 5.0), (0.4, 6.0)):
+        for bound, anchor in ((eta_up, ref.eta_up), (eta_mw, ref.eta_mw)):
+            root = find_root_scalar(lambda r: bound(eta_c, r) - eta_c, (0.0, top))
+            assert abs(root - ref.carnot_crossing(anchor, eta_c)) < 1e-8
 
 
 def test_large_carnot_is_never_crossed():
@@ -366,9 +338,9 @@ def test_efficiency_at_z_star_is_eta_mw():
 
 def test_engine_report_bundles_consistent_fields():
     rep = engine_report(0.2, 1.0)
-    assert math.isclose(rep.eta_up, ETA_UP_02_1, rel_tol=REL)
-    assert math.isclose(rep.eta_mw, ETA_MW_02_1, rel_tol=REL)
-    assert math.isclose(rep.eta_c_gen, GEN_CARNOT_02_1, rel_tol=REL)
+    assert math.isclose(rep.eta_up, ref.eta_up(0.2, 1.0), rel_tol=REL)
+    assert math.isclose(rep.eta_mw, ref.eta_mw(0.2, 1.0), rel_tol=REL)
+    assert math.isclose(rep.eta_c_gen, ref.generalized_carnot(0.2, 1.0), rel_tol=REL)
     assert math.isclose(rep.z_star, z_star(0.8, 1.0), rel_tol=1e-15)
     assert rep.pwc_satisfied  # the work optimum clears the PWC
     assert rep.eta_mw <= rep.eta_up < rep.eta_c_gen

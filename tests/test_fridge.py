@@ -2,12 +2,12 @@ import math
 import random
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import _reference as ref
 from ottobounds.cycle import (
     AdiabaticityMode,
     BathSpec,
@@ -34,16 +34,6 @@ from ottobounds.fridge import (
 )
 from ottobounds.oracle import maximize_scalar
 from ottobounds.special import sech
-
-# Frozen high-precision references (tests/_freeze_reference_values.py).
-ZETA_UP_TH_2 = 0.071796769724490826   # 7 - 4 sqrt 3
-ZETA_UP_TH_3 = 0.20204102886728761    # 10 - 4 sqrt 6
-R_TAU04_TAUC_23 = 0.54930614433405485  # acosh(5/3)/2: tau=0.4 reaches tau_c=2/3
-HALF_ACOSH_2 = 0.65847894846240835
-HALF_ACOSH_4 = 1.0317185344477803
-HALF_ACOSH_43 = 0.39768273061195282
-SECH_1 = 0.6480542736638854
-COP_ARGMAX_Z = 0.45970084338098306    # argmax of the COP at tau=2/3, r=0
 
 REL = 1e-12
 
@@ -75,9 +65,9 @@ def test_zeta_carnot_blows_up_toward_equal_temperatures():
 
 
 def test_zeta_up_thermal_values():
-    assert math.isclose(zeta_up_thermal(2.0), ZETA_UP_TH_2, rel_tol=REL)
+    assert math.isclose(zeta_up_thermal(2.0), ref.zeta_up_thermal(2.0), rel_tol=REL)
     assert math.isclose(zeta_up_thermal(2.0), 7.0 - 4.0 * math.sqrt(3.0), rel_tol=1e-14)
-    assert math.isclose(zeta_up_thermal(3.0), ZETA_UP_TH_3, rel_tol=REL)
+    assert math.isclose(zeta_up_thermal(3.0), ref.zeta_up_thermal(3.0), rel_tol=REL)
     assert math.isclose(zeta_up_thermal(3.0), 10.0 - 4.0 * math.sqrt(6.0), rel_tol=1e-14)
 
 
@@ -102,13 +92,15 @@ def test_zeta_up_thermal_far_below_carnot():
 
 def test_zeta_up_reduces_to_thermal_bound_at_r_zero():
     tau = 2.0 / 3.0
-    assert math.isclose(zeta_up(tau, 0.0), ZETA_UP_TH_2, rel_tol=REL)
+    assert math.isclose(zeta_up(tau, 0.0), ref.zeta_up(tau, 0.0), rel_tol=REL)
     assert math.isclose(zeta_up(tau, 0.0), zeta_up_thermal(tau / (1.0 - tau)), rel_tol=1e-12)
 
 
 def test_zeta_up_depends_only_on_the_effective_ratio():
-    # tau = 0.4 with squeezing tuned to tau_c = 2/3 must match tau = 2/3 bare.
-    assert math.isclose(zeta_up(0.4, R_TAU04_TAUC_23), ZETA_UP_TH_2, rel_tol=1e-10)
+    # tau = 0.4 with squeezing tuned to tau_c = 2/3 (cosh 2r = 5/3, r = ln(3)/2)
+    # must match tau = 2/3 bare.
+    r = math.log(3.0) / 2.0
+    assert math.isclose(zeta_up(0.4, r), ref.zeta_up_thermal(2.0), rel_tol=1e-10)
 
 
 @given(r=st.floats(0.0, 3.0), frac=st.floats(0.51, 0.99))
@@ -134,8 +126,8 @@ def test_tau_window_values():
     lo, hi = _tau_window(sech(0.0))
     assert (lo, hi) == (0.5, 1.0)
     lo, hi = _tau_window(sech(1.0))
-    assert math.isclose(lo, 0.5 * SECH_1, rel_tol=1e-14)
-    assert math.isclose(hi, SECH_1, rel_tol=1e-14)
+    assert math.isclose(lo, 0.5 * ref.sech(1.0), rel_tol=1e-14)
+    assert math.isclose(hi, ref.sech(1.0), rel_tol=1e-14)
     assert fridge_report(0.3, 0.5).tau_window == (lo, hi)
 
 
@@ -145,15 +137,10 @@ def test_tau_window_shrinks_to_zero():
 
 
 def test_r_window_branches():
-    lo, hi = r_window(0.5)
-    assert lo == 0.0
-    assert math.isclose(hi, HALF_ACOSH_2, rel_tol=REL)
-    lo, hi = r_window(0.25)
-    assert math.isclose(lo, HALF_ACOSH_2, rel_tol=REL)
-    assert math.isclose(hi, HALF_ACOSH_4, rel_tol=REL)
-    lo, hi = r_window(0.75)
-    assert lo == 0.0
-    assert math.isclose(hi, HALF_ACOSH_43, rel_tol=REL)
+    assert r_window(0.5)[0] == r_window(0.75)[0] == 0.0
+    for tau in (0.5, 0.25, 0.75):
+        for got, want in zip(r_window(tau), ref.r_window(tau)):
+            assert math.isclose(got, want, rel_tol=REL)
 
 
 @pytest.mark.parametrize("tau", [1e-320, 5e-324, math.nextafter(1.0 / sys.float_info.max, 0.0),
@@ -162,11 +149,8 @@ def test_r_window_where_one_over_tau_overflows_matches_mpmath(tau):
     # Below 1/DBL_MAX 1/tau overflowed, and both endpoints were inf; 1e-308
     # is just above, on the acosh branch.
     got = r_window(tau)
-    with mpmath.workdps(50):
-        t = mpmath.mpf(tau)
-        want = (mpmath.acosh(1 / (2 * t)) / 2, mpmath.acosh(1 / t) / 2)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 4 * math.ulp(float(w))
+    for g, w in zip(got, ref.r_window(tau)):
+        assert abs(g - w) <= 4 * math.ulp(float(w))
     if tau == 1e-320:
         assert [round(v, 12) for v in got] == [368.413620445487, 368.760194035767]
 
@@ -289,8 +273,8 @@ def test_heats_overflow_at_a_subnormal_z_squared():
 
 def test_cop_maximum_matches_the_bound_at_r_zero():
     rep = max_cop_over_z(2.0 / 3.0, 0.0)
-    assert abs(rep.best_value - ZETA_UP_TH_2) < 1e-6
-    assert abs(rep.best_input - COP_ARGMAX_Z) < 1e-5
+    assert abs(rep.best_value - ref.zeta_up(2.0 / 3.0, 0.0)) < 1e-6
+    assert abs(rep.best_input - ref.cop_argmax(2.0 / 3.0)) < 1e-5
 
 
 def test_cop_maximum_matches_the_bound_with_squeezing():
@@ -340,7 +324,7 @@ def test_cooling_heat_accepts_the_closed_z_interval():
 def test_fridge_report_feasible():
     rep = fridge_report(2.0 / 3.0, 0.0)
     assert rep.cooling_feasible and rep.reason is None
-    assert math.isclose(rep.zeta_up, ZETA_UP_TH_2, rel_tol=REL)
+    assert math.isclose(rep.zeta_up, ref.zeta_up(2.0 / 3.0, 0.0), rel_tol=REL)
     assert math.isclose(rep.zeta_c, 2.0, rel_tol=1e-14)
 
 
@@ -376,7 +360,7 @@ def test_fridge_report_boundary_tau_is_infeasible():
     # tau = 1/2, r = 0 sits exactly on the open window edge.
     rep = fridge_report(0.5, 0.0)
     assert not rep.cooling_feasible
-    assert math.isclose(rep.r_window[1], HALF_ACOSH_2, rel_tol=REL)
+    assert math.isclose(rep.r_window[1], ref.r_window(0.5)[1], rel_tol=REL)
 
 
 # ---------------------------------------------------------------------------

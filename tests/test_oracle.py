@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import _reference as ref
 from ottobounds.engine import EngineParams, work_ht, z_star
 from ottobounds.errors import BracketError, DomainError
 from ottobounds.fridge import FridgeParams, cooling_heat_ht, cop_ht
@@ -16,11 +17,6 @@ from ottobounds.oracle import (
     maximize_scalar,
     refine_parabolic,
 )
-
-HALF_ACOSH_2 = 0.65847894846240835
-HALF_ACOSH_4 = 1.0317185344477803
-ZETA_UP_TH_2 = 0.071796769724490826
-
 
 # ---------------------------------------------------------------------------
 # Golden-section maximisation
@@ -49,7 +45,7 @@ def test_maximize_cop_recovers_the_thermal_bound():
     tau = 2.0 / 3.0
     hi = math.sqrt(2.0 * tau - 1.0) * (1.0 - 1e-12)
     rep = maximize_scalar(lambda z: cop_ht(FridgeParams(z, tau, 0.0)), 1e-6, hi)
-    assert abs(rep.best_value - ZETA_UP_TH_2) < 1e-6
+    assert abs(rep.best_value - ref.zeta_up(tau, 0.0)) < 1e-6
 
 
 def test_maximize_evaluation_count_follows_the_shrink_rate():
@@ -177,10 +173,11 @@ def test_find_root_exact_endpoint():
 def test_cooling_sign_changes_land_on_the_window_endpoints():
     # At tau = 0.25 the cooling heat's sign change in r sweeps from
     # acosh(2)/2 (z -> 0) to acosh(4)/2 (z -> 1).
+    lo, hi = ref.r_window(0.25)
     root = find_root_scalar(lambda r: cooling_heat_ht(0.0, 0.25, r), (0.0, 3.0))
-    assert abs(root - HALF_ACOSH_2) < 1e-9
+    assert abs(root - lo) < 1e-9
     root = find_root_scalar(lambda r: cooling_heat_ht(1.0, 0.25, r), (0.0, 3.0))
-    assert abs(root - HALF_ACOSH_4) < 1e-9
+    assert abs(root - hi) < 1e-9
 
 
 def test_reports_are_frozen_dataclasses():

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mpmath
-
+import _reference as ref
 from ottobounds import engine, verify
 from ottobounds.errors import DomainError
 
@@ -516,15 +515,6 @@ def test_exact_efficiency_marks_non_engines_with_minus_inf():
     assert 0.0 < eta[1] < 0.5
 
 
-def _efficiency_mp(a, b, z, r):
-    """The exact efficiency at 50 digits, for the exact float inputs."""
-    with mpmath.workdps(50):
-        a, b, z, r = (mpmath.mpf(v) for v in (a, b, z, r))
-        x = z * (1 + (2 + mpmath.expm1(b)) * mpmath.sinh(r) ** 2) * mpmath.tanh(a / 2) \
-            / mpmath.tanh(b / 2)
-        return 1 / (2 / (1 - z * z) + 1 / (x - 1))
-
-
 @pytest.mark.parametrize("point", [
     (2000.0, 1000.0, 0.9, 1e-165),   # sinh^2 r underflows to 0; expm1(b) overflows
     (2000.0, 1000.0, 0.5, 1.2406e-217),   # x - 1 of order 1
@@ -535,7 +525,7 @@ def _efficiency_mp(a, b, z, r):
 def test_exact_efficiency_past_the_expm1_overflow_matches_mpmath(point):
     # The exponent b + 2 ln sinh r carries about b eps absolute error.
     got = verify.exact_efficiency(*point)
-    assert got.shape == () and abs(float(got) - _efficiency_mp(*point)) <= 1e-13 * got
+    assert got.shape == () and abs(float(got) - ref.exact_efficiency(*point)) <= 1e-13 * got
 
 
 @pytest.mark.parametrize("point", [(1000.0, 700.0, 0.5, 10.0), (1000.0, 5.0, 0.5, 711.0),
@@ -551,7 +541,28 @@ def test_exact_efficiency_where_the_term_overflows_below_the_cut(point):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = verify.exact_efficiency(*point)
-    assert got == 0.375 and abs(float(got) - _efficiency_mp(*point)) <= 1e-15 * got
+    assert got == 0.375 and abs(float(got) - ref.exact_efficiency(*point)) <= 1e-15 * got
+
+
+@pytest.mark.parametrize("point", [
+    (1.5e-323, 1e-323, 0.5, 1.0),   # a/2 rounded from 1.5 to 2 units of 5e-324: 0.3333, 7 % off
+    (1e-320, 1e-320, 0.9, 3.0),     # 1.1e-9 off
+    (2.5e-310, 1e-310, 0.5, 0.5),   # b/2 just below the cut
+    (1.0, 1e-310, 1e-300, 0.5),     # b/2 below it, a/2 normal: ln 2 tanh(a/2), not ln a
+    (3e-310, 2.2e-310, 0.5, 0.5),   # a/2 and b/2 just above it, in the kernel
+])
+def test_exact_efficiency_at_subnormal_a_or_b_matches_mpmath(point):
+    # Halving a subnormal rounds by up to 2.5e-324, so below a/2 or b/2 =
+    # 1e-310, 2.5e-14 of the half, the ratio tanh(a/2) / tanh(b/2) is taken
+    # in log space from a and b themselves.
+    got = verify.exact_efficiency(*point)
+    assert abs(float(got) - ref.exact_efficiency(*point)) <= 1e-13 * got
+
+
+def test_exact_efficiency_above_the_subnormal_cut_keeps_the_kernel_bits():
+    # A cut at DBL_MIN took this point into log space, 9.8e-15 off.
+    point = (4e-308, 1e-308, 0.5, 0.2)
+    assert verify.exact_efficiency(*point) == float(ref.exact_efficiency(*point))
 
 
 def test_exact_efficiency_where_both_tanh_underflow():
@@ -571,7 +582,7 @@ def test_the_log_space_lanes_match_mpmath_and_keep_the_other_lanes():
         warnings.simplefilter("error")
         lanes = verify.exact_efficiency(a, b, z, r)
     for k in range(2):
-        assert abs(lanes[k] - _efficiency_mp(a, b[k], z[k], r[k])) <= 1e-15 * lanes[k]
+        assert abs(lanes[k] - ref.exact_efficiency(a, b[k], z[k], r[k])) <= 1e-15 * lanes[k]
     assert lanes[2] == verify.exact_efficiency(a, 1.0, 0.5, 0.5) == -np.inf   # a < b z
 
 
