@@ -54,6 +54,8 @@ CALLS = {
     "zeta_up": fridge.zeta_up,
     "cop_ht": lambda *a: fridge.cop_ht(fridge.FridgeParams(*a)),
     "work_ht": lambda *a: engine.work_ht(engine.EngineParams(*a)),
+    "z2_of_eta": engine.z2_of_eta,
+    "zeta_up_thermal": fridge.zeta_up_thermal,
 }
 
 
@@ -133,6 +135,30 @@ def _work_cases(rng):
     return out
 
 
+def _z2_cases(rng):
+    # eta above eta_up (NoSolutionError) in a good share of the draws.
+    out = [(rng.uniform(0.0, 0.5), rng.uniform(0.02, 0.98), rng.uniform(0.0, 3.0))
+           for _ in range(N_SEEDED)]
+    # From r = 355 on, g is subnormal: DomainError below eta_up.
+    out += [(eta, 0.5, r) for eta in (0.0, 0.1, 0.3) for r in R_EDGES]
+    # A few ulps below eta_up: the rounded discriminant is negative.
+    out.append((0.4910084846714757, 0.8724623173018478, 3.6772759624891806))
+    out += [(0.5, 0.5, 0.0), (0.49, 0.1, 5.0), (0, 0.5, 0)]
+    for i in range(3):
+        for bad in BAD:
+            args = [0.1, 0.5, 0.3]
+            args[i] = bad
+            out.append(tuple(args))
+    return out
+
+
+def _zeta_thermal_cases(rng):
+    out = [(rng.uniform(0.0, 10.0),) for _ in range(N_SEEDED)]
+    out += [(zc,) for zc in (0.5, 1.0, math.nextafter(1.0, 2.0), 2, 1e6, 1e150)]
+    out += [(bad,) for bad in BAD]
+    return out
+
+
 def cases():
     """name -> list of argument tuples, the same on every run."""
     rng = random.Random(SEED)
@@ -147,6 +173,8 @@ def cases():
         "zeta_up": fr,
         "cop_ht": _cop_cases(rng),
         "work_ht": _work_cases(rng),
+        "z2_of_eta": _z2_cases(rng),
+        "zeta_up_thermal": _zeta_thermal_cases(rng),
     }
 
 
