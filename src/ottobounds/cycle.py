@@ -338,11 +338,8 @@ def efficiency_sudden(spec):
     """
     _, _, _, _, q2, _, w_ext, mode = _heats(spec)
     if mode is not _ENGINE:
-        raise ModeError(
-            f"efficiency is defined for engine operation only; "
-            f"this cycle runs as a {mode._value_}",
-            mode=mode,
-        )
+        raise ModeError("efficiency is defined for engine operation only; "
+                        "this cycle runs as a {}", mode._value_, mode=mode)
     return w_ext / q2
 
 

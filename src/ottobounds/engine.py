@@ -107,9 +107,7 @@ def efficiency_ht(z, tau, r):
     z2 = z * z
     den = 2.0 * z2 - g * (1.0 + z2)
     if den == 0.0:
-        raise SingularityError(
-            f"efficiency denominator vanishes at z={z}, tau={tau}, r={r}"
-        )
+        raise SingularityError("efficiency denominator vanishes at z={}, tau={}, r={}", z, tau, r)
     return (1.0 - z2) * (z2 - g) / den
 
 
@@ -144,10 +142,8 @@ def z2_of_eta(eta, eta_c, r):
     g = (1.0 - eta_c) * sech(2.0 * r)
     bound = _eta_up(g)
     if eta >= bound:
-        raise NoSolutionError(
-            f"no compression ratio reaches eta={eta} at eta_c={eta_c}, r={r}; "
-            f"the bound is eta_up={bound}"
-        )
+        raise NoSolutionError("no compression ratio reaches eta={} at eta_c={}, r={}; "
+                              "the bound is eta_up={}", eta, eta_c, r, bound)
     if g < sys.float_info.min:
         raise DomainError(
             f"z^2 lies below the double range at eta_c={eta_c}, r={r}: "
@@ -156,9 +152,8 @@ def z2_of_eta(eta, eta_c, r):
     b = (1.0 - 2.0 * eta) + g * (1.0 + eta)
     disc = b * b - 4.0 * g * (1.0 - eta)
     if disc < 0.0:
-        raise NoSolutionError(
-            f"inversion discriminant negative at eta={eta}, eta_c={eta_c}, r={r}"
-        )
+        raise NoSolutionError("inversion discriminant negative at eta={}, eta_c={}, r={}",
+                              eta, eta_c, r)
     return 2.0 * g * (1.0 - eta) / (b + math.sqrt(disc))
 
 

@@ -1,11 +1,26 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, and the checks that raise them.
+
+A typed answer on valid input (``ModeError``, ``NoSolutionError``, ...) is
+raised as ``OttoError(template, *values)`` and formats its message only when
+``str()`` reads it.  API note: such an error's ``args`` hold the template and
+its values, not the message, and its ``repr`` shows them.
+"""
 
 import math
 import numbers
 
 
 class OttoError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``OttoError(message)`` behaves as any exception; ``OttoError(template,
+    *values)`` keeps both in ``args`` and formats them on ``str()``.
+    """
+
+    def __str__(self):
+        if len(self.args) > 1:
+            return self.args[0].format(*self.args[1:])
+        return super().__str__()
 
 
 class DomainError(OttoError, ValueError):
@@ -15,9 +30,8 @@ class DomainError(OttoError, ValueError):
 class ModeError(OttoError, ValueError):
     """The cycle is not operating in the mode the caller asked about."""
 
-    def __init__(self, message, mode=None):
-        super().__init__(message)
-        self.mode = mode
+    def __init__(self, message, *values, mode=None):
+        self.mode = mode    # BaseException.__new__ has stored args already
 
 
 class SingularityError(OttoError, ArithmeticError):

@@ -108,11 +108,8 @@ def cop_ht(p):
     if q4 <= 0.0:
         q2 = _hot_heat(z2, tc)
         mode = _classify_mode(q2, q4, q2 + q4)
-        raise ModeError(
-            f"no cooling at z={p.z}, tau={p.tau}, r={p.r}: "
-            f"the cycle operates as a {mode._value_}",
-            mode=mode,
-        )
+        raise ModeError("no cooling at z={}, tau={}, r={}: the cycle operates as a {}",
+                        p.z, p.tau, p.r, mode._value_, mode=mode)
     return q4 / -_work(z2, tc)
 
 
@@ -131,10 +128,8 @@ def zeta_up_thermal(zeta_c):
     if not -math.inf < zc < math.inf:
         raise DomainError(f"zeta_c must be finite, got {zeta_c!r}")
     if zc <= 1.0:
-        raise InfeasibleError(
-            f"cooling requires zeta_c > 1 (the cold reservoir cannot sit below "
-            f"half the hot temperature), got zeta_c={zc}"
-        )
+        raise InfeasibleError("cooling requires zeta_c > 1 (the cold reservoir cannot sit below "
+                              "half the hot temperature), got zeta_c={}", zc)
     return 1.0 + 3.0 * zc - 2.0 * math.sqrt(2.0 * zc * (1.0 + zc))
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ottobounds import cycle, engine, fridge, oracle, special, verify
-from ottobounds.errors import DomainError, as_real, nonnegative, nonnegative_int, positive, unit_open
+from ottobounds.cycle import OperatingMode
+from ottobounds.errors import (
+    DomainError,
+    InfeasibleError,
+    ModeError,
+    NoSolutionError,
+    OttoError,
+    SingularityError,
+    as_real,
+    nonnegative,
+    nonnegative_int,
+    positive,
+    unit_open,
+)
+from test_hotpaths import CALLS
 
 # ---------------------------------------------------------------------------
 # The checks themselves
@@ -159,3 +174,93 @@ def test_the_search_primitives_keep_their_valid_calls():
     vertex = oracle.refine_parabolic(lambda x: -(x - 0.25) * (x - 0.25), np.int64(0))
     assert type(vertex) is float and abs(vertex - 0.25) < 1e-8
     assert verify.exact_efficiency(5.0, np.int64(1), 0.5, [0.0]).dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# A typed answer keeps its template and values in args and formats them
+# only when str() reads it; a plain message is an ordinary exception.
+
+
+def test_a_plain_message_keeps_its_str_args_and_repr():
+    exc = OttoError("msg")
+    assert (str(exc), exc.args, repr(exc)) == ("msg", ("msg",), "OttoError('msg')")
+    assert str(DomainError("got {'a': 1}")) == "got {'a': 1}"    # not a template
+    assert str(OttoError()) == ""
+
+
+def test_a_template_formats_on_str():
+    exc = NoSolutionError("eta={} at r={!r}", 0.1, 2)
+    assert exc.args == ("eta={} at r={!r}", 0.1, 2)
+    assert str(exc) == "eta=0.1 at r=2"
+    assert repr(exc) == "NoSolutionError('eta={} at r={!r}', 0.1, 2)"
+
+
+def test_mode_error_keeps_its_old_call_forms():
+    exc = ModeError("no cooling", mode=OperatingMode.HEATER)
+    assert (str(exc), exc.args, exc.mode) == ("no cooling", ("no cooling",), OperatingMode.HEATER)
+    bare = ModeError("msg")
+    assert (str(bare), bare.args, bare.mode) == ("msg", ("msg",), None)
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), str(back), back.mode) == (ModeError, "no cooling", OperatingMode.HEATER)
+
+
+# (call, type, text, mode) of each raise site that answers valid input with a
+# typed error, its text pinned byte for byte.
+TYPED_ANSWERS = [
+    pytest.param(
+        lambda: CALLS["efficiency_sudden"](1.0, 1.5, 0.4, 0.3, 0.0, "hot", "sudden", None),
+        ModeError, "efficiency is defined for engine operation only; this cycle runs as a refrigerator",
+        OperatingMode.REFRIGERATOR, id="efficiency_sudden"),
+    pytest.param(
+        lambda: CALLS["cop_ht"](0.1, 0.3, 0.0),
+        ModeError, "no cooling at z=0.1, tau=0.3, r=0.0: the cycle operates as a heater",
+        OperatingMode.HEATER, id="cop_ht-heater"),
+    pytest.param(
+        lambda: CALLS["cop_ht"](0.24978485741311243, 0.03740549540630633, 0.09636747881868363),
+        ModeError, "no cooling at z=0.24978485741311243, tau=0.03740549540630633, "
+        "r=0.09636747881868363: the cycle operates as a engine",
+        OperatingMode.ENGINE, id="cop_ht-engine"),
+    pytest.param(
+        lambda: engine.z2_of_eta(0.3, 0.5, 0),
+        NoSolutionError, "no compression ratio reaches eta=0.3 at eta_c=0.5, r=0.0; "
+        "the bound is eta_up=0.1111111111111111",
+        None, id="z2_of_eta-above-eta_up"),
+    pytest.param(
+        lambda: engine.z2_of_eta(0.4910084846714757, 0.8724623173018478, 3.6772759624891806),
+        NoSolutionError, "inversion discriminant negative at eta=0.4910084846714757, "
+        "eta_c=0.8724623173018478, r=3.6772759624891806",
+        None, id="z2_of_eta-discriminant"),
+    pytest.param(
+        lambda: fridge.zeta_up_thermal(np.float32(0.5)),
+        InfeasibleError, "cooling requires zeta_c > 1 (the cold reservoir cannot sit below half "
+        "the hot temperature), got zeta_c=0.5",
+        None, id="zeta_up_thermal"),
+    # 2 z^2 == tau (1 + z^2) exactly; r is named as the caller passed it.
+    pytest.param(
+        lambda: engine.efficiency_ht(0.5, 0.4, 0),
+        SingularityError, "efficiency denominator vanishes at z=0.5, tau=0.4, r=0",
+        None, id="efficiency_ht"),
+]
+
+
+def _raised(call):
+    try:
+        call()
+    except OttoError as exc:
+        return exc
+    raise AssertionError("no typed answer")
+
+
+@pytest.mark.parametrize("call, kind, text, mode", TYPED_ANSWERS)
+def test_typed_answers_keep_their_text_and_mode(call, kind, text, mode):
+    exc = _raised(call)
+    assert type(exc) is kind and str(exc) == text and getattr(exc, "mode", None) is mode
+    assert len(exc.args) > 1    # the template form, formatted only by str()
+
+
+@pytest.mark.parametrize("call, kind, text, mode", TYPED_ANSWERS)
+def test_typed_answers_survive_pickle(call, kind, text, mode):
+    exc = _raised(call)
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), str(back), back.args) == (kind, text, exc.args)
+    assert getattr(back, "mode", None) is mode
