@@ -18,7 +18,7 @@ as ``-w_ext``.
 
 import math
 import sys
-from enum import Enum
+from enum import Enum, EnumMeta
 
 from ._record import Record
 from .errors import DomainError, ModeError, as_real, nonnegative, positive
@@ -140,7 +140,9 @@ class AdiabaticityMode(Record):
 
     ``adiabatic()`` is the quasi-static limit (factor 1), ``sudden_switch()``
     the instantaneous quench, and ``custom(lam)`` accepts an externally
-    computed factor lam >= 1 for any other ramp.
+    computed factor lam >= 1 for any other ramp.  ``adiabatic()`` and
+    ``sudden_switch()`` return one shared instance each; on a subclass all
+    three build an instance of that subclass through its ``__init__``.
     """
 
     _KINDS = ("adiabatic", "sudden", "custom")
@@ -161,26 +163,53 @@ class AdiabaticityMode(Record):
 
     @classmethod
     def adiabatic(cls):
-        return cls("adiabatic")
+        return _ADIABATIC if cls is AdiabaticityMode else cls("adiabatic")
 
     @classmethod
     def sudden_switch(cls):
-        return cls("sudden")
+        return _SUDDEN if cls is AdiabaticityMode else cls("sudden")
 
     @classmethod
     def custom(cls, lam):
-        return cls("custom", lam)
+        if cls is not AdiabaticityMode:
+            return cls("custom", lam)
+        factor = lam if type(lam) is float else as_real(lam)
+        if not 1.0 <= factor < math.inf:
+            raise DomainError(f"custom adiabaticity factor must be >= 1, got {lam!r}")
+        mode = object.__new__(AdiabaticityMode)
+        d = mode.__dict__
+        d["kind"] = "custom"
+        d["lam"] = factor
+        return mode
 
     def lambda_for(self, freqs):
         """The adiabaticity factor this mode assigns to a frequency pair."""
-        if self.kind == "adiabatic":
+        kind = self.kind
+        if kind == "adiabatic":
             return 1.0
-        if self.kind == "sudden":
+        if kind == "sudden":
             return lambda_sudden(freqs)
         return self.lam
 
 
-class SqueezePlacement(Enum):
+_ADIABATIC = AdiabaticityMode("adiabatic")
+_SUDDEN = AdiabaticityMode("sudden")
+
+
+class _PlacementType(EnumMeta):
+    """Looks one value up in ``_value2member_map_``, as ``Enum.__new__`` does
+    first; any other call runs ``EnumMeta.__call__``, results and errors too."""
+
+    def __call__(cls, *args, **kwargs):
+        if len(args) == 1 and not kwargs:
+            try:
+                return cls._value2member_map_[args[0]]
+            except (KeyError, TypeError):
+                pass
+        return super().__call__(*args, **kwargs)
+
+
+class SqueezePlacement(Enum, metaclass=_PlacementType):
     """Which reservoir carries the squeezing."""
 
     HOT_BATH = "hot"
@@ -266,29 +295,10 @@ def cycle_energies(spec):
     frequency stroke, C closes the hot contact at omega2, D follows the
     downward stroke.  The squeezed side's enhancement factor multiplies the
     two corners fed by that reservoir: C and D for hot-side squeezing, A and
-    B for cold-side squeezing.
-
-    Note on cold-side squeezing: the exact finite-temperature treatment
-    applies the full enhancement delta_h(beta_cold, omega1, r) to corners A
-    and B, mirroring the hot-side convention; the widely quoted
-    high-temperature forms (factor cosh 2r) are recovered as the
-    beta*omega -> 0 limit of this choice.
+    B for cold-side squeezing (delta_h at beta_cold*omega1, mirroring the
+    hot side; its beta*omega -> 0 limit cosh 2r gives the quoted forms).
     """
-    freqs, cold, hot = spec.freqs, spec.cold, spec.hot
-    w1, w2 = freqs.omega1, freqs.omega2
-    lam = spec.mode.lambda_for(freqs)
-    c_cold = coth(0.5 * cold.beta * w1)
-    c_hot = coth(0.5 * hot.beta * w2)
-    if spec.placement is _HOT_BATH:
-        f_cold, f_hot = 1.0, _delta_h(hot.beta * w2, hot.r)
-    else:
-        f_cold, f_hot = _delta_h(cold.beta * w1, cold.r), 1.0
-    # The idle side's factor is 1.0, and x * 1.0 is exactly x.
-    h_a = 0.5 * w1 * c_cold * f_cold
-    h_b = 0.5 * w2 * lam * c_cold * f_cold
-    h_c = 0.5 * w2 * c_hot * f_hot
-    h_d = 0.5 * w1 * lam * c_hot * f_hot
-    return h_a, h_b, h_c, h_d
+    return _heats(spec)[:4]
 
 
 def _classify_mode(q2, q4, w_ext):
@@ -314,17 +324,31 @@ def _classify_mode(q2, q4, w_ext):
 
 
 def _heats(spec):
-    """(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode) of one cycle, no record built."""
-    h_a, h_b, h_c, h_d = cycle_energies(spec)
+    """The corner kernel: (h_a, h_b, h_c, h_d, q2, q4, w_ext), each field read once."""
+    freqs, cold, hot = spec.freqs, spec.cold, spec.hot
+    w1, w2 = freqs.omega1, freqs.omega2
+    b_cold, b_hot = cold.beta, hot.beta
+    lam = spec.mode.lambda_for(freqs)
+    c_cold = coth(0.5 * b_cold * w1)
+    c_hot = coth(0.5 * b_hot * w2)
+    if spec.placement is _HOT_BATH:
+        f_cold, f_hot = 1.0, _delta_h(b_hot * w2, hot.r)
+    else:
+        f_cold, f_hot = _delta_h(b_cold * w1, cold.r), 1.0
+    # The idle side's factor is 1.0, and x * 1.0 is exactly x.
+    h_a = 0.5 * w1 * c_cold * f_cold
+    h_b = 0.5 * w2 * lam * c_cold * f_cold
+    h_c = 0.5 * w2 * c_hot * f_hot
+    h_d = 0.5 * w1 * lam * c_hot * f_hot
     q2 = h_c - h_b
     q4 = h_a - h_d
-    w_ext = q2 + q4
-    return h_a, h_b, h_c, h_d, q2, q4, w_ext, _classify_mode(q2, q4, w_ext)
+    return h_a, h_b, h_c, h_d, q2, q4, q2 + q4
 
 
 def heats_work(spec):
     """Evaluate one full cycle: corner energies, heats, work, mode label."""
-    h_a, h_b, h_c, h_d, q2, q4, w_ext, mode = _heats(spec)
+    h_a, h_b, h_c, h_d, q2, q4, w_ext = _heats(spec)
+    mode = _classify_mode(q2, q4, w_ext)
     eta = w_ext / q2 if mode is _ENGINE else None
     cop = q4 / -w_ext if mode is _REFRIGERATOR else None
     return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
@@ -336,7 +360,8 @@ def efficiency_sudden(spec):
     Raises ModeError, naming the actual operating mode, when the spec does
     not extract positive work from positive hot-side heat.
     """
-    _, _, _, _, q2, _, w_ext, mode = _heats(spec)
+    _, _, _, _, q2, q4, w_ext = _heats(spec)
+    mode = _classify_mode(q2, q4, w_ext)
     if mode is not _ENGINE:
         raise ModeError("efficiency is defined for engine operation only; "
                         "this cycle runs as a {}", mode._value_, mode=mode)

@@ -130,7 +130,14 @@ def zeta_up_thermal(zeta_c):
     if zc <= 1.0:
         raise InfeasibleError("cooling requires zeta_c > 1 (the cold reservoir cannot sit below "
                               "half the hot temperature), got zeta_c={}", zc)
-    return 1.0 + 3.0 * zc - 2.0 * math.sqrt(2.0 * zc * (1.0 + zc))
+    bound = 1.0 + 3.0 * zc - 2.0 * math.sqrt(2.0 * zc * (1.0 + zc))
+    if -math.inf < bound < math.inf:
+        return bound
+    # 2 zc (1 + zc) overflowed (zc >~ 9.5e153): the rationalised form
+    # (zc - 1)^2 / (1 + 3 zc + 2 sqrt(2) sqrt(zc) sqrt(1 + zc)), its ratio
+    # divided through by zc so that it stays finite up to the double range.
+    u = 1.0 / zc
+    return (zc - 1.0) * ((1.0 - u) / (u + 3.0 + 2.0 * math.sqrt(2.0) * math.sqrt(1.0 + u)))
 
 
 def zeta_up(tau, r):

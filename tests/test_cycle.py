@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import math
+import pickle
 import sys
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -207,6 +211,85 @@ def test_adiabaticity_mode_validation():
         AdiabaticityMode.custom(0.99)
     with pytest.raises(DomainError):
         AdiabaticityMode("sudden", 1.3)
+
+
+# ---------------------------------------------------------------------------
+# Fast construction paths: the shared modes, custom(lam) and the placement
+# lookup by value give what the plain constructors give.
+
+# The same members under the same name, with Enum's own call by value.
+PLAIN_PLACEMENT = Enum("SqueezePlacement", [("HOT_BATH", "hot"), ("COLD_BATH", "cold")])
+
+
+def _placement(enum, *args, **kwargs):
+    """The member's name, or the type and text of what the call raised."""
+    try:
+        return enum(*args, **kwargs).name
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("hot",), {}), (("cold",), {}), (("warm",), {}), ((None,), {}), (([],), {}), ((1,), {}),
+    ((), {}), (("hot", 1), {}), ((), {"value": "cold"}), (("hot",), {"names": None}),
+], ids=repr)
+def test_placement_by_value_matches_plain_enum(args, kwargs):
+    got = _placement(SqueezePlacement, *args, **kwargs)
+    assert got == _placement(PLAIN_PLACEMENT, *args, **kwargs)
+
+
+def test_placement_of_a_member_is_that_member():
+    for member in SqueezePlacement:
+        assert SqueezePlacement(member) is member
+
+
+@pytest.mark.parametrize("shared, built", [
+    (AdiabaticityMode.adiabatic, lambda: AdiabaticityMode("adiabatic")),
+    (AdiabaticityMode.sudden_switch, lambda: AdiabaticityMode("sudden")),
+    (lambda: AdiabaticityMode.custom(1.5), lambda: AdiabaticityMode("custom", 1.5)),
+], ids=["adiabatic", "sudden", "custom"])
+def test_fast_modes_keep_the_record_contract(shared, built):
+    mode, twin = shared(), built()
+    assert type(mode) is AdiabaticityMode
+    assert mode == twin and hash(mode) == hash(twin) and repr(mode) == repr(twin)
+    assert list(vars(mode)) == ["kind", "lam"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mode.lam = 2.0
+    assert pickle.loads(pickle.dumps(mode)) == twin
+    freqs = FrequencyPair(1.0, 3.0)
+    assert mode.lambda_for(freqs) == twin.lambda_for(freqs)
+
+
+def test_adiabatic_and_sudden_modes_are_shared():
+    assert AdiabaticityMode.adiabatic() is AdiabaticityMode.adiabatic()
+    assert AdiabaticityMode.sudden_switch() is AdiabaticityMode.sudden_switch()
+    assert AdiabaticityMode.custom(2.0) is not AdiabaticityMode.custom(2.0)
+
+
+def test_a_mode_subclass_builds_its_own_instances():
+    class Ramp(AdiabaticityMode):
+        def __init__(self, kind, lam=None):
+            super().__init__(kind, lam)
+            self.__dict__["built"] = True
+
+    modes = [Ramp.adiabatic(), Ramp.sudden_switch(), Ramp.custom(2.0)]
+    kinds = [(type(m) is Ramp, m.kind, m.built) for m in modes]
+    fresh = Ramp.sudden_switch() is not Ramp.sudden_switch()
+    # Drop the class so that Record.__subclasses__() lists the package's own types again.
+    del Ramp, modes
+    gc.collect()
+    assert kinds == [(True, "adiabatic", True), (True, "sudden", True), (True, "custom", True)]
+    assert fresh
+
+
+@pytest.mark.parametrize("lam", [0.5, True, "x", math.nan, math.inf, None], ids=repr)
+def test_custom_keeps_its_error_texts(lam):
+    with pytest.raises(DomainError) as fast:
+        AdiabaticityMode.custom(lam)
+    with pytest.raises(DomainError) as built:
+        AdiabaticityMode("custom", lam)
+    assert str(fast.value) == str(built.value) == (
+        f"custom adiabaticity factor must be >= 1, got {lam!r}")
 
 
 def test_cycle_spec_requires_colder_cold_bath():

@@ -86,6 +86,18 @@ def test_zeta_up_thermal_far_below_carnot():
         assert 0.0 < zeta_up_thermal(float(zc)) < float(zc)
 
 
+@pytest.mark.parametrize("zc", [1e154, 1e200, 1e300, 1.7e308, sys.float_info.max])
+def test_zeta_up_thermal_stays_finite_to_the_double_range(zc):
+    # The textbook form reads -inf once 2 zc (1 + zc) overflows and NaN once
+    # 3 zc does; the bound itself is about 0.1716 zc, a normal double.
+    assert math.isclose(zeta_up_thermal(zc), ref.zeta_up_thermal(zc), rel_tol=4e-16)
+
+
+def test_zeta_up_thermal_keeps_the_textbook_bits_where_it_is_finite():
+    for zc in (2.0, 9e153):    # the golden pins seeded values and edges up to 1e150
+        assert zeta_up_thermal(zc) == 1.0 + 3.0 * zc - 2.0 * math.sqrt(2.0 * zc * (1.0 + zc))
+
+
 # ---------------------------------------------------------------------------
 # Squeezed bound
 
