@@ -27,7 +27,6 @@ _EXPORTS = {
         "FrequencyPair",
         "OperatingMode",
         "SqueezePlacement",
-        "cycle_energies",
         "effective_temperature",
         "efficiency_sudden",
         "heats_work",

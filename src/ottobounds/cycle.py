@@ -32,7 +32,6 @@ __all__ = [
     "FrequencyPair",
     "OperatingMode",
     "SqueezePlacement",
-    "cycle_energies",
     "effective_temperature",
     "efficiency_sudden",
     "heats_work",
@@ -49,24 +48,9 @@ _X_SMALL = 1e-8
 
 # Each public function below validates its arguments once, in signature
 # order, and then calls a private kernel of x = beta*omega and r that
-# validates nothing; internal callers, whose arguments are already valid,
+# validates nothing (effective_temperature, which no one calls internally,
+# is its own kernel); internal callers, whose arguments are already valid,
 # call the kernels directly.
-
-def _occupation(x, r):
-    """Mean quanta of a squeezed thermal state at x = beta*omega:
-    N = n + (2n + 1) sinh^2 r with n = 1/(e^x - 1); inf where N overflows."""
-    e = math.exp(-x)
-    try:
-        n = e / -math.expm1(-x)
-    except ZeroDivisionError:   # x underflowed to 0: n ~ 1/x > 4e323
-        return math.inf
-    if r > _SINH_OVERFLOW:
-        return math.inf
-    s2 = math.sinh(r) ** 2
-    if s2 == 0.0:   # sinh^2 r underflowed; (2n + 1) * 0 is NaN once 2n + 1 overflows
-        return n
-    return n + (2.0 * n + 1.0) * s2
-
 
 def _delta_h(x, r):
     """Squeezing enhancement of the mean occupation at x = beta*omega,
@@ -288,19 +272,6 @@ class CyclePerformance(Record):
         return -self.w_ext
 
 
-def cycle_energies(spec):
-    """Mean oscillator energies at the four cycle corners A, B, C, D.
-
-    Corner A closes the cold contact at omega1, B follows the upward
-    frequency stroke, C closes the hot contact at omega2, D follows the
-    downward stroke.  The squeezed side's enhancement factor multiplies the
-    two corners fed by that reservoir: C and D for hot-side squeezing, A and
-    B for cold-side squeezing (delta_h at beta_cold*omega1, mirroring the
-    hot side; its beta*omega -> 0 limit cosh 2r gives the quoted forms).
-    """
-    return _heats(spec)[:4]
-
-
 def _classify_mode(q2, q4, w_ext):
     """Operating-mode label from the sign pattern of the heats and work.
 
@@ -346,7 +317,16 @@ def _heats(spec):
 
 
 def heats_work(spec):
-    """Evaluate one full cycle: corner energies, heats, work, mode label."""
+    """Evaluate one full cycle: corner energies, heats, work, mode label.
+
+    ``h_a`` .. ``h_d`` are the mean oscillator energies at the four corners.
+    Corner A closes the cold contact at omega1, B follows the upward
+    frequency stroke, C closes the hot contact at omega2, D follows the
+    downward stroke.  The squeezed side's enhancement factor multiplies the
+    two corners fed by that reservoir: C and D for hot-side squeezing, A and
+    B for cold-side squeezing (delta_h at beta_cold*omega1, mirroring the
+    hot side; its beta*omega -> 0 limit cosh 2r gives the quoted forms).
+    """
     h_a, h_b, h_c, h_d, q2, q4, w_ext = _heats(spec)
     mode = _classify_mode(q2, q4, w_ext)
     eta = w_ext / q2 if mode is _ENGINE else None
@@ -371,13 +351,17 @@ def efficiency_sudden(spec):
 def effective_temperature(beta, omega, r):
     """Temperature a plain thermal bath would need to mimic a squeezed one.
 
-    Inverts the Bose factor at the squeezed occupation N:
-    T = omega / ln(1 + 1/N).  Reduces to 1/beta exactly at r = 0 and to
-    cosh(2r)/beta in the beta*omega -> 0 limit, which it returns once N
-    overflows at a beta*omega below 1e-8.  Where N overflows at a larger
-    one (past r of about 345) T = omega (N + 1/2), inf only where T is.
-    Once N is below the smallest normal double, 1/N overflows and
-    T = omega / -ln N, with ln N taken in log space.
+    Inverts the Bose factor at the squeezed occupation
+    N = n + (2n + 1) sinh^2 r, n = 1/(e^x - 1), x = beta*omega:
+    T = omega / ln(1 + 1/N).  One exit per regime:
+
+    - r = 0: exactly 1/beta.
+    - x < 1e-8: the limit cosh(2r)/beta, within x^2/12, under half an ulp;
+      (e^r / beta)(e^r / 2) once cosh 2r overflows (r > 355).
+    - N below the smallest normal double, where 1/N overflows:
+      T = omega / -ln N, with ln N taken in log space.
+    - N = inf (r beyond about 345): T = omega (N + 1/2), inf only where T is.
+    - otherwise the inversion itself.
     """
     beta = positive("beta", beta)
     omega = positive("omega", omega)
@@ -385,20 +369,22 @@ def effective_temperature(beta, omega, r):
     if r == 0.0:
         return 1.0 / beta
     x = beta * omega
-    n = _occupation(x, r)
-    if n < _TINY:
+    if x < _X_SMALL:
+        if r <= _SINH_OVERFLOW:
+            return math.cosh(2.0 * r) / beta
+        # e^2r / 2 is cosh 2r to the last bit here.  From r = 709 on this is
+        # inf, which T is unless beta is above about 1e307.
+        e = math.exp(r) if r < 709.0 else math.inf
+        return e / beta * (0.5 * e)   # e^r / beta is a normal double
+    n = math.exp(-x) / -math.expm1(-x)   # finite: x >= 1e-8
+    N = n + (2.0 * n + 1.0) * math.sinh(r) ** 2 if r <= _SINH_OVERFLOW else math.inf
+    if N < _TINY:
         # ln N = ln(n + sinh^2 r), the 2n sinh^2 r term far below one ulp.
         p, q = -x - math.log1p(-math.exp(-x)), 2.0 * math.log(math.sinh(r))
         return omega / -(max(p, q) + math.log1p(math.exp(-abs(p - q))))
-    if math.isinf(n):
-        if x < _X_SMALL and r <= _SINH_OVERFLOW:
-            return math.cosh(2.0 * r) / beta
-        # cosh 2r overflows, or N does past r = 345, where e^2r / 2 is cosh 2r
-        # to the last bit; past r = 709 T overflows too.
-        e = math.exp(r) if r < 709.0 else math.inf
-        if x < _X_SMALL:
-            return e / beta * (0.5 * e)   # e^r / beta is a normal double
+    if N == math.inf:
         # T = omega (N + 1/2) = omega (n + 1/2) cosh 2r to far below an ulp,
         # with n + 1/2 = coth(x/2) / 2; omega e^r is a normal double.
+        e = math.exp(r) if r < 709.0 else math.inf
         return omega * e * (0.5 * coth(0.5 * x)) * (0.5 * e)
-    return omega / math.log1p(1.0 / n)
+    return omega / math.log1p(1.0 / N)

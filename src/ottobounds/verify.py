@@ -62,14 +62,13 @@ def exact_efficiency(a, b, z, r):
     order of the textbook formula.  A 0-d point has the bits it has in an
     array.
 
-    Past b = ln(DBL_MAX) = 709.78 expm1(b) overflows, so there the term
-    (2 + expm1 b) sinh(r)^2 is exp(b + 2 ln sinh r): 0 at r = 0, inf where
-    the term is, and about b eps off in the exponent.  Below that cut an
-    overflowing term, or an x that overflows at a tiny b, is inf, its limit
-    (eta = (1 - z^2)/2), with no warning.  Where a/2 or b/2 is below 1e-310
-    (rounded or 0), x is taken in log space.  Arguments that are not real numbers or arrays
-    of them (bools and strings included), NaN, or shapes that do not
-    broadcast raise DomainError.
+    Below b = ln(DBL_MAX) = 709.78 an overflowing term (2 + expm1 b)
+    sinh(r)^2, or an x that overflows at a tiny b, is inf, its limit
+    (eta = (1 - z^2)/2), with no warning.  Past that cut, where expm1(b)
+    overflows, and where a/2 or b/2 is below 1e-310 (rounded or 0), x is
+    taken in log space.  Arguments that are not real numbers or arrays of
+    them (bools and strings included), NaN, or shapes that do not broadcast
+    raise DomainError.
     """
     import numpy as np
     try:
@@ -83,13 +82,12 @@ def exact_efficiency(a, b, z, r):
     a, b, z, r = (v.astype(float, copy=False) for v in args)
     out = np.empty(shape)
     work = _efficiency_work(a, b, z, r)
-    wide = b > 709.782712893384
-    with np.errstate(over="ignore"):
-        _zdh_into(np.where(wide, 0.0, b), r, out, work)
-    if wide.any():   # ln sinh 0 = -inf; 0 inf = NaN is off the engine region
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.copyto(out, z * (1.0 + np.exp(b + 2.0 * np.log(np.sinh(r)))), where=wide)
-    lost = np.broadcast_to((0.5 * a < 1e-310) | (0.5 * b < 1e-310), shape)
+    # Past b = ln DBL_MAX expm1(b) is inf, and inf * 0 is NaN at r = 0; those
+    # lanes are taken in log space below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _zdh_into(b, r, out, work)
+    lost = np.broadcast_to((0.5 * a < 1e-310) | (0.5 * b < 1e-310) | (b > 709.782712893384),
+                           shape)
     out[lost] = 1.0   # so the kernel forms 1 * 0, not inf * 0; replaced below
     eta = _eta_into(a, b, z, out, work)
     if lost.any():

@@ -1,10 +1,10 @@
 """Python-level calls of one cycle query, counted, not timed.
 
 A cycle query builds its spec from plain values, the way a caller or the
-benchmark does, and evaluates it.  ``sys.setprofile`` sees every Python
-frame that opens on the way; the counts below are the ones the code has
-now, so a call layer added anywhere on that path fails here, with no
-timing noise.
+benchmark does, and evaluates it; an effective_temperature query takes
+plain values.  ``sys.setprofile`` sees every Python frame that opens on
+the way; the counts below are the ones the code has now, so a call layer
+added anywhere on that path fails here, with no timing noise.
 """
 
 import sys
@@ -34,6 +34,17 @@ CALLS = {
     ("efficiency_sudden", "sudden", "cold"): 20,
     ("efficiency_sudden", "custom", "hot"): 19,
     ("efficiency_sudden", "custom", "cold"): 20,
+}
+
+
+# effective_temperature, one query per regime -> (beta, omega, r), Python
+# calls: the three argument checks, and coth where N overflows.
+T_CALLS = {
+    "r=0": ((1.0, 1.0, 0.0), 3),
+    "x<1e-8": ((1.0, 1e-9, 0.5), 3),
+    "normal": ((1.0, 1.0, 0.5), 3),
+    "N<DBL_MIN": ((709.0, 1.0, 1e-160), 3),
+    "N=inf": ((1.0, 1.0, 356.0), 4),
 }
 
 
@@ -73,3 +84,11 @@ def test_a_cycle_query_makes_a_fixed_number_of_python_calls(key):
     _python_calls(_query, *key)    # first call: nothing lazy is counted
     names = _python_calls(_query, *key)
     assert len(names) == CALLS[key], names
+
+
+@pytest.mark.parametrize("regime", T_CALLS)
+def test_an_effective_temperature_query_makes_a_fixed_number_of_python_calls(regime):
+    args, calls = T_CALLS[regime]
+    _python_calls(cycle.effective_temperature, *args)
+    names = _python_calls(cycle.effective_temperature, *args)
+    assert len(names) == calls, names

@@ -37,8 +37,7 @@ EDGES = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 0.9, 
 WRONG = (None, "0.5", True, [0.5], 0.5j, object(), math.nan)
 BASE = 0.5   # a valid value of every argument; the wrong one goes in beside it
 
-RECORD_TAKING = {"cycle_energies", "efficiency_sudden", "heats_work", "lambda_sudden",
-                 "work_ht", "cop_ht"}
+RECORD_TAKING = {"efficiency_sudden", "heats_work", "lambda_sudden", "work_ht", "cop_ht"}
 
 
 def _float_functions():

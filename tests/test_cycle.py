@@ -20,14 +20,13 @@ from ottobounds.cycle import (
     SqueezePlacement,
     _classify_mode,
     _delta_h,
-    _occupation,
-    cycle_energies,
     effective_temperature,
     efficiency_sudden,
     heats_work,
     lambda_sudden,
 )
 from ottobounds.errors import DomainError, ModeError
+from test_hotpaths import T_EDGES
 
 REL = 1e-12
 
@@ -52,63 +51,7 @@ def cold_fridge_example():
 
 
 # ---------------------------------------------------------------------------
-# Occupation kernel: N = n + (2n + 1) sinh^2 r at x = beta*omega, the
-# quantity effective_temperature inverts.
-
-
-def test_thermal_occupation_at_log2_is_one():
-    assert math.isclose(_occupation(math.log(2.0), 0.0), 1.0, rel_tol=1e-14)
-
-
-def test_thermal_occupation_high_precision():
-    assert math.isclose(_occupation(1.0, 0.0), ref.occupation(1.0, 1.0, 0.0), rel_tol=1e-14)
-    assert math.isclose(_occupation(0.5 * 2.0, 0.0), ref.occupation(0.5, 2.0, 0.0), rel_tol=1e-14)
-
-
-def test_thermal_occupation_exponentially_suppressed():
-    n = _occupation(50.0, 0.0)
-    assert 0.0 < n < 1e-21
-
-
-def test_thermal_occupation_small_argument():
-    x = 1e-9
-    assert math.isclose(_occupation(x, 0.0), 1.0 / x - 0.5, rel_tol=1e-9)
-
-
-@given(x=st.floats(1e-300, 800.0))
-def test_occupation_at_r_zero_is_the_bose_factor_to_the_bit(x):
-    assert _occupation(x, 0.0) == math.exp(-x) / -math.expm1(-x)
-
-
-def test_squeezed_occupation_high_precision():
-    assert math.isclose(_occupation(1.0, 0.5), ref.occupation(1.0, 1.0, 0.5), rel_tol=REL)
-
-
-def test_squeezed_occupation_cold_limit_is_pure_squeezing():
-    # beta*omega -> inf leaves (2*0 + 1) sinh^2 r
-    assert math.isclose(_occupation(60.0, 1.2), math.sinh(1.2) ** 2, rel_tol=1e-12)
-
-
-@given(
-    beta=st.floats(0.05, 20.0),
-    omega=st.floats(0.05, 5.0),
-    r1=st.floats(0.0, 4.0),
-    dr=st.floats(1e-3, 3.0),
-)
-def test_squeezed_occupation_strictly_increasing_in_r(beta, omega, r1, dr):
-    x = beta * omega
-    assert _occupation(x, r1 + dr) > _occupation(x, r1)
-
-
-@pytest.mark.parametrize("beta,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0)])
-def test_effective_temperature_at_r_zero_rejects_bad_args(beta, omega):
-    # At r = 0 T is 1/beta and omega is not used, but it is still checked.
-    with pytest.raises(DomainError):
-        effective_temperature(beta, omega, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Enhancement factor: the kernel _delta_h(x, r) that cycle_energies applies
+# Enhancement factor: the kernel _delta_h(x, r) that heats_work applies
 # to the squeezed corners, at x = beta*omega.
 
 
@@ -317,17 +260,22 @@ def test_cycle_spec_rejects_squeezing_on_the_idle_bath():
 # Corner energies, heats, work
 
 
-def test_cycle_energies_engine_example():
-    h = cycle_energies(engine_example())
+def _corners(perf):
+    return perf.h_a, perf.h_b, perf.h_c, perf.h_d
+
+
+def test_corner_energies_engine_example():
+    h = _corners(heats_work(engine_example()))
     for got, want in zip(h, ref.corner_energies(1.0, 2.0, 2.0, 0.2, 0.0)):
         assert math.isclose(got, want, rel_tol=REL)
 
 
-def test_cycle_energies_custom_lambda_scales_stroke_corners():
+def test_custom_lambda_scales_stroke_corners():
     base = engine_example()
     lam2 = CycleSpec(base.cold, base.hot, base.freqs, AdiabaticityMode.custom(2.0))
-    h1 = cycle_energies(CycleSpec(base.cold, base.hot, base.freqs, AdiabaticityMode.adiabatic()))
-    h2 = cycle_energies(lam2)
+    h1 = _corners(heats_work(CycleSpec(base.cold, base.hot, base.freqs,
+                                       AdiabaticityMode.adiabatic())))
+    h2 = _corners(heats_work(lam2))
     assert h2[0] == h1[0] and h2[2] == h1[2]
     assert math.isclose(h2[1], 2.0 * h1[1], rel_tol=1e-15)
     assert math.isclose(h2[3], 2.0 * h1[3], rel_tol=1e-15)
@@ -344,7 +292,7 @@ def test_placement_is_irrelevant_without_squeezing():
         cold=BathSpec(1.7), hot=BathSpec(0.3), freqs=FrequencyPair(0.8, 1.9),
         mode=AdiabaticityMode.sudden_switch(), placement=SqueezePlacement.COLD_BATH,
     )
-    assert cycle_energies(hot) == cycle_energies(cold)
+    assert heats_work(hot) == heats_work(cold)
 
 
 def test_heats_work_engine_example():
@@ -430,7 +378,7 @@ def build_spec(draw, placement=SqueezePlacement.HOT_BATH):
 @given(draw=spec_draw)
 def test_first_law_closure(draw):
     perf = heats_work(build_spec(draw))
-    h_a, h_b, h_c, h_d = cycle_energies(build_spec(draw))
+    h_a, h_b, h_c, h_d = _corners(perf)
     scale = abs(perf.q2) + abs(perf.q4) + 1e-300
     assert abs(perf.q2 - (h_c - h_b)) <= 1e-13 * scale
     assert abs(perf.q4 - (h_a - h_d)) <= 1e-13 * scale
@@ -568,59 +516,75 @@ def test_effective_temperature_exceeds_bath_temperature(beta, omega, r):
     assert effective_temperature(beta, omega, r) > 1.0 / beta
 
 
-def _occupation_at(beta, omega, r):
-    return _occupation(beta * omega, r)
+def test_effective_temperature_of_a_squeezed_bath_high_precision():
+    want = ref.effective_temperature(1.0, 1.0, 0.5)
+    assert math.isclose(effective_temperature(1.0, 1.0, 0.5), want, rel_tol=REL)
 
 
-@pytest.mark.parametrize("fn, reference, args", [
-    # beta*omega underflows to 0: the occupations pass the double range, T is cosh(2r)/beta.
-    (_occupation_at, ref.occupation, (1e-200, 1e-200, 0.0)),
-    (_occupation_at, ref.occupation, (1e-200, 1e-200, 0.5)),
-    (effective_temperature, ref.effective_temperature, (1e-200, 1e-200, 0.5)),
+def test_effective_temperature_cold_limit_is_pure_squeezing():
+    # beta*omega -> inf leaves N = sinh^2 r: T = omega / ln(coth^2 r)
+    want = 1.0 / (2.0 * math.log(1.0 / math.tanh(1.2)))
+    assert math.isclose(effective_temperature(60.0, 1.0, 1.2), want, rel_tol=1e-12)
+
+
+@given(
+    beta=st.floats(0.05, 20.0),
+    omega=st.floats(0.05, 5.0),
+    r1=st.floats(0.0, 4.0),
+    dr=st.floats(1e-3, 3.0),
+)
+def test_effective_temperature_strictly_increasing_in_r(beta, omega, r1, dr):
+    assert effective_temperature(beta, omega, r1 + dr) > effective_temperature(beta, omega, r1)
+
+
+@pytest.mark.parametrize("beta,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0)])
+def test_effective_temperature_at_r_zero_rejects_bad_args(beta, omega):
+    # At r = 0 T is 1/beta and omega is not used, but it is still checked.
+    with pytest.raises(DomainError):
+        effective_temperature(beta, omega, 0.0)
+
+
+@pytest.mark.parametrize("args", [
+    # beta*omega underflows to 0: T is 1/beta at r = 0, else cosh(2r)/beta.
+    (1e-200, 1e-200, 0.0),
+    (1e-200, 1e-200, 0.5),
     # N below the smallest normal double: 1/N overflows (0 and subnormal N).
-    (effective_temperature, ref.effective_temperature, (1000.0, 1.0, 1e-200)),
-    (effective_temperature, ref.effective_temperature, (710.0, 1.0, 1e-200)),
+    (1000.0, 1.0, 1e-200),
+    (710.0, 1.0, 1e-200),
     # sinh^2 r underflows to 0 while 2n + 1 overflows: (2n + 1) * 0 was NaN.
-    (_occupation_at, ref.occupation, (1e-300, 1e-8, 1e-300)),
-    (_occupation_at, ref.occupation, (5e-324, 0.9, 5e-324)),
-    (effective_temperature, ref.effective_temperature, (1e-300, 1e-8, 1e-300)),
-    (effective_temperature, ref.effective_temperature, (5e-324, 0.9, 5e-324)),
+    (1e-300, 1e-8, 1e-300),
+    (5e-324, 0.9, 5e-324),
     # N overflows at a small but nonzero beta*omega, where T is still
     # cosh(2r)/beta to within x^2/12; T was inf.
-    (effective_temperature, ref.effective_temperature, (1e-300, 1e-20, 0.5)),
-    (effective_temperature, ref.effective_temperature, (1e-160, 1e-160, 0.5)),
-    (effective_temperature, ref.effective_temperature, (1e-280, 1e-27, 2.0)),
+    (1e-300, 1e-20, 0.5),
+    (1e-160, 1e-160, 0.5),
+    (1e-280, 1e-27, 2.0),
     # cosh(2r)/beta where sech 2r (r > 354) or beta sech 2r would be
     # subnormal; 1/(beta sech 2r) lost digits there, or gave inf.
-    (effective_temperature, ref.effective_temperature, (1e6, 1e-20, 360.0)),
-    (effective_temperature, ref.effective_temperature, (1e300, 1e-320, 400.0)),
-    (effective_temperature, ref.effective_temperature, (1.0, 1e-300, 354.5)),
-    (effective_temperature, ref.effective_temperature, (1e-292, 1e-30, 19.0)),
-    (effective_temperature, ref.effective_temperature, (1.0, 1e-300, 800.0)),
+    (1e6, 1e-20, 360.0),
+    (1e300, 1e-320, 400.0),
+    (1.0, 1e-300, 354.5),
+    (1e-292, 1e-30, 19.0),
+    (1.0, 1e-300, 800.0),
     # N overflows past r = 355 at beta*omega >= 1e-8: T = omega (N + 1/2),
     # finite (it was inf) unless T itself overflows.
-    (effective_temperature, ref.effective_temperature, (1e300, 1e-290, 356.0)),
-    (effective_temperature, ref.effective_temperature, (1e300, 1e-300, 356.0)),
-    (effective_temperature, ref.effective_temperature, (1e292, 1e-300, 400.0)),
-    (effective_temperature, ref.effective_temperature, (1e305, 1e-310, 356.0)),
-    (effective_temperature, ref.effective_temperature, (1.0, 1.0, 356.0)),
-    (effective_temperature, ref.effective_temperature, (1.0, 1e-3, 360.0)),
-], ids=["thermal_occupation-x0", "squeezed_occupation-x0", "effective_temperature-x0",
-        "effective_temperature-N0", "effective_temperature-N-subnormal",
-        "squeezed_occupation-sinh2-underflow", "squeezed_occupation-x-subnormal",
-        "effective_temperature-sinh2-underflow", "effective_temperature-x-subnormal",
-        "effective_temperature-x-subnormal-finite-T",
-        "effective_temperature-x-subnormal-1e160", "effective_temperature-N-overflow-x-normal",
-        "effective_temperature-sech-subnormal", "effective_temperature-sech-underflow",
-        "effective_temperature-cosh-edge", "effective_temperature-beta-sech-subnormal",
-        "effective_temperature-T-overflow", "effective_temperature-N-overflow-x-large",
-        "effective_temperature-N-overflow-x-1", "effective_temperature-N-overflow-x-1e-8",
-        "effective_temperature-N-overflow-omega-subnormal",
-        "effective_temperature-N-overflow-T-overflow", "effective_temperature-T-overflow-x-1e-3"])
-def test_occupations_and_temperature_at_the_limits_match_mpmath(fn, reference, args):
+    (1e300, 1e-290, 356.0),
+    (1e300, 1e-300, 356.0),
+    (1e292, 1e-300, 400.0),
+    (1e305, 1e-310, 356.0),
+    (1.0, 1.0, 356.0),
+    (1.0, 1e-3, 360.0),
+    # The hot-path golden's points at each regime edge.
+    *T_EDGES,
+], ids=["x0-r0", "x0", "N0", "N-subnormal", "sinh2-underflow", "x-subnormal",
+        "x-subnormal-finite-T", "x-subnormal-1e160", "N-overflow-x-normal", "sech-subnormal",
+        "sech-underflow", "cosh-edge", "beta-sech-subnormal", "T-overflow",
+        "N-overflow-x-large", "N-overflow-x-1", "N-overflow-x-1e-8", "N-overflow-omega-subnormal",
+        "N-overflow-T-overflow", "T-overflow-x-1e-3", *map(repr, T_EDGES)])
+def test_effective_temperature_at_the_limits_matches_mpmath(args):
     # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
-    want = reference(*args)
-    got = fn(*args)
+    want = ref.effective_temperature(*args)
+    got = effective_temperature(*args)
     if want > sys.float_info.max:
         assert got == math.inf
     else:

@@ -26,6 +26,18 @@ R_EDGES = (0.0, 355.0, 356.0, 372.0, 400.0, 1e6)
 BW_EDGES = (708.9, 709.0, 710.0, 1000.0)
 BAD = ("0.5", None, True, math.nan, math.inf, -1.0, 0, 1j)
 
+# effective_temperature at its regime edges: x = beta*omega at 1e-8; x below
+# it where cosh 2r, then e^r, overflow; N at the smallest normal double
+# (x = 708.3964 at r = 0); N = inf just above x = 1e-8.  tests/test_cycle.py
+# checks each against 50-digit mpmath.
+_X_SMALL = (math.nextafter(1e-8, 0.0), 1e-8, math.nextafter(1e-8, 1.0))
+T_EDGES = ([(x, 1.0, r) for x in _X_SMALL for r in (0.5, 2.0)]
+           + [(beta, omega, r) for beta, omega in ((1.0, 1e-9), (1e300, 1e-309))
+              for r in (355.0, 356.0, 709.0, 710.0)]
+           + [(x, 1.0, r) for x in (708.0, 708.39, 708.4, 709.0, 709.8)
+              for r in (1e-160, 1e-155, 1e-150)]
+           + [(1.0, _X_SMALL[2], 350.0), (1.0, _X_SMALL[2], 356.0), (1e10, 1.5e-18, 356.0)])
+
 
 def _sech(x):
     e = math.exp(-abs(x))
@@ -91,6 +103,7 @@ def _occupation_cases(rng):
            for _ in range(N_SEEDED)]
     out += [(bw, 1.0, r) for bw in BW_EDGES + (1.0, 1e-3) for r in R_EDGES + (1e-200,)]
     out += [(1e-200, 1e-200, 0.5), (1e-300, 2.0, 1e-300)]
+    out += T_EDGES
     for i in range(3):
         for bad in BAD:
             args = [0.5, 2.0, 0.3]

@@ -1,4 +1,4 @@
-"""The package surface: 7 submodules and 34 re-exports, loaded on first access; their signatures."""
+"""The package surface: 7 submodules and 33 re-exports, loaded on first access; their signatures."""
 
 import enum
 import importlib
@@ -13,8 +13,8 @@ import ottobounds
 SUBMODULES = {"cycle", "engine", "errors", "fridge", "oracle", "special", "verify"}
 REEXPORTS = {
     "cycle": {"AdiabaticityMode", "BathSpec", "CyclePerformance", "CycleSpec", "FrequencyPair",
-              "OperatingMode", "SqueezePlacement", "cycle_energies", "effective_temperature",
-              "efficiency_sudden", "heats_work", "lambda_sudden"},
+              "OperatingMode", "SqueezePlacement", "effective_temperature", "efficiency_sudden",
+              "heats_work", "lambda_sudden"},
     "engine": {"EngineBoundsReport", "EngineParams", "efficiency_ht", "engine_report", "eta_mw",
                "eta_rk", "eta_up", "eta_up_thermal", "generalized_carnot", "work_ht", "z2_of_eta",
                "z_star"},
@@ -25,7 +25,7 @@ REEXPORTS = {
 
 
 def test_all_lists_the_submodules_and_the_reexports():
-    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 41
+    assert len(ottobounds.__all__) == len(set(ottobounds.__all__)) == 40
     assert set(ottobounds.__all__) == SUBMODULES.union(*REEXPORTS.values())
 
 
@@ -57,7 +57,8 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 # Removed wrappers, with what replaces each: README, "Removed names".
-REMOVED = {"cycle": ("thermal_occupation", "squeezed_occupation", "classify_mode", "delta_h"),
+REMOVED = {"cycle": ("thermal_occupation", "squeezed_occupation", "classify_mode", "delta_h",
+                     "cycle_energies"),
            "engine": ("pwc_ht",), "errors": ("real",),
            "fridge": ("cop_quasistatic", "zeta_carnot", "hot_heat_ht", "extracted_work_ht",
                       "tau_window")}
@@ -107,7 +108,6 @@ SIGNATURES = {
     "CyclePerformance": "(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode_label, eta=None, cop=None)",
     "CycleSpec": "(cold, hot, freqs, mode, placement=<SqueezePlacement.HOT_BATH: 'hot'>)",
     "FrequencyPair": "(omega1, omega2)",
-    "cycle_energies": "(spec)",
     "effective_temperature": "(beta, omega, r)",
     "efficiency_sudden": "(spec)",
     "heats_work": "(spec)",

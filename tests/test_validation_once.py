@@ -57,7 +57,7 @@ def test_effective_temperature_checks_each_argument_once(checked, r):
 
 
 @pytest.mark.parametrize("spec", SPECS)
-@pytest.mark.parametrize("fn", [cycle.heats_work, cycle.cycle_energies, cycle.efficiency_sudden])
+@pytest.mark.parametrize("fn", [cycle.heats_work, cycle.efficiency_sudden])
 def test_a_validated_spec_is_not_checked_again(checked, fn, spec):
     try:
         fn(spec)

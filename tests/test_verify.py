@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import math
 import subprocess
 import sys
 import threading
@@ -515,17 +516,28 @@ def test_exact_efficiency_marks_non_engines_with_minus_inf():
     assert 0.0 < eta[1] < 0.5
 
 
+LN_DBL_MAX = 709.782712893384   # the last b with a finite expm1
+
+
 @pytest.mark.parametrize("point", [
     (2000.0, 1000.0, 0.9, 1e-165),   # sinh^2 r underflows to 0; expm1(b) overflows
     (2000.0, 1000.0, 0.5, 1.2406e-217),   # x - 1 of order 1
     (1500.0, 750.0, 0.5, 0.5),       # the term overflows: eta = (1 - z^2)/2
     (5000.0, 1400.0, 0.3, 1e-300),
     (800.0, 709.7827128933841, 0.5, 1e-150),   # the first b with an infinite expm1
-])
+] + [(2.0 * b, b, 0.9, r)             # a > b z; no engine at r = 0 (x = z)
+     for b in (LN_DBL_MAX, math.nextafter(LN_DBL_MAX, 1e3), 710.0, 1000.0, 1e300)
+     for r in (0.0, 1e-300, 1.0, 400.0)])
 def test_exact_efficiency_past_the_expm1_overflow_matches_mpmath(point):
-    # The exponent b + 2 ln sinh r carries about b eps absolute error.
+    # In log space ln x carries about b eps absolute error, from rounding
+    # ln(1 + e^b) + 2 ln sinh r.
     got = verify.exact_efficiency(*point)
-    assert got.shape == () and abs(float(got) - ref.exact_efficiency(*point)) <= 1e-13 * got
+    want = ref.exact_efficiency(*point)
+    assert got.shape == ()
+    if want == -math.inf:
+        assert got == -np.inf
+    else:
+        assert abs(float(got) - want) <= 1e-13 * got
 
 
 @pytest.mark.parametrize("point", [(1000.0, 700.0, 0.5, 10.0), (1000.0, 5.0, 0.5, 711.0),
