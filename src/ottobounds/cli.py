@@ -159,23 +159,14 @@ def build_parser(command):
 
 
 def _build_cycle_spec(args, parser):
-    from .cycle import AdiabaticityMode, BathSpec, CycleSpec, FrequencyPair, SqueezePlacement
+    from .cycle import CycleSpec
     if args.mode == "custom" and args.lam is None:
         parser.error("--mode custom requires --lam")
     if args.mode != "custom" and args.lam is not None:
         parser.error("--lam only applies with --mode custom")
     try:
-        mode = AdiabaticityMode(args.mode, args.lam)
-        placement = SqueezePlacement(args.placement)
-        cold_r = args.r if placement is SqueezePlacement.COLD_BATH else 0.0
-        hot_r = args.r if placement is SqueezePlacement.HOT_BATH else 0.0
-        return CycleSpec(
-            cold=BathSpec(beta=args.b1, r=cold_r),
-            hot=BathSpec(beta=args.b2, r=hot_r),
-            freqs=FrequencyPair(omega1=args.w1, omega2=args.w2),
-            mode=mode,
-            placement=placement,
-        )
+        return CycleSpec.of(args.w1, args.w2, args.b1, args.b2, args.r,
+                            args.placement, args.mode, args.lam)
     except OttoError as exc:
         parser.error(str(exc))
 

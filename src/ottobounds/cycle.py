@@ -125,8 +125,8 @@ class AdiabaticityMode(Record):
     ``adiabatic()`` is the quasi-static limit (factor 1), ``sudden_switch()``
     the instantaneous quench, and ``custom(lam)`` accepts an externally
     computed factor lam >= 1 for any other ramp.  ``adiabatic()`` and
-    ``sudden_switch()`` return one shared instance each; on a subclass all
-    three build an instance of that subclass through its ``__init__``.
+    ``sudden_switch()`` return one shared instance each (a new one on a
+    subclass); ``custom(lam)`` is ``cls("custom", lam)``.
     """
 
     _KINDS = ("adiabatic", "sudden", "custom")
@@ -135,7 +135,7 @@ class AdiabaticityMode(Record):
         if kind not in self._KINDS:
             raise DomainError(f"unknown adiabaticity kind {kind!r}")
         if kind == "custom":
-            factor = as_real(lam)
+            factor = lam if type(lam) is float else as_real(lam)
             if not 1.0 <= factor < math.inf:
                 raise DomainError(f"custom adiabaticity factor must be >= 1, got {lam!r}")
             lam = factor
@@ -155,16 +155,7 @@ class AdiabaticityMode(Record):
 
     @classmethod
     def custom(cls, lam):
-        if cls is not AdiabaticityMode:
-            return cls("custom", lam)
-        factor = lam if type(lam) is float else as_real(lam)
-        if not 1.0 <= factor < math.inf:
-            raise DomainError(f"custom adiabaticity factor must be >= 1, got {lam!r}")
-        mode = object.__new__(AdiabaticityMode)
-        d = mode.__dict__
-        d["kind"] = "custom"
-        d["lam"] = factor
-        return mode
+        return cls("custom", lam)
 
     def lambda_for(self, freqs):
         """The adiabaticity factor this mode assigns to a frequency pair."""
@@ -243,6 +234,20 @@ class CycleSpec(Record):
         d["freqs"] = freqs
         d["mode"] = mode
         d["placement"] = placement
+
+    @classmethod
+    def of(cls, w1, w2, b_cold, b_hot, r=0.0, placement="hot", mode="sudden", lam=None):
+        """The spec of plain values, with ``r`` on the bath that ``placement``
+        names and r = 0 on the other.  It builds the mode, the placement, the
+        baths, the frequencies and the spec, in that order, so the first bad
+        argument raises its own constructor's error."""
+        mode = AdiabaticityMode(mode, lam)
+        placement = SqueezePlacement(placement)
+        if placement is _HOT_BATH:
+            cold, hot = BathSpec(b_cold), BathSpec(b_hot, r)
+        else:
+            cold, hot = BathSpec(b_cold, r), BathSpec(b_hot)
+        return cls(cold, hot, FrequencyPair(w1, w2), mode, placement)
 
 
 class CyclePerformance(Record):

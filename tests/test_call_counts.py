@@ -1,9 +1,8 @@
 """Python-level calls of one cycle query, counted, not timed.
 
-A cycle query builds its spec from plain values, the way a caller or the
-benchmark does, and evaluates it; an effective_temperature query takes
-plain values.  ``sys.setprofile`` sees every Python frame that opens on
-the way; the counts below are the ones the code has now, so a call layer
+A cycle query builds its spec from plain values through ``CycleSpec.of``
+and evaluates it; an effective_temperature query takes plain values.
+``sys.setprofile`` sees every Python frame that opens on the way; the counts below are the ones the code has now, so a call layer
 added anywhere on that path fails here, with no timing noise.
 """
 
@@ -14,26 +13,22 @@ import pytest
 from ottobounds import cycle
 from ottobounds.errors import ModeError
 
-MODES = {"adiabatic": (cycle.AdiabaticityMode.adiabatic, ()),
-         "sudden": (cycle.AdiabaticityMode.sudden_switch, ()),
-         "custom": (cycle.AdiabaticityMode.custom, (1.5,))}
-
 # (function, mode, placement) -> Python calls of one query.  The custom,
 # cold-squeezed cycle below runs as an accelerator, so its efficiency_sudden
 # query raises ModeError; every other one returns a value.
 CALLS = {
-    ("heats_work", "adiabatic", "hot"): 20,
-    ("heats_work", "adiabatic", "cold"): 20,
-    ("heats_work", "sudden", "hot"): 21,
-    ("heats_work", "sudden", "cold"): 21,
-    ("heats_work", "custom", "hot"): 20,
-    ("heats_work", "custom", "cold"): 20,
-    ("efficiency_sudden", "adiabatic", "hot"): 19,
-    ("efficiency_sudden", "adiabatic", "cold"): 19,
-    ("efficiency_sudden", "sudden", "hot"): 20,
-    ("efficiency_sudden", "sudden", "cold"): 20,
-    ("efficiency_sudden", "custom", "hot"): 19,
-    ("efficiency_sudden", "custom", "cold"): 20,
+    ("heats_work", "adiabatic", "hot"): 21,
+    ("heats_work", "adiabatic", "cold"): 21,
+    ("heats_work", "sudden", "hot"): 22,
+    ("heats_work", "sudden", "cold"): 22,
+    ("heats_work", "custom", "hot"): 21,
+    ("heats_work", "custom", "cold"): 21,
+    ("efficiency_sudden", "adiabatic", "hot"): 20,
+    ("efficiency_sudden", "adiabatic", "cold"): 20,
+    ("efficiency_sudden", "sudden", "hot"): 21,
+    ("efficiency_sudden", "sudden", "cold"): 21,
+    ("efficiency_sudden", "custom", "hot"): 20,
+    ("efficiency_sudden", "custom", "cold"): 21,
 }
 
 
@@ -49,15 +44,8 @@ T_CALLS = {
 
 
 def _query(fn, mode, placement):
-    factory, args = MODES[mode]
-    hot = placement == "hot"
-    spec = cycle.CycleSpec(
-        cold=cycle.BathSpec(2.0, 0.0 if hot else 0.3),
-        hot=cycle.BathSpec(0.2, 0.3 if hot else 0.0),
-        freqs=cycle.FrequencyPair(1.0, 2.0),
-        mode=factory(*args),
-        placement=cycle.SqueezePlacement(placement),
-    )
+    spec = cycle.CycleSpec.of(1.0, 2.0, 2.0, 0.2, 0.3, placement, mode,
+                              1.5 if mode == "custom" else None)
     return getattr(cycle, fn)(spec)
 
 

@@ -24,8 +24,7 @@ import pytest
 
 from ottobounds import cycle, engine, fridge, oracle, special, verify
 from ottobounds.cycle import (
-    AdiabaticityMode, BathSpec, CycleSpec, FrequencyPair, OperatingMode, SqueezePlacement,
-    efficiency_sudden, heats_work, lambda_sudden,
+    CycleSpec, FrequencyPair, OperatingMode, efficiency_sudden, heats_work, lambda_sudden,
 )
 from ottobounds._record import Record
 from ottobounds.errors import ModeError, OttoError
@@ -130,18 +129,14 @@ def test_tau_window_kernel_is_an_ordered_pair_in_the_unit_interval():
 # ordered pair of frequencies and of inverse temperatures, three squeezing
 # strengths, both placements and all three driving modes.
 SPEC_FLOATS = [x for x in EDGES if 1e-8 <= x <= 10.0]
-MODES = (AdiabaticityMode.adiabatic(), AdiabaticityMode.sudden_switch(),
-         AdiabaticityMode.custom(2.0))
+MODES = (("adiabatic", None), ("sudden", None), ("custom", 2.0))
 
 
 def _edge_specs():
     pairs = list(itertools.combinations(SPEC_FLOATS, 2))   # (smaller, larger)
-    for (w1, w2), (b_hot, b_cold), r, placement, mode in itertools.product(
-            pairs, pairs, (0.0, 0.5, 5.0), SqueezePlacement, MODES):
-        hot = placement is SqueezePlacement.HOT_BATH
-        yield CycleSpec(cold=BathSpec(b_cold, 0.0 if hot else r),
-                        hot=BathSpec(b_hot, r if hot else 0.0),
-                        freqs=FrequencyPair(w1, w2), mode=mode, placement=placement)
+    for (w1, w2), (b_hot, b_cold), r, placement, (mode, lam) in itertools.product(
+            pairs, pairs, (0.0, 0.5, 5.0), ("hot", "cold"), MODES):
+        yield CycleSpec.of(w1, w2, b_cold, b_hot, r, placement, mode, lam)
 
 
 def _keeps_the_cycle_contract(spec):

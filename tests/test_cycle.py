@@ -256,6 +256,38 @@ def test_cycle_spec_rejects_squeezing_on_the_idle_bath():
         )
 
 
+@pytest.mark.parametrize("placement", ["hot", "cold"])
+@pytest.mark.parametrize("mode, lam", [("adiabatic", None), ("sudden", None), ("custom", 1.5)])
+def test_of_is_the_nested_build_with_r_on_the_named_bath(placement, mode, lam):
+    args = (1.0, 2.0, 2.0, 0.2, 0.3, placement, mode, lam)
+    cold, hot = {"hot": (BathSpec(2.0), BathSpec(0.2, 0.3)),
+                 "cold": (BathSpec(2.0, 0.3), BathSpec(0.2))}[placement]
+    nested = CycleSpec(cold, hot, FrequencyPair(1.0, 2.0), AdiabaticityMode(mode, lam),
+                       SqueezePlacement(placement))
+    spec = CycleSpec.of(*args)
+    assert type(spec) is CycleSpec and spec == nested and repr(spec) == repr(nested)
+    assert getattr(spec, placement).r == 0.3 and spec.cold.r + spec.hot.r == 0.3
+    # One bad value per argument: of raises what the nested constructor raises.
+    bad = [
+        (0, -1.0, lambda: FrequencyPair(-1.0, 2.0)),
+        (1, 0.5, lambda: FrequencyPair(1.0, 0.5)),
+        (2, 0.0, lambda: BathSpec(0.0)),
+        (2, 0.1, lambda: CycleSpec(BathSpec(0.1), BathSpec(0.2), FrequencyPair(1.0, 2.0),
+                                   AdiabaticityMode.adiabatic())),
+        (3, math.nan, lambda: BathSpec(math.nan)),
+        (4, -1.0, lambda: BathSpec(0.2, -1.0)),
+        (5, "warm", lambda: SqueezePlacement("warm")),
+        (6, "ramp", lambda: AdiabaticityMode("ramp", lam)),
+        (7, 0.5, lambda: AdiabaticityMode(mode, 0.5)),
+    ]
+    for i, value, build in bad:
+        with pytest.raises(Exception) as want:
+            build()
+        with pytest.raises(type(want.value)) as got:
+            CycleSpec.of(*args[:i], value, *args[i + 1:])
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # Corner energies, heats, work
 
@@ -361,18 +393,10 @@ spec_draw = st.tuples(
 )
 
 
-def build_spec(draw, placement=SqueezePlacement.HOT_BATH):
+def build_spec(draw):
     z, w2, bw, tau, r = draw
     b2 = bw / w2
-    b1 = b2 / tau
-    hot_r = r if placement is SqueezePlacement.HOT_BATH else 0.0
-    cold_r = r if placement is SqueezePlacement.COLD_BATH else 0.0
-    return CycleSpec(
-        cold=BathSpec(b1, r=cold_r),
-        hot=BathSpec(b2, r=hot_r),
-        freqs=FrequencyPair(z * w2, w2),
-        mode=AdiabaticityMode.sudden_switch(),
-    )
+    return CycleSpec.of(z * w2, w2, b2 / tau, b2, r)
 
 
 @given(draw=spec_draw)

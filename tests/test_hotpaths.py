@@ -44,23 +44,10 @@ def _sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-def _spec(w1, w2, b_cold, b_hot, r, placement, mode, lam):
-    modes = {"adiabatic": cycle.AdiabaticityMode.adiabatic,
-             "sudden": cycle.AdiabaticityMode.sudden_switch}
-    hot = placement == "hot"
-    return cycle.CycleSpec(
-        cold=cycle.BathSpec(b_cold, 0.0 if hot else r),
-        hot=cycle.BathSpec(b_hot, r if hot else 0.0),
-        freqs=cycle.FrequencyPair(w1, w2),
-        mode=cycle.AdiabaticityMode.custom(lam) if mode == "custom" else modes[mode](),
-        placement=cycle.SqueezePlacement(placement),
-    )
-
-
 # name -> callable(*args); cycles and operating points are built from plain tuples.
 CALLS = {
-    "heats_work": lambda *a: cycle.heats_work(_spec(*a)),
-    "efficiency_sudden": lambda *a: cycle.efficiency_sudden(_spec(*a)),
+    "heats_work": lambda *a: cycle.heats_work(cycle.CycleSpec.of(*a)),
+    "efficiency_sudden": lambda *a: cycle.efficiency_sudden(cycle.CycleSpec.of(*a)),
     "effective_temperature": cycle.effective_temperature,
     "fridge_report": fridge.fridge_report,
     "zeta_up": fridge.zeta_up,

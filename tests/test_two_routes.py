@@ -34,13 +34,8 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def _spec(w1, w2, b_cold, b_hot, r):
-    return cycle.CycleSpec(cycle.BathSpec(b_cold), cycle.BathSpec(b_hot, r),
-                           cycle.FrequencyPair(w1, w2), cycle.AdiabaticityMode.sudden_switch())
-
-
 def _both_routes(w1, w2, b_cold, b_hot, r):
-    perf = cycle.heats_work(_spec(w1, w2, b_cold, b_hot, r))
+    perf = cycle.heats_work(cycle.CycleSpec.of(w1, w2, b_cold, b_hot, r))
     eta = float(verify.exact_efficiency(b_cold * w1, b_hot * w2, w1 / w2, r))
     return perf, eta
 

@@ -32,16 +32,8 @@ def checked(monkeypatch):
     return names
 
 
-def _spec(placement):
-    squeezed, idle = cycle.BathSpec(0.2, 0.5), cycle.BathSpec(2.0)
-    if placement is cycle.SqueezePlacement.COLD_BATH:
-        squeezed, idle = cycle.BathSpec(0.2), cycle.BathSpec(2.0, 0.5)
-    return cycle.CycleSpec(cold=idle, hot=squeezed, freqs=cycle.FrequencyPair(1.0, 2.0),
-                           mode=cycle.AdiabaticityMode.sudden_switch(), placement=placement)
-
-
 # Built before any test patches the validators.
-SPECS = [_spec(placement) for placement in cycle.SqueezePlacement]
+SPECS = [cycle.CycleSpec.of(1.0, 2.0, 2.0, 0.2, 0.5, placement) for placement in ("hot", "cold")]
 
 
 @pytest.mark.parametrize("tau, r", [(0.6, 0.1), (0.3, 0.1), (0.5, 500.0), (0.4, 0.0)])
