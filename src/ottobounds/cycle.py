@@ -255,7 +255,10 @@ class CyclePerformance(Record):
 
     ``eta`` is populated only in engine mode, ``cop`` only in refrigerator
     mode.  ``q2 = h_c - h_b`` and ``q4 = h_a - h_d`` hold by construction,
-    as does the first-law closure ``w_ext = q2 + q4``.
+    and so does the first-law closure ``w_ext = q2 + q4`` wherever that sum is
+    a number.  Where the squeezed side saturates (q2 and q4 are opposite
+    infinities), ``w_ext`` is that side's two corners grouped first, a
+    signed inf or a finite number, and ``eta`` or ``cop`` is its limit.
     """
 
     def __init__(self, h_a, h_b, h_c, h_d, q2, q4, w_ext, mode_label, eta=None, cop=None):
@@ -318,7 +321,23 @@ def _heats(spec):
     h_d = 0.5 * w1 * lam * c_hot * f_hot
     q2 = h_c - h_b
     q4 = h_a - h_d
-    return h_a, h_b, h_c, h_d, q2, q4, q2 + q4
+    w_ext = q2 + q4
+    if w_ext != w_ext:
+        # Saturation: the squeezed side's two corners overflow and q2 + q4 is
+        # inf - inf.  Those corners share the factor f c / 2, so group them.
+        if spec.placement is _HOT_BATH:
+            w_ext = f_hot * (0.5 * c_hot * (w2 - lam * w1)) + (h_a - h_b)
+        else:
+            w_ext = f_cold * (0.5 * c_cold * (w1 - lam * w2)) + (h_c - h_d)
+    return h_a, h_b, h_c, h_d, q2, q4, w_ext
+
+
+def _saturated(spec):
+    """(eta, cop) where the squeezed side's heat overflows: the ratio of that
+    side's two corners, 1 - lam omega1/omega2 and omega1/(lam omega2 - omega1)."""
+    w1, w2 = spec.freqs.omega1, spec.freqs.omega2
+    lam = spec.mode.lambda_for(spec.freqs)
+    return 1.0 - lam * w1 / w2, w1 / (lam * w2 - w1)
 
 
 def heats_work(spec):
@@ -334,8 +353,11 @@ def heats_work(spec):
     """
     h_a, h_b, h_c, h_d, q2, q4, w_ext = _heats(spec)
     mode = _classify_mode(q2, q4, w_ext)
-    eta = w_ext / q2 if mode is _ENGINE else None
-    cop = q4 / -w_ext if mode is _REFRIGERATOR else None
+    eta = cop = None
+    if mode is _ENGINE:
+        eta = w_ext / q2 if q2 < math.inf else _saturated(spec)[0]
+    elif mode is _REFRIGERATOR:
+        cop = q4 / -w_ext if q4 < math.inf else _saturated(spec)[1]
     return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
 
 
@@ -350,7 +372,7 @@ def efficiency_sudden(spec):
     if mode is not _ENGINE:
         raise ModeError("efficiency is defined for engine operation only; "
                         "this cycle runs as a {}", mode._value_, mode=mode)
-    return w_ext / q2
+    return w_ext / q2 if q2 < math.inf else _saturated(spec)[0]
 
 
 def effective_temperature(beta, omega, r):
@@ -362,7 +384,8 @@ def effective_temperature(beta, omega, r):
 
     - r = 0: exactly 1/beta.
     - x < 1e-8: the limit cosh(2r)/beta, within x^2/12, under half an ulp;
-      (e^r / beta)(e^r / 2) once cosh 2r overflows (r > 355).
+      (e^r / beta)(e^r / 2) once cosh 2r overflows (r > 355), with e^r
+      formed from e^(r/2) from r = 709 on.
     - N below the smallest normal double, where 1/N overflows:
       T = omega / -ln N, with ln N taken in log space.
     - N = inf (r beyond about 345): T = omega (N + 1/2), inf only where T is.
@@ -377,10 +400,14 @@ def effective_temperature(beta, omega, r):
     if x < _X_SMALL:
         if r <= _SINH_OVERFLOW:
             return math.cosh(2.0 * r) / beta
-        # e^2r / 2 is cosh 2r to the last bit here.  From r = 709 on this is
-        # inf, which T is unless beta is above about 1e307.
-        e = math.exp(r) if r < 709.0 else math.inf
-        return e / beta * (0.5 * e)   # e^r / beta is a normal double
+        # e^2r / 2 is cosh 2r to the last bit here.
+        if r < 709.0:
+            e = math.exp(r)
+            return e / beta * (0.5 * e)   # e^r / beta is a normal double
+        # e^r overflows from r = 709.78 on, T (beta < DBL_MAX) only past
+        # r = 710.5: until then e^r is formed from h = e^(r/2).
+        h = math.exp(0.5 * r) if r < 711.0 else math.inf
+        return h * (h / beta) * (0.5 * h) * h
     n = math.exp(-x) / -math.expm1(-x)   # finite: x >= 1e-8
     N = n + (2.0 * n + 1.0) * math.sinh(r) ** 2 if r <= _SINH_OVERFLOW else math.inf
     if N < _TINY:
@@ -390,6 +417,9 @@ def effective_temperature(beta, omega, r):
     if N == math.inf:
         # T = omega (N + 1/2) = omega (n + 1/2) cosh 2r to far below an ulp,
         # with n + 1/2 = coth(x/2) / 2; omega e^r is a normal double.
-        e = math.exp(r) if r < 709.0 else math.inf
-        return omega * e * (0.5 * coth(0.5 * x)) * (0.5 * e)
+        if r < 709.0:
+            e = math.exp(r)
+            return omega * e * (0.5 * coth(0.5 * x)) * (0.5 * e)
+        h = math.exp(0.5 * r) if r < 711.0 else math.inf   # as for x < 1e-8
+        return omega * h * h * (0.5 * coth(0.5 * x)) * (0.5 * h) * h
     return omega / math.log1p(1.0 / N)

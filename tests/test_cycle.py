@@ -598,13 +598,18 @@ def test_effective_temperature_at_r_zero_rejects_bad_args(beta, omega):
     (1e305, 1e-310, 356.0),
     (1.0, 1.0, 356.0),
     (1.0, 1e-3, 360.0),
+    # e^r overflows from r = 709.78 on, but with beta near 1e308 T does not:
+    # e^r is formed from e^(r/2) there (T was inf).
+    (1.7e308, 1e-318, 709.5),
+    (1e308, 2e-316, 709.5),
     # The hot-path golden's points at each regime edge.
     *T_EDGES,
 ], ids=["x0-r0", "x0", "N0", "N-subnormal", "sinh2-underflow", "x-subnormal",
         "x-subnormal-finite-T", "x-subnormal-1e160", "N-overflow-x-normal", "sech-subnormal",
         "sech-underflow", "cosh-edge", "beta-sech-subnormal", "T-overflow",
         "N-overflow-x-large", "N-overflow-x-1", "N-overflow-x-1e-8", "N-overflow-omega-subnormal",
-        "N-overflow-T-overflow", "T-overflow-x-1e-3", *map(repr, T_EDGES)])
+        "N-overflow-T-overflow", "T-overflow-x-1e-3", "exp-r-overflow-x-small",
+        "exp-r-overflow-N-overflow", *map(repr, T_EDGES)])
 def test_effective_temperature_at_the_limits_matches_mpmath(args):
     # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
     want = ref.effective_temperature(*args)

@@ -5,12 +5,13 @@ records the ``repr`` of its result, or the type and message of what it
 raised (and a ModeError's ``mode``).  ``tests/golden/hotpaths.json``, which
 ``tests/_freeze_hotpath_golden.py`` generates, holds the recorded outcomes;
 a change to any bit of a result, an error type or an error text fails here.
-No entry may be a raw ZeroDivisionError or a NaN.
+No entry may be a raw ZeroDivisionError, and no returned value may hold a NaN.
 """
 
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,10 @@ def test_golden_covers_every_function():
 
 
 def test_golden_holds_no_raw_zero_division_and_no_nan():
+    # An error entry is "<Type>: <message>" and may quote a NaN argument; a
+    # returned value, a float or a record's repr, may hold no nan anywhere.
     entries = {key: value for by_key in read_golden().values() for key, value in by_key.items()}
-    assert [key for key, value in entries.items() if value.startswith("ZeroDivisionError")] == []
-    assert [key for key, value in entries.items() if value == "nan"] == []
+    errors = {key for key, value in entries.items() if re.match(r"\w+: ", value)}
+    assert [key for key in errors if entries[key].startswith("ZeroDivisionError")] == []
+    assert [key for key, value in entries.items()
+            if key not in errors and re.search(r"\bnan\b", value)] == []
