@@ -255,10 +255,7 @@ class CyclePerformance(Record):
 
     ``eta`` is populated only in engine mode, ``cop`` only in refrigerator
     mode.  ``q2 = h_c - h_b`` and ``q4 = h_a - h_d`` hold by construction,
-    and so does the first-law closure ``w_ext = q2 + q4`` wherever that sum is
-    a number.  Where the squeezed side saturates (q2 and q4 are opposite
-    infinities), ``w_ext`` is that side's two corners grouped first, a
-    signed inf or a finite number, and ``eta`` or ``cop`` is its limit.
+    as does the first-law closure ``w_ext = q2 + q4``.
     """
 
     def __init__(self, h_a, h_b, h_c, h_d, q2, q4, w_ext, mode_label, eta=None, cop=None):
@@ -321,23 +318,7 @@ def _heats(spec):
     h_d = 0.5 * w1 * lam * c_hot * f_hot
     q2 = h_c - h_b
     q4 = h_a - h_d
-    w_ext = q2 + q4
-    if w_ext != w_ext:
-        # Saturation: the squeezed side's two corners overflow and q2 + q4 is
-        # inf - inf.  Those corners share the factor f c / 2, so group them.
-        if spec.placement is _HOT_BATH:
-            w_ext = f_hot * (0.5 * c_hot * (w2 - lam * w1)) + (h_a - h_b)
-        else:
-            w_ext = f_cold * (0.5 * c_cold * (w1 - lam * w2)) + (h_c - h_d)
-    return h_a, h_b, h_c, h_d, q2, q4, w_ext
-
-
-def _saturated(spec):
-    """(eta, cop) where the squeezed side's heat overflows: the ratio of that
-    side's two corners, 1 - lam omega1/omega2 and omega1/(lam omega2 - omega1)."""
-    w1, w2 = spec.freqs.omega1, spec.freqs.omega2
-    lam = spec.mode.lambda_for(spec.freqs)
-    return 1.0 - lam * w1 / w2, w1 / (lam * w2 - w1)
+    return h_a, h_b, h_c, h_d, q2, q4, q2 + q4
 
 
 def heats_work(spec):
@@ -353,11 +334,8 @@ def heats_work(spec):
     """
     h_a, h_b, h_c, h_d, q2, q4, w_ext = _heats(spec)
     mode = _classify_mode(q2, q4, w_ext)
-    eta = cop = None
-    if mode is _ENGINE:
-        eta = w_ext / q2 if q2 < math.inf else _saturated(spec)[0]
-    elif mode is _REFRIGERATOR:
-        cop = q4 / -w_ext if q4 < math.inf else _saturated(spec)[1]
+    eta = w_ext / q2 if mode is _ENGINE else None
+    cop = q4 / -w_ext if mode is _REFRIGERATOR else None
     return CyclePerformance(h_a, h_b, h_c, h_d, q2, q4, w_ext, mode, eta, cop)
 
 
@@ -372,7 +350,7 @@ def efficiency_sudden(spec):
     if mode is not _ENGINE:
         raise ModeError("efficiency is defined for engine operation only; "
                         "this cycle runs as a {}", mode._value_, mode=mode)
-    return w_ext / q2 if q2 < math.inf else _saturated(spec)[0]
+    return w_ext / q2
 
 
 def effective_temperature(beta, omega, r):

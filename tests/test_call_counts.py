@@ -2,8 +2,9 @@
 
 A cycle query builds its spec from plain values through ``CycleSpec.of``
 and evaluates it; an effective_temperature query takes plain values.
-``sys.setprofile`` sees every Python frame that opens on the way; the counts below are the ones the code has now, so a call layer
-added anywhere on that path fails here, with no timing noise.
+``sys.setprofile`` sees every Python frame that opens on the way; the
+counts below are the ones the code has now, so a call layer added
+anywhere on that path fails here, with no timing noise.
 """
 
 import sys

@@ -28,9 +28,9 @@ CASES = {
                   "--r", "0.2", "--placement", "cold"],
     "eval_custom_lam": ENGINE + ["--mode", "custom", "--lam", "1.25"],
     "eval_adiabatic": ENGINE + ["--r", "0.3", "--mode", "adiabatic"],
-    # The hot-bath factor overflows (ROADMAP [total-cycle]): "q2": Infinity and
-    # "q4": -Infinity, the grouped hot corners give "w_ext": Infinity, and the
-    # cycle is an engine at the limit eta = 1 - lam w1/w2 = 0.375.
+    # Known defect (ROADMAP [total-cycle]): the hot-bath factor overflows, so
+    # this pins "q2": Infinity, "w_ext": NaN and "mode": "accelerator" with
+    # exit 0.  The change that fixes the saturation updates this case on purpose.
     "eval_r400": ENGINE + ["--r", "400"],
     "eval_usage_freqs": ["eval", "--w1", "2", "--w2", "1", "--b1", "2", "--b2", "0.2"],
     "eval_usage_custom_no_lam": ENGINE + ["--mode", "custom"],
