@@ -25,10 +25,6 @@ from . import __version__
 from .errors import DomainError, OttoError, nonnegative, nonnegative_int, unit_open
 
 
-def _fmt(x):
-    return format(x, ".12g")
-
-
 def _render(payload, fmt):
     """The one encoder: a table payload as CSV, anything else as indented JSON."""
     if fmt == "csv":
@@ -123,16 +119,6 @@ def _verify_arguments(p):
     p.add_argument("--seed", type=_checked(nonnegative_int, int), default=verify.DEFAULT_SEED)
 
 
-# subcommand -> (help line, the function that adds its arguments)
-_SUBCOMMANDS = {
-    "eval": ("exact single-cycle evaluation (JSON)", _eval_arguments),
-    "fig2": ("squeezed engine bounds swept over r (CSV)", _fig2_arguments),
-    "fig3": ("thermal bounds swept over the Carnot efficiency (CSV)", _fig3_arguments),
-    "fridge": ("refrigerator feasibility report (JSON)", _fridge_arguments),
-    "verify": ("run the built-in oracle suites (JSON)", _verify_arguments),
-}
-
-
 def build_parser(command):
     """The command-line parser, with the arguments of the subcommand ``command`` alone.
 
@@ -149,7 +135,7 @@ def build_parser(command):
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         if command == name:
             add_arguments(p)
@@ -180,7 +166,7 @@ def _ht_warnings(spec):
     ):
         if beta * omega > HT_BETA_OMEGA_MAX:
             warnings.append(
-                f"{label} = {_fmt(beta * omega)} exceeds {HT_BETA_OMEGA_MAX}; "
+                f"{label} = {beta * omega:.12g} exceeds {HT_BETA_OMEGA_MAX}; "
                 f"the high-temperature closed forms (fig2/fig3/fridge bounds) are "
                 f"unreliable for these parameters"
             )
@@ -254,12 +240,13 @@ def cmd_verify(args, parser):
     }
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fridge": cmd_fridge,
-    "verify": cmd_verify,
+# subcommand -> (help line, the function that adds its arguments, the command)
+_SUBCOMMANDS = {
+    "eval": ("exact single-cycle evaluation (JSON)", _eval_arguments, cmd_eval),
+    "fig2": ("squeezed engine bounds swept over r (CSV)", _fig2_arguments, cmd_fig2),
+    "fig3": ("thermal bounds swept over the Carnot efficiency (CSV)", _fig3_arguments, cmd_fig3),
+    "fridge": ("refrigerator feasibility report (JSON)", _fridge_arguments, cmd_fridge),
+    "verify": ("run the built-in oracle suites (JSON)", _verify_arguments, cmd_verify),
 }
 
 
@@ -270,9 +257,9 @@ def main(argv=None):
     command = next((a for a in argv if not a.startswith("-")), "")
     args = build_parser(command).parse_args(argv)
     try:
-        payload = _COMMANDS[args.command](args, args.parser)
+        payload = _SUBCOMMANDS[args.command][2](args, args.parser)
     except OttoError as exc:
-        kind = type(exc).__name__.removesuffix("Error").lower() or "error"
+        kind = type(exc).__name__.removesuffix("Error").lower()
         sys.stdout.write(_render({"error": {"kind": kind, "message": str(exc)}}, "json"))
         return 1
     try:

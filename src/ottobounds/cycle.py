@@ -203,7 +203,7 @@ class OperatingMode(Enum):
 # Members bound once: on Python 3.11 each ``Enum.MEMBER`` lookup goes through
 # EnumType's slow attribute hook, and ``member.value`` is an enum.property,
 # so the hot paths read these globals and a member's ``_value_``.
-_HOT_BATH = SqueezePlacement.HOT_BATH
+_HOT_BATH, _COLD_BATH = SqueezePlacement
 _ENGINE, _REFRIGERATOR, _HEATER, _ACCELERATOR = OperatingMode
 
 
@@ -212,8 +212,8 @@ class CycleSpec(Record):
 
     ``cold`` contacts the oscillator at omega1, ``hot`` at omega2, and the
     cold bath must be genuinely colder (cold.beta > hot.beta).  Exactly one
-    side may carry squeezing, selected by ``placement``; the other bath must
-    have r = 0.
+    side may carry squeezing, selected by ``placement`` (a SqueezePlacement
+    member, not its value); the other bath must have r = 0.
     """
 
     def __init__(self, cold, hot, freqs, mode, placement=SqueezePlacement.HOT_BATH):
@@ -222,7 +222,12 @@ class CycleSpec(Record):
                 f"cold bath must be colder: need cold.beta > hot.beta, "
                 f"got {cold.beta} <= {hot.beta}"
             )
-        idle = cold if placement is _HOT_BATH else hot
+        if placement is _HOT_BATH:
+            idle = cold
+        elif placement is _COLD_BATH:
+            idle = hot
+        else:
+            raise DomainError(f"placement must be a SqueezePlacement member, got {placement!r}")
         if idle.r != 0.0:
             raise DomainError(
                 f"the non-squeezed ({'cold' if idle is cold else 'hot'}) bath must have r = 0, "

@@ -113,11 +113,6 @@ def cop_ht(p):
     return q4 / -_work(z2, tc)
 
 
-def _zeta_carnot(tau):
-    """Carnot COP tau/(1 - tau); grows without bound as tau -> 1."""
-    return tau / (1.0 - tau)
-
-
 def zeta_up_thermal(zeta_c):
     """COP bound between plain thermal reservoirs: 1 + 3 zc - 2 sqrt(2 zc (1 + zc)).
 
@@ -166,11 +161,6 @@ def _zeta_up(tc, tau, r):
     return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (tc - 1.0) ** 2), None
 
 
-def _tau_window(u):
-    """Open interval of temperature ratios with a finite COP bound at u = sech(2r): (u/2, u)."""
-    return (0.5 * u, u)
-
-
 def r_window(tau):
     """Open interval of squeezing strengths with a finite COP bound at ratio tau.
 
@@ -193,15 +183,16 @@ def _r_window(tau):
 
 
 def fridge_report(tau, r=0.0):
-    """Report at (tau, r); cooling_feasible: a finite COP bound exists, 1/2 < tau cosh 2r < 1."""
+    """Report at (tau, r): the Carnot COP tau/(1 - tau), tau_window (u/2, u) at u = sech(2r);
+    cooling_feasible: a finite COP bound exists, 1/2 < tau cosh 2r < 1."""
     tau = unit_open("tau", tau)
     r = nonnegative("r", r)
     u = sech(2.0 * r)
     bound, reason = _zeta_up(_tau_c(tau, u), tau, r)
     return FridgeBoundsReport(
-        zeta_c=_zeta_carnot(tau),
+        zeta_c=tau / (1.0 - tau),
         zeta_up=bound,
-        tau_window=_tau_window(u),
+        tau_window=(0.5 * u, u),
         r_window=_r_window(tau),
         cooling_feasible=reason is None,
         reason=reason,

@@ -549,13 +549,6 @@ def run_suite(name, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     """Run one named suite (or all of them); budget and seed go to ceiling_check."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
-    checks = []
-    if name in ("ceiling", "all"):
-        checks.append(ceiling_check(budget, seed))
-    if name in ("optimality", "all"):
-        checks.append(optimality_check())
-    if name in ("identities", "all"):
-        checks.append(identities_check())
-    if name in ("windows", "all"):
-        checks.append(windows_check())
-    return checks
+    # The checks of SUITES[:-1], in its order.
+    checks = (lambda: ceiling_check(budget, seed), optimality_check, identities_check, windows_check)
+    return [check() for suite, check in zip(SUITES, checks) if name in (suite, "all")]

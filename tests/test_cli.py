@@ -240,7 +240,7 @@ def test_computation_domain_errors_exit_1(monkeypatch, capsys):
     def boom(args, parser):
         raise DomainError("synthetic failure")
 
-    monkeypatch.setitem(cli._COMMANDS, "fig3", boom)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "fig3", (*cli._SUBCOMMANDS["fig3"][:2], boom))
     rc = cli.main(["fig3", "--count", "5"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)

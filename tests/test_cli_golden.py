@@ -78,9 +78,10 @@ def run_case(name, tmp_dir):
     """Run one case in-process; returns (exit code, bytes written to --out or None)."""
     out = Path(tmp_dir) / f"{name}.out"
     argv = [str(out) if a == OUT else a for a in CASES[name]]
-    patch = {RAISING[name]: _raise_domain_error} if name in RAISING else {}
+    patch = ({RAISING[name]: (*cli._SUBCOMMANDS[RAISING[name]][:2], _raise_domain_error)}
+             if name in RAISING else {})
     # argparse wraps usage lines to the terminal width; pin it.
-    with mock.patch.dict(cli._COMMANDS, patch), mock.patch.dict(os.environ, COLUMNS="80"):
+    with mock.patch.dict(cli._SUBCOMMANDS, patch), mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = cli.main(argv)
         except SystemExit as exc:

@@ -119,9 +119,9 @@ def test_classify_mode_kernel_labels_every_signed_edge_triple_by_its_sign_rule()
         assert (mode is OperatingMode.REFRIGERATOR) == (q2 < 0.0 < q4 and w_ext < 0.0)
 
 
-def test_tau_window_kernel_is_an_ordered_pair_in_the_unit_interval():
+def test_tau_window_is_an_ordered_pair_in_the_unit_interval():
     rs = [x for x in EDGES if 0.0 <= x < math.inf]
-    windows = [fridge._tau_window(special.sech(2.0 * r)) for r in rs]
+    windows = [fridge.fridge_report(0.5, r).tau_window for r in rs]
     assert [w for w in windows if not 0.0 <= w[0] <= w[1] <= 1.0] == []
 
 

@@ -256,6 +256,14 @@ def test_cycle_spec_rejects_squeezing_on_the_idle_bath():
         )
 
 
+@pytest.mark.parametrize("placement", ["hot", "cold", None])
+def test_cycle_spec_rejects_a_placement_that_is_not_a_member(placement):
+    # CycleSpec takes the two members only; CycleSpec.of turns a value into one.
+    with pytest.raises(DomainError, match="placement must be a SqueezePlacement member"):
+        CycleSpec(BathSpec(2.0, 0.5), BathSpec(0.2), FrequencyPair(1.0, 2.0),
+                  AdiabaticityMode.sudden_switch(), placement)
+
+
 @pytest.mark.parametrize("placement", ["hot", "cold"])
 @pytest.mark.parametrize("mode, lam", [("adiabatic", None), ("sudden", None), ("custom", 1.5)])
 def test_of_is_the_nested_build_with_r_on_the_named_bath(placement, mode, lam):

@@ -23,7 +23,6 @@ from ottobounds.fridge import (
     FridgeParams,
     _hot_heat,
     _tau_c,
-    _tau_window,
     _work,
     cooling_heat_ht,
     cop_ht,
@@ -135,16 +134,14 @@ def test_zeta_up_infeasible_sides_are_named():
 
 
 def test_tau_window_values():
-    lo, hi = _tau_window(sech(0.0))
-    assert (lo, hi) == (0.5, 1.0)
-    lo, hi = _tau_window(sech(1.0))
+    assert fridge_report(0.3, 0.0).tau_window == (0.5, 1.0)
+    lo, hi = fridge_report(0.3, 0.5).tau_window
     assert math.isclose(lo, 0.5 * ref.sech(1.0), rel_tol=1e-14)
     assert math.isclose(hi, ref.sech(1.0), rel_tol=1e-14)
-    assert fridge_report(0.3, 0.5).tau_window == (lo, hi)
 
 
 def test_tau_window_shrinks_to_zero():
-    lo, hi = _tau_window(sech(80.0))
+    lo, hi = fridge_report(0.3, 40.0).tau_window
     assert 0.0 <= lo < hi < 1e-10
 
 
@@ -178,7 +175,7 @@ def test_window_duality(tau, r):
     assume(abs(tc - 0.5) > 1e-9 and abs(tc - 1.0) > 1e-9)
     in_tc = 0.5 < tc < 1.0
     r_lo, r_hi = r_window(tau)
-    t_lo, t_hi = _tau_window(sech(2.0 * r))
+    t_lo, t_hi = fridge_report(tau, r).tau_window
     assert (r_lo < r < r_hi) == in_tc
     assert (t_lo < tau < t_hi) == in_tc
 

@@ -58,7 +58,7 @@ def test_cycle_and_the_oracle_agree_on_the_label_and_on_eta(w1, ratio, b_cold, c
 
 @pytest.mark.xfail(strict=True, reason="b = beta_hot omega2 >= 709: heats_work saturates to an "
                    "'accelerator' with w_ext = NaN (ROADMAP [total-cycle]); exact_efficiency "
-                   "takes the point through exp(b + 2 ln sinh r)")
+                   "takes the point through verify._log_space_eta")
 def test_cycle_and_the_oracle_agree_once_expm1_b_overflows():
     perf, eta = _both_routes(1.0, 2.0, 800.0, 400.0, 0.5)
     assert perf.mode_label is cycle.OperatingMode.ENGINE
