@@ -61,31 +61,28 @@ def _delta_h(x, r):
     """
     if r == 0.0:
         return 1.0
-    if r > _SINH_OVERFLOW:
-        return math.inf
-    if x < 709.0:
-        return 1.0 + (2.0 + math.expm1(x)) * math.sinh(r) ** 2
-    # 2 + expm1 x is e^x to the last bit here, and e^x sinh^2 r is
-    # exp(x + 2 ln sinh r), which neither overflows nor underflows early.
     try:
+        if x < 709.0:
+            s = math.sinh(r)
+            return 1.0 + (2.0 + math.expm1(x)) * (s * s)
+        # 2 + expm1 x is e^x to the last bit here, and e^x sinh^2 r is
+        # exp(x + 2 ln sinh r), which neither overflows nor underflows early.
         return 1.0 + math.exp(x + 2.0 * math.log(math.sinh(r)))
-    except OverflowError:
+    except OverflowError:   # sinh r (r past ~710.5) or the exponential
         return math.inf
 
 
 def lambda_sudden(freqs):
     """Non-adiabaticity factor of an instantaneous frequency quench.
 
-    (omega1^2 + omega2^2) / (2 omega1 omega2); at least 1, with equality
-    only for equal frequencies (which FrequencyPair rejects).  Where the
-    numerator overflows or the denominator is not a normal double, it is
-    omega2/(2 omega1) + omega1/(2 omega2), inf only where that overflows.
+    (omega1^2 + omega2^2) / (2 omega1 omega2), at least 1, with equality
+    only for equal frequencies (which FrequencyPair rejects).  Evaluated as
+    omega2/(2 omega1) + omega1/(2 omega2), within about one ulp, with no
+    square that overflows or underflows early: inf only where lambda itself
+    exceeds the double range.
     """
     w1, w2 = freqs.omega1, freqs.omega2
-    num, den = w1 * w1 + w2 * w2, 2.0 * w1 * w2
-    if num < math.inf and den >= _TINY:
-        return num / den
-    if w1 < 1.0:   # 2 w1 is exact and finite
+    if w1 < 1.0:   # 2 w1 is exact and finite; w2 / w1 may overflow where lambda does not
         return w2 / (2.0 * w1) + w1 / (2.0 * w2)
     return 0.5 * (w2 / w1) + 0.5 * (w1 / w2)   # w2 / w1 <= DBL_MAX, 2 w1 may not be
 
@@ -392,7 +389,8 @@ def effective_temperature(beta, omega, r):
         h = math.exp(0.5 * r) if r < 711.0 else math.inf
         return h * (h / beta) * (0.5 * h) * h
     n = math.exp(-x) / -math.expm1(-x)   # finite: x >= 1e-8
-    N = n + (2.0 * n + 1.0) * math.sinh(r) ** 2 if r <= _SINH_OVERFLOW else math.inf
+    s = math.sinh(r) if r <= _SINH_OVERFLOW else math.inf
+    N = n + (2.0 * n + 1.0) * (s * s)
     if N < _TINY:
         # ln N = ln(n + sinh^2 r), the 2n sinh^2 r term far below one ulp.
         p, q = -x - math.log1p(-math.exp(-x)), 2.0 * math.log(math.sinh(r))

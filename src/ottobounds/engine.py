@@ -170,7 +170,8 @@ def eta_up(eta_c, r):
 
 
 def _eta_up(g):
-    return (1.0 - g) * (2.0 + g - 2.0 * math.sqrt(2.0 * g)) / (2.0 - g) ** 2
+    d = 2.0 - g
+    return (1.0 - g) * (2.0 + g - 2.0 * math.sqrt(2.0 * g)) / (d * d)
 
 
 def eta_mw(eta_c, r):
@@ -179,12 +180,13 @@ def eta_mw(eta_c, r):
     Never exceeds eta_up(eta_c, r); reduces to eta_rk(eta_c) at r = 0.
     """
     eta_c = unit_open("eta_c", eta_c)
-    return _eta_mw((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
+    s = math.sqrt((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
+    return _eta_mw(s, 1.0 - s)
 
 
-def _eta_mw(g):
-    s = math.sqrt(g)
-    return (1.0 - s) / (2.0 + s)
+def _eta_mw(s, d):
+    """(1 - s)/(2 + s), given s and d = 1 - s."""
+    return d / (2.0 + s)
 
 
 def generalized_carnot(eta_c, r):
@@ -204,12 +206,19 @@ def eta_up_thermal(eta_c):
     tighter than eta_c/2 everywhere.
     """
     eta_c = unit_open("eta_c", eta_c)
-    return (3.0 - 2.0 * math.sqrt(2.0 * (1.0 - eta_c)) - eta_c) * eta_c / (1.0 + eta_c) ** 2
+    d = 1.0 + eta_c
+    return (3.0 - 2.0 * math.sqrt(2.0 * (1.0 - eta_c)) - eta_c) * eta_c / (d * d)
 
 
 def eta_rk(eta_c):
-    """Thermal efficiency at maximum work, (1 - sqrt(1-eta_c))/(2 + sqrt(1-eta_c))."""
-    return _eta_mw(1.0 - unit_open("eta_c", eta_c))
+    """Thermal efficiency at maximum work, (1 - s)/(2 + s) with s = sqrt(1 - eta_c).
+
+    1 - s is formed as eta_c / (1 + s), which does not cancel as eta_c -> 0:
+    eta_rk(eta_c) is eta_c / 6 to full precision there.
+    """
+    eta_c = unit_open("eta_c", eta_c)
+    s = math.sqrt(1.0 - eta_c)
+    return _eta_mw(s, eta_c / (1.0 + s))
 
 
 def engine_report(eta_c, r):
@@ -255,4 +264,5 @@ def _each(check, name, values):
 
 def _bounds(g):
     """eta_up, eta_mw and the generalized Carnot efficiency at one g = tau sech(2r)."""
-    return _eta_up(g), _eta_mw(g), 1.0 - g
+    s = math.sqrt(g)
+    return _eta_up(g), _eta_mw(s, 1.0 - s), 1.0 - g

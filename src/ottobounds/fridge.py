@@ -158,7 +158,8 @@ def _zeta_up(tc, tau, r):
     if tc >= 1.0:
         return None, (f"tau*cosh(2r) >= 1: effective cold temperature at or above the hot "
                       f"temperature; every z refrigerates, with unbounded COP (tau={tau}, r={r})")
-    return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (tc - 1.0) ** 2), None
+    d = tc - 1.0
+    return 3.0 / (1.0 - tc) - 2.0 - 2.0 * math.sqrt(2.0) * math.sqrt(tc / (d * d)), None
 
 
 def r_window(tau):

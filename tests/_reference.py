@@ -127,6 +127,11 @@ def work_ht(z, tau, r):
 
 
 @_digits
+def z_star(tau, r):
+    return (tau * mp.sech(2 * r)) ** (mp.mpf(1) / 4)
+
+
+@_digits
 def z2_of_eta(eta, eta_c, r):
     """(smaller root z^2 of z^4 - b z^2 + g (1 - eta), b / sqrt(disc)), with
     b = (1 - 2 eta) + g (1 + eta): the root and its condition number."""
@@ -156,6 +161,14 @@ def zeta_up(tau, r):
     """zeta_up_thermal at the effective Carnot COP tau_c / (1 - tau_c)."""
     tc = tau * mp.cosh(2 * r)
     return zeta_up_thermal(tc / (1 - tc))
+
+
+@_digits
+def cop(z, tau, r):
+    """Q_cold / W_in = y (2 tau_c - 1 - y) / ((1 - y)(tau_c - y)), y = z^2."""
+    tc = tau * mp.cosh(2 * r)
+    y = z * z
+    return y * (2 * tc - 1 - y) / ((1 - y) * (tc - y))
 
 
 @_digits

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import math
 import pickle
-import sys
 from enum import Enum
 
 import numpy as np
@@ -26,7 +25,6 @@ from ottobounds.cycle import (
     lambda_sudden,
 )
 from ottobounds.errors import DomainError, ModeError
-from test_hotpaths import T_EDGES
 
 REL = 1e-12
 
@@ -72,25 +70,6 @@ def test_delta_h_exceeds_one_for_positive_r():
     assert _delta_h(2.0, 1e-4) > 1.0
 
 
-@pytest.mark.parametrize("beta, omega, r", [
-    (709.0, 1.0, 1e-200), (710.0, 1.0, 1e-200), (1000.0, 1.0, 1e-200), (1.0, 710.0, 1e-170),
-    (1500.0, 1.0, 1e-300), (800.0, 1.0, 5e-324), (709.0, 1.0, 1.0), (710.0, 1.0, 0.5),
-    (709.5, 1.0, 1.0), (1000.0, 1.0, 1.0), (1e300, 1.0, 1e-300),
-])
-def test_delta_h_past_the_expm1_cut_matches_mpmath(beta, omega, r):
-    # At beta*omega >= 709 the term is exp(x + 2 ln sinh r): 0 * inf gave
-    # NaN once sinh^2 r underflowed, and inf stood for finite values up to
-    # x = 709.78.  The exponent's rounding bounds the error: 4 eps per unit
-    # of x + 2 |ln sinh r|, with x = beta*omega rounded.
-    want = ref.delta_h(beta, omega, r)
-    got = _delta_h(beta * omega, r)
-    if want > sys.float_info.max:
-        assert got == math.inf
-    else:
-        exponent = beta * omega + 2.0 * abs(math.log(math.sinh(r)))
-        assert abs(got - want) <= 4.0 * sys.float_info.epsilon * exponent * want
-
-
 # ---------------------------------------------------------------------------
 # Quench factor and domain types
 
@@ -104,25 +83,6 @@ def test_lambda_sudden_near_equal_frequencies():
     lam = lambda_sudden(FrequencyPair(1.0, 1.0 + 1e-6))
     # lambda - 1 = (w2 - w1)^2 / (2 w1 w2) = 5e-13 here
     assert 1.0 <= lam <= 1.0 + 1e-12
-
-
-@pytest.mark.parametrize("w1, w2", [
-    (5e-324, 1e-300),     # 2 w1 w2 underflows to 0: this raised ZeroDivisionError
-    (1e-200, 1e-190),     # the same with normal frequencies
-    (1e200, 1e201),       # both squares overflow: this was NaN
-    (1e-160, 1e-150),     # 2 w1 w2 is subnormal: this was 16 ulps off
-    (1e308, 1.5e308),     # 2 w1 overflows too
-    (1.0, 1.7e308),       # the squares overflow, lambda does not
-    (5e-324, 1e-15),      # w2 / w1 overflows, lambda does not
-    (5e-324, 1.0),        # lambda overflows
-])
-def test_lambda_sudden_at_extreme_frequencies_matches_mpmath(w1, w2):
-    got = lambda_sudden(FrequencyPair(w1, w2))
-    want = ref.lambda_sudden(w1, w2)
-    if want > sys.float_info.max:
-        assert got == math.inf
-    else:
-        assert abs(got - want) <= math.ulp(float(want))
 
 
 def test_frequency_pair_rejects_degenerate_and_reversed():
@@ -154,6 +114,8 @@ def test_adiabaticity_mode_validation():
         AdiabaticityMode.custom(0.99)
     with pytest.raises(DomainError):
         AdiabaticityMode("sudden", 1.3)
+    with pytest.raises(DomainError):
+        AdiabaticityMode("custom")    # a custom mode needs its factor
 
 
 # ---------------------------------------------------------------------------
@@ -574,83 +536,3 @@ def test_effective_temperature_at_r_zero_rejects_bad_args(beta, omega):
     # At r = 0 T is 1/beta and omega is not used, but it is still checked.
     with pytest.raises(DomainError):
         effective_temperature(beta, omega, 0.0)
-
-
-@pytest.mark.parametrize("args", [
-    # beta*omega underflows to 0: T is 1/beta at r = 0, else cosh(2r)/beta.
-    (1e-200, 1e-200, 0.0),
-    (1e-200, 1e-200, 0.5),
-    # N below the smallest normal double: 1/N overflows (0 and subnormal N).
-    (1000.0, 1.0, 1e-200),
-    (710.0, 1.0, 1e-200),
-    # sinh^2 r underflows to 0 while 2n + 1 overflows: (2n + 1) * 0 was NaN.
-    (1e-300, 1e-8, 1e-300),
-    (5e-324, 0.9, 5e-324),
-    # N overflows at a small but nonzero beta*omega, where T is still
-    # cosh(2r)/beta to within x^2/12; T was inf.
-    (1e-300, 1e-20, 0.5),
-    (1e-160, 1e-160, 0.5),
-    (1e-280, 1e-27, 2.0),
-    # cosh(2r)/beta where sech 2r (r > 354) or beta sech 2r would be
-    # subnormal; 1/(beta sech 2r) lost digits there, or gave inf.
-    (1e6, 1e-20, 360.0),
-    (1e300, 1e-320, 400.0),
-    (1.0, 1e-300, 354.5),
-    (1e-292, 1e-30, 19.0),
-    (1.0, 1e-300, 800.0),
-    # N overflows past r = 355 at beta*omega >= 1e-8: T = omega (N + 1/2),
-    # finite (it was inf) unless T itself overflows.
-    (1e300, 1e-290, 356.0),
-    (1e300, 1e-300, 356.0),
-    (1e292, 1e-300, 400.0),
-    (1e305, 1e-310, 356.0),
-    (1.0, 1.0, 356.0),
-    (1.0, 1e-3, 360.0),
-    # e^r overflows from r = 709.78 on, but with beta near 1e308 T does not:
-    # e^r is formed from e^(r/2) there (T was inf).
-    (1.7e308, 1e-318, 709.5),
-    (1e308, 2e-316, 709.5),
-    # The hot-path golden's points at each regime edge.
-    *T_EDGES,
-], ids=["x0-r0", "x0", "N0", "N-subnormal", "sinh2-underflow", "x-subnormal",
-        "x-subnormal-finite-T", "x-subnormal-1e160", "N-overflow-x-normal", "sech-subnormal",
-        "sech-underflow", "cosh-edge", "beta-sech-subnormal", "T-overflow",
-        "N-overflow-x-large", "N-overflow-x-1", "N-overflow-x-1e-8", "N-overflow-omega-subnormal",
-        "N-overflow-T-overflow", "T-overflow-x-1e-3", "exp-r-overflow-x-small",
-        "exp-r-overflow-N-overflow", *map(repr, T_EDGES)])
-def test_effective_temperature_at_the_limits_matches_mpmath(args):
-    # These raised ZeroDivisionError, returned 0.0, NaN or inf for a finite value.
-    want = ref.effective_temperature(*args)
-    got = effective_temperature(*args)
-    if want > sys.float_info.max:
-        assert got == math.inf
-    else:
-        assert abs(got - want) <= 1e-15 * want
-
-
-# ---------------------------------------------------------------------------
-# Argument types: each call raises DomainError (want None) or equals the
-# call with plain floats.  Earlier releases took bools and strings here and
-# turned numpy scalars away.
-
-
-@pytest.mark.parametrize("call, want", [
-    pytest.param(lambda: BathSpec(True), None, id="BathSpec(True)"),
-    pytest.param(lambda: BathSpec(0.5, "0"), None, id="BathSpec(r='0')"),
-    pytest.param(lambda: AdiabaticityMode.custom("2"), None, id="custom('2')"),
-    pytest.param(lambda: AdiabaticityMode("custom", "x"), None, id="custom-kind-'x'"),
-    pytest.param(lambda: AdiabaticityMode.custom(True), None, id="custom(True)"),
-    pytest.param(lambda: AdiabaticityMode("custom"), None, id="custom-without-factor"),
-    pytest.param(lambda: BathSpec(np.float32(0.2)), lambda: BathSpec(float(np.float32(0.2))),
-                 id="BathSpec(float32)"),
-    pytest.param(lambda: BathSpec(np.int64(2)), lambda: BathSpec(2.0), id="BathSpec(int64)"),
-    pytest.param(lambda: AdiabaticityMode.custom(np.int64(2)), lambda: AdiabaticityMode.custom(2.0),
-                 id="custom(int64)"),
-])
-def test_argument_types(call, want):
-    if want is None:
-        with pytest.raises(DomainError):
-            call()
-    else:
-        got, ref = call(), want()
-        assert got == ref and repr(got) == repr(ref)   # repr tells np.float64(2.0) from 2.0

@@ -30,8 +30,8 @@ BAD = ("0.5", None, True, math.nan, math.inf, -1.0, 0, 1j)
 
 # effective_temperature at its regime edges: x = beta*omega at 1e-8; x below
 # it where cosh 2r, then e^r, overflow; N at the smallest normal double
-# (x = 708.3964 at r = 0); N = inf just above x = 1e-8.  tests/test_cycle.py
-# checks each against 50-digit mpmath.
+# (x = 708.3964 at r = 0); N = inf just above x = 1e-8.  The regime table of
+# tests/test_contract.py checks each against 50-digit mpmath.
 _X_SMALL = (math.nextafter(1e-8, 0.0), 1e-8, math.nextafter(1e-8, 1.0))
 T_EDGES = ([(x, 1.0, r) for x in _X_SMALL for r in (0.5, 2.0)]
            + [(beta, omega, r) for beta, omega in ((1.0, 1e-9), (1e300, 1e-309))
