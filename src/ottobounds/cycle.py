@@ -242,9 +242,13 @@ class CycleSpec(Record):
         """The spec of plain values, with ``r`` on the bath that ``placement``
         names and r = 0 on the other.  It builds the mode, the placement, the
         baths, the frequencies and the spec, in that order, so the first bad
-        argument raises its own constructor's error."""
+        argument raises its own constructor's error; a placement that is no
+        member's value raises DomainError."""
         mode = AdiabaticityMode(mode, lam)
-        placement = SqueezePlacement(placement)
+        try:
+            placement = SqueezePlacement(placement)
+        except ValueError:
+            raise DomainError(f"unknown squeeze placement {placement!r}") from None
         if placement is _HOT_BATH:
             cold, hot = BathSpec(b_cold), BathSpec(b_hot, r)
         else:

@@ -187,6 +187,8 @@ def _eta_tail(x, z, fz):
 DRAW_CHUNK = 1 << 14   # seeded draws generated and judged per step
 # (a, b, z, r) = (beta_cold omega1, beta_hot omega2, omega1/omega2, r)
 CEILING_BOX = ((1e-4, 10.0), (1e-4, 10.0), (1e-4, 0.9999), (0.0, 10.0))
+GRID_N = 48     # points per axis of the ceiling's grid over CEILING_BOX
+REFINE_N = 21   # points per axis of its refinement around the grid's best point
 
 
 def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
@@ -241,22 +243,23 @@ def ceiling_check(samples=DEFAULT_BUDGET, seed=DEFAULT_SEED):
         evaluations=int(evaluations),
         detail=(
             f"sup eta = {best:.12g} over {evaluations} feasible engine points "
-            f"(grid grid+refine, plus {samples} seeded draws, seed={seed}); "
-            f"require 0.45 <= sup < 0.5"
+            f"({GRID_N}^4 grid + {REFINE_N}^4 refinement, plus {samples} seeded draws, "
+            f"seed={seed}); require 0.45 <= sup < 0.5"
         ),
     )
 
 
 def _grid_leg():
     """The ceiling's grid leg: the best efficiency and the feasible count of
-    a 48^4 grid over CEILING_BOX, then of a 21^4 grid over one coarse step
-    on each side of the coarse best point, clipped to the box.  The fine
-    pass replaces the first maximum in C order only if strictly greater.
+    a GRID_N^4 grid over CEILING_BOX, then of a REFINE_N^4 grid over one
+    coarse step on each side of the coarse best point, clipped to the box.
+    The fine pass replaces the first maximum in C order only if strictly
+    greater.
     """
     import numpy as np
-    n = 48
-    best, point, evaluations = _grid_pass([np.linspace(lo, hi, n) for lo, hi in CEILING_BOX])
-    fine = [np.linspace(max(lo, x - (hi - lo) / (n - 1)), min(hi, x + (hi - lo) / (n - 1)), 21)
+    best, point, evaluations = _grid_pass([np.linspace(lo, hi, GRID_N) for lo, hi in CEILING_BOX])
+    fine = [np.linspace(max(lo, x - (hi - lo) / (GRID_N - 1)),
+                        min(hi, x + (hi - lo) / (GRID_N - 1)), REFINE_N)
             for (lo, hi), x in zip(CEILING_BOX, point)]
     fine_best, _, extra = _grid_pass(fine)
     return max(best, fine_best), evaluations + extra

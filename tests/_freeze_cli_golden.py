@@ -12,8 +12,6 @@ in CHANGES.md which cases changed and why.  A refactor must leave these
 files untouched: they exist to show that its output has the same bytes.
 """
 
-import contextlib
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -35,16 +33,15 @@ def main():
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                codes[name], written = run_case(name, tmp)
+            res = run_case(name, tmp)
+            codes[name] = res.returncode
             print(f"{name:28s} exit {codes[name]}")
             if old_codes.get(name) != codes[name]:
                 print(f"  changed exit code: {old_codes.get(name)} -> {codes[name]}")
-            _write(GOLDEN / f"{name}.stdout", out.getvalue().encode())
-            _write(GOLDEN / f"{name}.stderr", err.getvalue().encode())
-            if written is not None:
-                _write(GOLDEN / f"{name}.file", written)
+            _write(GOLDEN / f"{name}.stdout", res.stdout.encode())
+            _write(GOLDEN / f"{name}.stderr", res.stderr.encode())
+            if res.written is not None:
+                _write(GOLDEN / f"{name}.file", res.written)
     for name in sorted(old_codes.keys() - codes.keys()):
         print(f"{name:28s} removed (exit {old_codes[name]})")
     _write(codes_file, (json.dumps(codes, indent=2, sort_keys=True) + "\n").encode())

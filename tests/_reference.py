@@ -101,24 +101,31 @@ def exact_efficiency(a, b, z, r):
 
 # ---------------------------------------------------------------------------
 # engine: the high-temperature bounds, g = (1 - eta_c) sech 2r; eta_up and
-# eta_mw at r = 0 are eta_up_thermal and eta_rk
+# eta_mw at r = 0 are eta_up_thermal and eta_rk.  1 - g is formed as
+# sech(2r) (eta_c + 2 sinh^2 r) and 1 - sqrt(g) as (1 - g) / (1 + sqrt(g)):
+# at 50 digits 1 - eta_c rounds to 1 for eta_c below 1e-50, and the
+# subtraction would leave 0.
+
+
+def _one_minus_g(eta_c, r):
+    return mp.sech(2 * r) * (eta_c + 2 * mp.sinh(r) ** 2)
 
 
 @_digits
 def eta_up(eta_c, r):
     g = (1 - eta_c) * mp.sech(2 * r)
-    return (1 - g) * (2 + g - 2 * mp.sqrt(2 * g)) / (2 - g) ** 2
+    return _one_minus_g(eta_c, r) * (2 + g - 2 * mp.sqrt(2 * g)) / (2 - g) ** 2
 
 
 @_digits
 def eta_mw(eta_c, r):
     s = mp.sqrt((1 - eta_c) * mp.sech(2 * r))
-    return (1 - s) / (2 + s)
+    return _one_minus_g(eta_c, r) / (1 + s) / (2 + s)
 
 
 @_digits
 def generalized_carnot(eta_c, r):
-    return 1 - (1 - eta_c) * mp.sech(2 * r)
+    return _one_minus_g(eta_c, r)
 
 
 @_digits

@@ -1,8 +1,9 @@
 """Put ``src`` on the PYTHONPATH of every interpreter a test starts.
 
 pyproject's ``pythonpath = ["src"]`` lets pytest itself import the package
-without an install; the CLI and start-up tests run ``python -m ottobounds``
-and ``python -c`` in child processes, which see only the environment.
+without an install; the entry-point, start-up and package tests run
+``python -m ottobounds`` and ``python -c`` in child processes, which see
+only the environment.
 """
 
 import os

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -8,16 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _reference as ref
+from _cli import run_cli
+from ottobounds import cli
 from ottobounds.engine import eta_rk, eta_up_thermal
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "ottobounds", *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+from ottobounds.errors import DomainError
 
 
 def fmt(x):
@@ -68,14 +63,14 @@ def test_eval_usage_errors_exit_2():
                    "--lam", "2").returncode == 2
 
 
-def test_eval_ht_warning_threshold_is_inclusive(capsys):
-    from ottobounds import cli
-
-    base = ["eval", "--w1", "1", "--w2", "2", "--b2", "0.1"]
-    assert cli.main(base + ["--b1", "0.3"]) == 0
-    assert json.loads(capsys.readouterr().out)["warnings"] == []
-    assert cli.main(base + ["--b1", "0.31"]) == 0
-    [warning] = json.loads(capsys.readouterr().out)["warnings"]
+def test_eval_ht_warning_threshold_is_inclusive():
+    base = ("eval", "--w1", "1", "--w2", "2", "--b2", "0.1")
+    res = run_cli(*base, "--b1", "0.3")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["warnings"] == []
+    res = run_cli(*base, "--b1", "0.31")
+    assert res.returncode == 0
+    [warning] = json.loads(res.stdout)["warnings"]
     assert warning.startswith("beta1*omega1 = 0.31 exceeds 0.3;")
 
 
@@ -231,19 +226,16 @@ def test_verify_unknown_suite_is_usage_error():
     assert run_cli("verify", "--suite", "everything").returncode == 2
 
 
-def test_computation_domain_errors_exit_1(monkeypatch, capsys):
+def test_computation_domain_errors_exit_1(monkeypatch):
     # Errors raised after flag parsing map to exit 1 with a machine-readable
     # error object (usage problems are caught earlier and exit 2).
-    from ottobounds import cli
-    from ottobounds.errors import DomainError
-
     def boom(args, parser):
         raise DomainError("synthetic failure")
 
     monkeypatch.setitem(cli._SUBCOMMANDS, "fig3", (*cli._SUBCOMMANDS["fig3"][:2], boom))
-    rc = cli.main(["fig3", "--count", "5"])
-    assert rc == 1
-    payload = json.loads(capsys.readouterr().out)
+    res = run_cli("fig3", "--count", "5")
+    assert res.returncode == 1
+    payload = json.loads(res.stdout)
     assert payload["error"]["kind"] == "domain"
     assert payload["error"]["message"] == "synthetic failure"
 
@@ -258,19 +250,17 @@ def test_out_flag_writes_the_file(tmp_path):
     assert text.endswith("\n")
 
 
-def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+def test_out_to_a_missing_directory_is_a_usage_error(tmp_path):
     # An unwritable --out exits 2 with an argparse message, not a traceback.
-    from ottobounds import cli
-
     target = tmp_path / "missing" / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fig3", "--count", "5", "--out", str(target)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("usage: ottobounds fig3 ")   # the subcommand's usage, not the top level's
-    assert f"ottobounds fig3: error: argument --out: [Errno 2] No such file or directory: '{target}'" in err
-    assert "Traceback" not in err
+    res = run_cli("fig3", "--count", "5", "--out", str(target))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    # the subcommand's usage, not the top level's
+    assert res.stderr.startswith("usage: ottobounds fig3 ")
+    assert (f"ottobounds fig3: error: argument --out: [Errno 2] No such file or directory: "
+            f"'{target}'") in res.stderr
+    assert "Traceback" not in res.stderr
     assert not target.parent.exists()
 
 
@@ -284,8 +274,29 @@ _CSV_VALUES = st.one_of(
 
 @given(rows=st.lists(st.lists(_CSV_VALUES, min_size=3, max_size=3).map(tuple), max_size=8))
 def test_csv_rows_have_the_bytes_of_format_12g(rows):
-    from ottobounds import cli
-
     text = cli._render({"columns": ("a", "b", "c"), "rows": rows}, "csv")
     lines = ["a,b,c"] + [",".join(format(v, ".12g") for v in row) for row in rows]
     assert text == "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the entry point: ``python -m ottobounds`` in a fresh interpreter
+
+ENTRY_POINT = [
+    ["eval", "--w1", "1", "--w2", "2", "--b1", "2", "--b2", "0.2", "--r", "0.3"],
+    ["fridge", "--tau", "0.6", "--r", "0.1"],
+    ["fig2", "--eta-c", "0.2", "--eta-c", "0.7", "--count", "21"],
+    ["fig3", "--count", "41"],
+    ["verify", "--suite", "identities"],
+    ["--version"],
+    ["fig3", "--start", "0.9", "--stop", "0.1"],   # a usage error: exit 2
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_POINT, ids=" ".join)
+def test_python_m_ottobounds_gives_the_in_process_result(argv):
+    proc = subprocess.run([sys.executable, "-m", "ottobounds", *argv], capture_output=True,
+                          env={**os.environ, "COLUMNS": "80"}, timeout=600)
+    res = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        res.returncode, res.stdout.encode(), res.stderr.encode())

@@ -1,18 +1,18 @@
 """Byte-for-byte contract of the command line: stdout, stderr, exit code.
 
-Each case runs ``cli.main(argv)`` in-process and compares what it wrote and
-returned with the files under ``tests/golden/cli/``, which
+Each case runs ``cli.main(argv)`` in-process (``_cli.run_cli``) and compares
+what it wrote and returned with the files under ``tests/golden/cli/``, which
 ``tests/_freeze_cli_golden.py`` generates.  A change to any byte of CLI
 output fails here; regenerate the files only when the change is deliberate.
 """
 
 import json
-import os
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from _cli import run_cli
 from ottobounds import cli
 from ottobounds.errors import DomainError
 
@@ -75,18 +75,13 @@ def _raise_domain_error(args, parser):
 
 
 def run_case(name, tmp_dir):
-    """Run one case in-process; returns (exit code, bytes written to --out or None)."""
+    """Run one case in-process, its --out file in ``tmp_dir``."""
     out = Path(tmp_dir) / f"{name}.out"
     argv = [str(out) if a == OUT else a for a in CASES[name]]
     patch = ({RAISING[name]: (*cli._SUBCOMMANDS[RAISING[name]][:2], _raise_domain_error)}
              if name in RAISING else {})
-    # argparse wraps usage lines to the terminal width; pin it.
-    with mock.patch.dict(cli._SUBCOMMANDS, patch), mock.patch.dict(os.environ, COLUMNS="80"):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.read_bytes() if OUT in CASES[name] else None
+    with mock.patch.dict(cli._SUBCOMMANDS, patch):
+        return run_cli(*argv)
 
 
 def read_golden(name):
@@ -98,10 +93,10 @@ def read_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_byte_identical(name, capsysbinary, tmp_path):
-    code, written = run_case(name, tmp_path)
-    captured = capsysbinary.readouterr()
-    assert (code, captured.out, captured.err, written) == read_golden(name)
+def test_cli_output_is_byte_identical(name, tmp_path):
+    res = run_case(name, tmp_path)
+    got = (res.returncode, res.stdout.encode(), res.stderr.encode(), res.written)
+    assert got == read_golden(name)
 
 
 def test_every_golden_file_has_a_case():

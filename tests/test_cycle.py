@@ -246,7 +246,6 @@ def test_of_is_the_nested_build_with_r_on_the_named_bath(placement, mode, lam):
                                    AdiabaticityMode.adiabatic())),
         (3, math.nan, lambda: BathSpec(math.nan)),
         (4, -1.0, lambda: BathSpec(0.2, -1.0)),
-        (5, "warm", lambda: SqueezePlacement("warm")),
         (6, "ramp", lambda: AdiabaticityMode("ramp", lam)),
         (7, 0.5, lambda: AdiabaticityMode(mode, 0.5)),
     ]
@@ -256,6 +255,10 @@ def test_of_is_the_nested_build_with_r_on_the_named_bath(placement, mode, lam):
         with pytest.raises(type(want.value)) as got:
             CycleSpec.of(*args[:i], value, *args[i + 1:])
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    # But a placement that is no member's value is a DomainError, where
+    # SqueezePlacement itself raises ValueError.
+    with pytest.raises(DomainError, match="^unknown squeeze placement 'warm'$"):
+        CycleSpec.of(*args[:5], "warm", *args[6:])
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ def test_refine_parabolic_hits_the_vertex():
     assert refine_parabolic(lambda x: x, 0.3) == 0.3
 
 
+def test_refine_parabolic_rejects_a_nan_lane_point():
+    with pytest.raises(DomainError):
+        refine_parabolic(lambda x: -x * x, np.array([0.5, np.nan]))
+
+
 # ---------------------------------------------------------------------------
 # Unimodality backing the golden-section uses (second-difference signs)
 
@@ -168,6 +173,18 @@ def test_find_root_rejects_bad_brackets(bracket):
 
 def test_find_root_exact_endpoint():
     assert find_root_scalar(lambda x: x, (0.0, 1.0)) == 0.0
+
+
+def test_find_root_stops_on_a_bracket_floats_cannot_split():
+    # The bracket is one ulp (1.2e-10 > TOL) wide: its midpoint rounds onto an end.
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 1e6 - 5e-11
+
+    assert find_root_scalar(g, (1e6, math.nextafter(1e6, math.inf))) == 1e6
+    assert len(calls) == 2
 
 
 def test_cooling_sign_changes_land_on_the_window_endpoints():

@@ -2,7 +2,6 @@ import gc
 import inspect
 import itertools
 import math
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from _cli import run_cli
 from ottobounds import engine, verify
 from ottobounds.errors import DomainError
 
@@ -27,15 +27,6 @@ REFERENCE_ROWS = [
     ("cooling-windows", 1.6475709685437323e-13, 182),
 ]
 GRID_EVALUATIONS = 4011323  # feasible points of the 48^4 grid plus its refinement
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "ottobounds", *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
 
 
 def test_default_seed_suite_rows_are_unchanged():
