@@ -5,7 +5,14 @@ evaluates at the double the library receives (``mpf(0.2)``, not
 ``mpf("0.2")``), works at 50 significant digits and returns an mpf.  The
 formulas are the textbook ones, with no overflow guards or limit
 branches: an mpf does not overflow, so they stay right out to the
-saturation edges.  This module imports nothing from ``ottobounds``, and
+saturation edges.  Three are rewritten, because below eta_c ~ 1e-50
+the textbook 1 - eta_c rounds to 1 even at 50 digits: ``eta_up``,
+``eta_mw`` and ``generalized_carnot`` form 1 - g, with
+g = (1 - eta_c) sech 2r, as sech(2r)(eta_c + 2 sinh^2 r), and ``eta_mw``
+forms 1 - sqrt(g) as (1 - g)/(1 + sqrt(g)).  The library's ``eta_rk``
+takes that second rewrite too, so ``test_reference`` also checks the
+three against their closed-form limits at eta_c = 1e-60, an independent
+route.  This module imports nothing from ``ottobounds``, and
 ``tests/test_reference.py`` keeps it that way, so it stays an independent
 route to every number it checks.
 """

@@ -12,7 +12,7 @@ import _reference as ref
 from _cli import run_cli
 from ottobounds import cli
 from ottobounds.engine import eta_rk, eta_up_thermal
-from ottobounds.errors import DomainError
+from ottobounds.errors import DomainError, InfeasibleError
 
 
 def fmt(x):
@@ -300,3 +300,39 @@ def test_python_m_ottobounds_gives_the_in_process_result(argv):
     res = run_cli(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         res.returncode, res.stdout.encode(), res.stderr.encode())
+
+
+# Exit 1 is the one code that ``main`` returns rather than raises, so only
+# ``__main__``'s ``sys.exit`` makes it the process's.  No argv reaches it
+# (every natural typed error becomes a usage error first), so the child swaps
+# in a command that raises one and runs the package as ``-m`` does.
+_RAISING_FRIDGE = """
+import runpy
+from ottobounds import cli
+from ottobounds.errors import InfeasibleError
+
+def fail(args, parser):
+    raise InfeasibleError("no cooling window here")
+
+help_line, add_arguments, _ = cli._SUBCOMMANDS["fridge"]
+cli._SUBCOMMANDS["fridge"] = (help_line, add_arguments, fail)
+runpy.run_module("ottobounds", run_name="__main__")
+"""
+
+
+def _fail(args, parser):
+    raise InfeasibleError("no cooling window here")
+
+
+def test_python_m_ottobounds_exits_1_on_a_typed_error(monkeypatch):
+    argv = ["fridge", "--tau", "0.6", "--r", "0.1"]
+    proc = subprocess.run([sys.executable, "-c", _RAISING_FRIDGE, *argv], capture_output=True,
+                          env={**os.environ, "COLUMNS": "80"}, timeout=600)
+    help_line, add_arguments, _ = cli._SUBCOMMANDS["fridge"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "fridge", (help_line, add_arguments, _fail))
+    res = run_cli(*argv)
+    assert json.loads(proc.stdout) == {
+        "error": {"kind": "infeasible", "message": "no cooling window here"}}
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, res.stdout.encode(), res.stderr.encode())
+    assert res.returncode == 1
