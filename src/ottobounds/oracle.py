@@ -64,13 +64,17 @@ def axis_points(start, stop, count):
     """count evenly spaced floats from start to stop, the last exactly stop.
 
     The arithmetic of np.linspace, i*step + start, on plain floats; a count
-    of 0 gives no points, as np.linspace does.
+    of 0 gives no points, as np.linspace does.  Where stop - start
+    overflows, np.linspace gives NaN and inf; this raises DomainError.
     """
     start, stop = _finite("start", start), _finite("stop", stop)
     count = nonnegative_int("count", count)
     if count < 2:
         return [start] * count
-    step = (stop - start) / (count - 1)
+    span = stop - start
+    if abs(span) == math.inf:
+        raise DomainError(f"stop - start overflows: [{start!r}, {stop!r}]")
+    step = span / (count - 1)
     return [i * step + start for i in range(count - 1)] + [stop]
 
 
@@ -110,19 +114,24 @@ def maximize_scalar(fn, lo, hi):
     is a deterministic function of the inputs.  best_input is the best
     point actually evaluated, which always lies inside the final bracket.
     Lanes run in lockstep, one call per step, and each gets bitwise the
-    result of its own one-lane search; evaluations counts all.
+    result of its own one-lane search; evaluations counts all.  A bracket
+    whose width hi - lo overflows is a DomainError.
     """
     fn = _objective(fn)
     a, b = _finite_interval(lo, hi, "interval")
     import numpy as np
     h = b - a
+    if h == math.inf:
+        raise DomainError(f"interval width overflows: [{lo!r}, {hi!r}]")
     if h <= TOL:
-        x = 0.5 * (a + b)
+        x = 0.5 * a + 0.5 * b
         y = _eval_finite(fn, x)
         x = np.broadcast_to(x, np.shape(y))
         return SupremumReport(_out(x), _out(y), np.size(y))
 
-    n = int(math.ceil(math.log(h / TOL) / math.log(1.0 / INV_PHI)))
+    q = h / TOL   # inf for a bracket wider than TOL * DBL_MAX: then a difference of logs
+    log_q = math.log(q) if q < math.inf else math.log(h) - math.log(TOL)
+    n = int(math.ceil(log_q / math.log(1.0 / INV_PHI)))
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
     yc = _eval_finite(fn, c)
@@ -141,7 +150,7 @@ def maximize_scalar(fn, lo, hi):
         better = y_new > best_y
         best_x, best_y = _pick(better, x_new, best_x), _pick(better, y_new, best_y)
 
-    mid = 0.5 * (a + b)
+    mid = 0.5 * a + 0.5 * b   # halves first: a + b may overflow
     y_mid = _eval_finite(fn, mid)
     better = y_mid > best_y
     best_x, best_y = _pick(better, mid, best_x), _pick(better, y_mid, best_y)
@@ -205,7 +214,7 @@ def find_root_scalar(g, bracket):
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: g(a)={fa}, g(b)={fb}")
     while b - a > TOL:
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b
         if mid <= a or mid >= b:  # interval no longer splittable in floats
             break
         fm = _real_value(g, mid)
@@ -215,4 +224,4 @@ def find_root_scalar(g, bracket):
             a, fa = mid, fm
         else:
             b, fb = mid, fm
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b

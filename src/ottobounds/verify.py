@@ -67,8 +67,9 @@ def exact_efficiency(a, b, z, r):
     (eta = (1 - z^2)/2), with no warning.  Past that cut, where expm1(b)
     overflows, and where a/2 or b/2 is below 1e-310 (rounded or 0), x is
     taken in log space.  Arguments that are not real numbers or arrays of
-    them (bools and strings included), NaN, or shapes that do not broadcast
-    raise DomainError.
+    them (bools and strings included), shapes that do not broadcast, and
+    any lane outside the domain a > 0, b > 0, 0 < z < 1, r >= 0 (NaN
+    included) raise DomainError; +inf in a, b or r takes its limit.
     """
     import numpy as np
     try:
@@ -77,9 +78,14 @@ def exact_efficiency(a, b, z, r):
     except ValueError as exc:   # a ragged list, or shapes that do not broadcast
         raise DomainError(f"a, b, z, r must be arrays that broadcast: {exc}") from None
     for name, v in zip("abzr", args):
-        if v.dtype.kind not in "fiu" or np.isnan(v).any():
-            raise DomainError(f"{name} must be real numbers, not NaN, got {v!r}")
+        if v.dtype.kind not in "fiu":
+            raise DomainError(f"{name} must be real numbers, got {v!r}")
     a, b, z, r = (v.astype(float, copy=False) for v in args)
+    for name, v, inside, domain in (("a", a, a > 0.0, "> 0"), ("b", b, b > 0.0, "> 0"),
+                                    ("z", z, (z > 0.0) & (z < 1.0), "inside (0, 1)"),
+                                    ("r", r, r >= 0.0, ">= 0")):
+        if not inside.all():
+            raise DomainError(f"{name} must be {domain} in every lane, got {v!r}")
     out = np.empty(shape)
     work = _efficiency_work(a, b, z, r)
     # Past b = ln DBL_MAX expm1(b) is inf, and inf * 0 is NaN at r = 0; those

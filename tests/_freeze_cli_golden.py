@@ -14,7 +14,6 @@ files untouched: they exist to show that its output has the same bytes.
 
 import json
 import tempfile
-from pathlib import Path
 
 from test_cli_golden import CASES, GOLDEN, run_case
 

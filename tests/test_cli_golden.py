@@ -54,6 +54,7 @@ CASES = {
     "verify_windows": ["verify", "--suite", "windows"],
     "verify_optimality": ["verify", "--suite", "optimality"],
     "verify_ceiling_seed7": ["verify", "--suite", "ceiling", "--seed", "7", "--budget", "5000"],
+    "verify_ceiling_seed7_default_budget": ["verify", "--suite", "ceiling", "--seed", "7"],
     "verify_usage_seed_negative": ["verify", "--seed", "-1"],
     # An OttoError raised by a command: exit 1 with the error object on stdout.
     "error_payload": ["fig3", "--count", "5"],

@@ -10,7 +10,9 @@ returns a value with no NaN in it (+-inf is allowed) or raises an
 the edge floats, and the ``oracle`` searches with objectives that behave
 and objectives that return None, inf or NaN.  The regime table at the end
 judges the float kernels against the 50-digit reference, and a line tracer
-checks that its rows take every exit.
+checks that its rows take every exit.  It is the one place where a
+directly called kernel meets ``_reference``: the other test files compare
+records, identities and literals.
 """
 
 import ast
@@ -263,8 +265,16 @@ def test_exact_efficiency_turns_each_wrong_argument_into_an_otto_error():
     # [0.5] is a valid one-lane array here; a pair does not broadcast with a triple.
     wrong = [w for w in WRONG if w != [0.5]]
     calls = [[w if i == j else 0.5 for j in range(4)] for i in range(4) for w in wrong]
+    # One lane of two outside a > 0, b > 0, 0 < z < 1, r >= 0.
+    outside = ((0.0, -1.0, -math.inf), (0.0, -1.0, -math.inf),
+               (0.0, 1.0, 1.5, -0.5, math.inf), (-0.5, -math.inf))
+    calls += [[[0.5, v] if i == j else 0.5 for j in range(4)]
+              for i, values in enumerate(outside) for v in values]
     calls.append([[2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 0.5])
     assert [args for args in calls if _outcome(verify.exact_efficiency, args) != "error"] == []
+    # +inf in a, b or r is a limit.
+    limits = [[math.inf if i == j else 0.5 for j in range(4)] for i in (0, 1, 3)]
+    assert [_outcome(verify.exact_efficiency, args) for args in limits] == ["ok"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +304,14 @@ FUNCTIONS = {   # name -> (the call, its 50-digit reference)
     "effective_temperature": (cycle.effective_temperature, ref.effective_temperature),
     "z2_of_eta": (engine.z2_of_eta, lambda *a: ref.z2_of_eta(*a)[0]),
     "eta_rk": (engine.eta_rk, lambda eta_c: ref.eta_mw(eta_c, 0)),
+    "eta_up_thermal": (engine.eta_up_thermal, lambda eta_c: ref.eta_up(eta_c, 0)),
     "r_window": (fridge.r_window, ref.r_window),
     "zeta_up_thermal": (fridge.zeta_up_thermal, ref.zeta_up_thermal),
     "generalized_carnot": (engine.generalized_carnot, ref.generalized_carnot),
     "eta_up": (engine.eta_up, ref.eta_up), "eta_mw": (engine.eta_mw, ref.eta_mw),
     "z_star": (engine.z_star, ref.z_star), "zeta_up": (fridge.zeta_up, ref.zeta_up),
     "cop_ht": (lambda z, tau, r: fridge.cop_ht(FridgeParams(z, tau, r)), ref.cop),
+    "work_ht": (lambda z, tau, r: engine.work_ht(EngineParams(z, tau, r)), ref.work_ht),
 }
 # 1 + b / sqrt(disc): the smaller root's conditioning as the two roots
 # merge at eta -> eta_up (about 450 at 0.999 eta_up).
@@ -312,10 +324,10 @@ TABLED = (special.coth, special.sech, cycle._delta_h, cycle.lambda_sudden,
 REGIMES = [
     *(("coth", "x <= 0", (x,), DomainError) for x in (0.0, -1.0)),
     ("coth", "1/x overflows", (5e-324,), 1),
-    *(("coth", "expm1 form", (x,), 1) for x in (1e-300, 1e-8, 0.5, 1.0, 20.0, 400.0)),
+    *(("coth", "expm1 form", (x,), 1) for x in (1e-300, 1e-8, 0.2, 0.5, 1.0, 20.0, 400.0)),
     ("coth", "limit", (math.inf,), 0),
     ("sech", "NaN", (math.nan,), DomainError),
-    *(("sech", "e^-|x| form", (x,), 1) for x in (0.0, 1e-300, 0.5, -1.0, 20.0, 800.0)),
+    *(("sech", "e^-|x| form", (x,), 1) for x in (0.0, 1e-300, 0.5, 1.0, -1.0, 20.0, 800.0)),
     ("sech", "limit", (-math.inf,), 0),
 
     ("_delta_h", "r = 0", (3.7, 0.0), 0),
@@ -346,6 +358,9 @@ REGIMES = [
 
     # Each raised ZeroDivisionError, or returned 0.0, NaN or inf for a finite value.
     *(("effective_temperature", regime, args, 4) for regime, args in (
+        ("the inversion", (1.0, 1.0, 1.0)),
+        ("the inversion", (1.0, 1.0, 0.5)),
+        ("the inversion", (0.8, 1.3, 0.9)),
         ("r = 0, beta*omega underflows", (1e-200, 1e-200, 0.0)),
         ("beta*omega underflows", (1e-200, 1e-200, 0.5)),
         ("N = 0", (1000.0, 1.0, 1e-200)),   # 1/N overflows below DBL_MIN
@@ -386,7 +401,13 @@ REGIMES = [
       for frac in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999)),
 
     *(("eta_rk", "eta_c / (1 + s)", (eta_c,), 3)
-      for eta_c in (1e-20, 1e-8, 0.3, 0.99, 1.0 - EPS / 2)),   # 1e-20 was 0.0
+      for eta_c in (1e-20, 1e-8, 0.2, 0.3, 0.5, 0.99, 1.0 - EPS / 2)),   # 1e-20 was 0.0
+    *(("eta_up_thermal", "closed form", (eta_c,), 4) for eta_c in (0.2, 0.5)),
+    ("generalized_carnot", "1 - g", (0.2, 1.0), 4),
+    *(("eta_up", "closed form", args, 4) for args in ((0.2, 1.0), (0.2, 6.0))),
+    *(("eta_mw", "closed form", args, 4) for args in ((0.2, 1.0), (0.5, 0.0))),
+    # (1 - sg)^2 - (sg/z - z)^2 cancels twice here: 13.6 ulps.
+    ("work_ht", "grouped form", (0.6, 0.5, 0.5), 16),
 
     *(("r_window", "tau < 1/2" if tau < 0.5 else "tau >= 1/2", (tau,), 4)
       for tau in (0.5, 0.75, 0.25, 1e-308)),
@@ -396,9 +417,14 @@ REGIMES = [
 
     ("zeta_up_thermal", "not finite", (math.inf,), DomainError),
     ("zeta_up_thermal", "zeta_c <= 1", (1.0,), InfeasibleError),
-    *(("zeta_up_thermal", "textbook form", (zc,), _terms(zc)) for zc in (2.0, 10.0, 1e6, 9e153)),
+    *(("zeta_up_thermal", "textbook form", (zc,), _terms(zc))
+      for zc in (2.0, 3.0, 10.0, 1e6, 9e153)),
     *(("zeta_up_thermal", "2 zc (1 + zc) overflows", (zc,), 1)   # the textbook form: -inf, NaN
       for zc in (1e154, 1e200, 1e300, 1.7e308, DBL_MAX)),
+    # The closed form cancels as zeta_up_thermal's does, at zeta_c = tau_c / (1 - tau_c)
+    # = 2 here: tau cosh 2r = 2/3.
+    *(("zeta_up", "closed form", args, _terms(2.0))
+      for args in ((2.0 / 3.0, 0.0), (0.4, math.log(3.0) / 2.0))),
 ]
 # Known wrong values: each row flips when [no-cancel] mends its form.
 NO_CANCEL = [

