@@ -9,7 +9,8 @@ Everything is expressed in the reservoir variables
 and evaluated through u = sech(2r), which underflows gracefully, instead of
 cosh(2r), which overflows near r ~ 355.  The recurring combination
 ``g = tau * sech(2r)`` is the temperature ratio against the squeezed bath's
-effective temperature.
+effective temperature.  The engine bounds are functions of (g, d = 1 - g) from
+``_g_d``, and the thermal bounds are those functions at (1 - eta_c, eta_c).
 """
 
 import math
@@ -139,8 +140,8 @@ def z2_of_eta(eta, eta_c, r):
     eta = nonnegative("eta", eta)
     eta_c = unit_open("eta_c", eta_c)
     r = nonnegative("r", r)
-    g = (1.0 - eta_c) * sech(2.0 * r)
-    bound = _eta_up(g)
+    g, d = _g_d(eta_c, r)
+    bound = _eta_up(g, d)
     if eta >= bound:
         raise NoSolutionError("no compression ratio reaches eta={} at eta_c={}, r={}; "
                               "the bound is eta_up={}", eta, eta_c, r, bound)
@@ -160,83 +161,79 @@ def z2_of_eta(eta, eta_c, r):
 def eta_up(eta_c, r):
     """Upper bound on the engine efficiency, from reservoir parameters only.
 
-    With g = (1 - eta_c) sech(2r):  (1 - g)(2 + g - 2 sqrt(2g)) / (2 - g)^2.
-    Strictly below 1/2 and tending to it as r grows; reduces to
-    eta_up_thermal(eta_c) at r = 0.  (Past r ~ 370, g underflows and the
-    value rounds to the supremum 1/2 itself.)
+    (1 - g)(2 + g - 2 sqrt(2g)) / (2 - g)^2, which is strictly below 1/2
+    and tends to it as r grows (past r ~ 370 g underflows and the value is
+    1/2 itself); eta_up(eta_c, 0) is eta_up_thermal(eta_c), bit for bit.
     """
-    eta_c = unit_open("eta_c", eta_c)
-    return _eta_up((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
+    return _eta_up(*_g_d(unit_open("eta_c", eta_c), nonnegative("r", r)))
 
 
-def _eta_up(g):
-    d = 2.0 - g
-    return (1.0 - g) * (2.0 + g - 2.0 * math.sqrt(2.0 * g)) / (d * d)
+def _eta_up(g, d):
+    """eta_up as 2 d (1 - sqrt(g/2))^2 / (1 + d)^2: exactly 1/2 at g = 0, never above it."""
+    h = 1.0 - math.sqrt(0.5 * g)
+    e = 1.0 + d
+    return 2.0 * d * h * h / (e * e)
 
 
 def eta_mw(eta_c, r):
-    """Efficiency at maximum work: (1 - s)/(2 + s), s = sqrt((1-eta_c) sech 2r).
+    """Efficiency at maximum work: (1 - s)/(2 + s), s = sqrt(g).
 
-    Never exceeds eta_up(eta_c, r); reduces to eta_rk(eta_c) at r = 0.
+    Never exceeds eta_up(eta_c, r); eta_mw(eta_c, 0) is eta_rk(eta_c), bit for bit.
     """
-    eta_c = unit_open("eta_c", eta_c)
-    s = math.sqrt((1.0 - eta_c) * sech(2.0 * nonnegative("r", r)))
-    return _eta_mw(s, 1.0 - s)
+    return _eta_mw(*_g_d(unit_open("eta_c", eta_c), nonnegative("r", r)))
 
 
-def _eta_mw(s, d):
-    """(1 - s)/(2 + s), given s and d = 1 - s."""
-    return d / (2.0 + s)
+def _eta_mw(g, d):
+    """eta_mw as d / ((1 + s)(2 + s)), s = sqrt(g), since 1 - s = d / (1 + s).
+
+    The denominator is expanded to 2 + s(3 + s): 1 + s rounds to 1 for s
+    below an ulp, which let eta_mw round to 1/2 above eta_up near g ~ 1e-32.
+    """
+    s = math.sqrt(g)
+    return d / (2.0 + s * (3.0 + s))
 
 
 def generalized_carnot(eta_c, r):
-    """Carnot efficiency against the squeezed bath's effective temperature.
+    """Carnot efficiency against the squeezed bath's effective temperature, d = 1 - g.
 
-    1 - (1 - eta_c) sech(2r): equals eta_c at r = 0, grows monotonically
-    with r and tends to 1.
+    Equals eta_c at r = 0, grows monotonically with r and tends to 1.
     """
-    eta_c = unit_open("eta_c", eta_c)
-    return 1.0 - (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
+    return _g_d(unit_open("eta_c", eta_c), nonnegative("r", r))[1]
 
 
 def eta_up_thermal(eta_c):
-    """Efficiency bound between two plain thermal reservoirs.
+    """Efficiency bound between two plain thermal reservoirs, eta_up at r = 0.
 
     [3 - 2 sqrt(2(1 - eta_c)) - eta_c] eta_c / (1 + eta_c)^2, which is
     tighter than eta_c/2 everywhere.
     """
     eta_c = unit_open("eta_c", eta_c)
-    d = 1.0 + eta_c
-    return (3.0 - 2.0 * math.sqrt(2.0 * (1.0 - eta_c)) - eta_c) * eta_c / (d * d)
+    return _eta_up(1.0 - eta_c, eta_c)
 
 
 def eta_rk(eta_c):
-    """Thermal efficiency at maximum work, (1 - s)/(2 + s) with s = sqrt(1 - eta_c).
+    """Thermal efficiency at maximum work, eta_mw at r = 0: (1 - s)/(2 + s), s = sqrt(1 - eta_c).
 
-    1 - s is formed as eta_c / (1 + s), which does not cancel as eta_c -> 0:
-    eta_rk(eta_c) is eta_c / 6 to full precision there.
-    """
+    eta_rk(eta_c) is eta_c / 6 to full precision as eta_c -> 0."""
     eta_c = unit_open("eta_c", eta_c)
-    s = math.sqrt(1.0 - eta_c)
-    return _eta_mw(s, eta_c / (1.0 + s))
+    return _eta_mw(1.0 - eta_c, eta_c)
 
 
 def engine_report(eta_c, r):
     """Bundle the bounds at (eta_c, r) with the PWC flag at the work-optimal ratio.
 
-    Every field comes from one g = (1 - eta_c) sech(2r), with the same
-    expressions as generalized_carnot, eta_up, eta_mw and z_star.  The flag
-    is the positive-work condition z*^2 > g, and holds in the limit where z*
+    Every field comes from one (g, d), with the same expressions as
+    generalized_carnot, eta_up, eta_mw and z_star.  The flag is the
+    positive-work condition z*^2 > g, and holds in the limit where z*
     underflows to 0 (extreme r).  It is False within a few ulps of g = 1
     (eta_c below ~3e-16 at r = 0), where z*^2 rounds to g or below:
     engine_report(1e-17, 0.0).
     """
     eta_c = unit_open("eta_c", eta_c)
-    g = (1.0 - eta_c) * sech(2.0 * nonnegative("r", r))
+    g, d = _g_d(eta_c, nonnegative("r", r))
     zs = g ** 0.25
     pwc = zs * zs > g if zs > 0.0 else True
-    up, mw, gen = _bounds(g)
-    return EngineBoundsReport(eta_c, gen, up, mw, zs, pwc)
+    return EngineBoundsReport(eta_c, d, _eta_up(g, d), _eta_mw(g, d), zs, pwc)
 
 
 def engine_rows(eta_cs, rs):
@@ -244,13 +241,13 @@ def engine_rows(eta_cs, rs):
 
     The bounds of a sweep over r (the CLI's fig2): each row has the bits of
     engine_report(eta_c, r)'s fields, and a bad eta_c or r raises the same
-    DomainError, but sech(2r) is computed once per r for all the curves.
+    DomainError, but each value is validated once for all the rows.
     An eta_cs or rs that is not iterable raises DomainError too.
     """
     eta_cs = _each(unit_open, "eta_c", eta_cs)
     rs = _each(nonnegative, "r", rs)
-    us = [sech(2.0 * r) for r in rs]
-    return [(r, eta_c, *_bounds((1.0 - eta_c) * u)) for eta_c in eta_cs for r, u in zip(rs, us)]
+    return [(r, eta_c, _eta_up(g, d), _eta_mw(g, d), d)
+            for eta_c in eta_cs for r in rs for g, d in (_g_d(eta_c, r),)]
 
 
 def _each(check, name, values):
@@ -262,7 +259,14 @@ def _each(check, name, values):
     return [check(name, v) for v in values]
 
 
-def _bounds(g):
-    """eta_up, eta_mw and the generalized Carnot efficiency at one g = tau sech(2r)."""
-    s = math.sqrt(g)
-    return _eta_up(g), _eta_mw(s, 1.0 - s), 1.0 - g
+def _g_d(eta_c, r):
+    """g = (1 - eta_c) sech(2r) and d = 1 - g at a validated (eta_c, r), from e = exp(-2r).
+
+    sech(2r) = 2e / (1 + e^2) has special.sech's bits; d = eta_c + (1 - eta_c)(1 - e)^2 / (1 + e^2)
+    adds two terms >= 0, so nothing cancels, and is eta_c at r = 0.
+    """
+    e = math.exp(-2.0 * r)
+    m = math.expm1(-2.0 * r)
+    q = 1.0 + e * e
+    tau = 1.0 - eta_c
+    return tau * (2.0 * e / q), eta_c + tau * (m * m / q)

@@ -61,18 +61,13 @@ class FridgeBoundsReport(Record):
 
 
 def _cooling_heat(z2, tc):
-    """q4 at z^2 and tau_c.  _hot_heat and _work give q2 and w_ext, which
-    take their limit -inf where the denominator 2 z^2 underflows to 0 (z
-    below ~1.5e-162): both numerators are -tau_c < 0 there."""
+    """q4 at z^2 and tau_c.  _hot_heat gives q2, which is -inf where 2 z^2
+    underflows to 0 (z below ~1.5e-162), its limit: the numerator is -tau_c."""
     return (2.0 * tc - 1.0 - z2) / 2.0
 
 
 def _hot_heat(z2, tc):
     return -math.inf if z2 == 0.0 else (2.0 * z2 - tc * (1.0 + z2)) / (2.0 * z2)
-
-
-def _work(z2, tc):
-    return -math.inf if z2 == 0.0 else -(1.0 - z2) * (tc - z2) / (2.0 * z2)
 
 
 def cooling_heat_ht(z, tau, r):
@@ -93,10 +88,10 @@ def cooling_heat_ht(z, tau, r):
 def cop_ht(p):
     """Coefficient of performance Q_cold / W_in at one operating point.
 
-    Computed from the high-temperature heats of the validated FridgeParams;
-    raises ModeError, naming the actual operating mode, whenever the point
-    does not cool (q4 <= 0, including the exact window boundary where
-    cooling vanishes).
+    The ratio 2 z^2 q4 / ((1 - z^2)(tau_c - z^2)) of the high-temperature
+    heats of the validated FridgeParams, which tends to 0 with z^2; raises
+    ModeError, naming the actual operating mode, whenever the point does not
+    cool (q4 <= 0, including the exact window boundary where cooling vanishes).
     """
     z2, tc = p.z * p.z, _tau_c(p.tau, sech(2.0 * p.r))
     q4 = _cooling_heat(z2, tc)
@@ -110,7 +105,7 @@ def cop_ht(p):
         mode = _classify_mode(q2, q4, q2 + q4)
         raise ModeError("no cooling at z={}, tau={}, r={}: the cycle operates as a {}",
                         p.z, p.tau, p.r, mode._value_, mode=mode)
-    return q4 / -_work(z2, tc)
+    return 2.0 * z2 * q4 / ((1.0 - z2) * (tc - z2))
 
 
 def zeta_up_thermal(zeta_c):

@@ -319,7 +319,8 @@ CONDITION = {"z2_of_eta": lambda *a: 1 + ref.z2_of_eta(*a)[1]}
 # Every return and raise statement of these must be taken by a row.
 TABLED = (special.coth, special.sech, cycle._delta_h, cycle.lambda_sudden,
           cycle.effective_temperature, engine.z2_of_eta, engine._eta_up, engine.eta_rk,
-          engine._eta_mw, fridge.r_window, fridge._r_window, fridge.zeta_up_thermal)
+          engine._eta_mw, engine._g_d, fridge.r_window, fridge._r_window,
+          fridge.zeta_up_thermal)
 
 REGIMES = [
     *(("coth", "x <= 0", (x,), DomainError) for x in (0.0, -1.0)),
@@ -390,7 +391,7 @@ REGIMES = [
 
     ("z2_of_eta", "eta at eta_up", (0.3, 0.5, 0.0), NoSolutionError),
     ("z2_of_eta", "rounded discriminant negative",
-     (0.4910084846714757, 0.8724623173018478, 3.6772759624891806), NoSolutionError),
+     (0.20427974833666124, 0.6714114753695926, 0.38418862936198384), NoSolutionError),
     ("z2_of_eta", "g below DBL_MIN", (0.3, 0.5, 400.0), DomainError),   # g = 0.0
     ("z2_of_eta", "g below DBL_MIN", (0.0, 0.5, 360.0), DomainError),   # g subnormal
     # The textbook 0.5 (b - sqrt(disc)) was 0.26 off at (eta_c, r, eta/eta_up)
@@ -400,12 +401,15 @@ REGIMES = [
       for r in (0.0, 0.01, 0.5, 2.0, 5.0, 20.0, 60.0, 150.0, 300.0, 350.0)
       for frac in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999)),
 
-    *(("eta_rk", "eta_c / (1 + s)", (eta_c,), 3)
+    *(("eta_rk", "(g, d) = (1 - eta_c, eta_c)", (eta_c,), 3)
       for eta_c in (1e-20, 1e-8, 0.2, 0.3, 0.5, 0.99, 1.0 - EPS / 2)),   # 1e-20 was 0.0
     *(("eta_up_thermal", "closed form", (eta_c,), 4) for eta_c in (0.2, 0.5)),
-    ("generalized_carnot", "1 - g", (0.2, 1.0), 4),
-    *(("eta_up", "closed form", args, 4) for args in ((0.2, 1.0), (0.2, 6.0))),
-    *(("eta_mw", "closed form", args, 4) for args in ((0.2, 1.0), (0.5, 0.0))),
+    # d = 1 - g has no cancelling term: each of these three was 0.0 at (1e-20, 0).
+    *(("generalized_carnot", "d = 1 - g", args, 4) for args in ((0.2, 1.0), (1e-20, 0.0))),
+    *(("eta_up", "(g, d) form", args, 4) for args in ((0.2, 1.0), (0.2, 6.0), (1e-20, 0.0))),
+    *(("eta_mw", "(g, d) form", args, 4) for args in ((0.2, 1.0), (0.5, 0.0), (1e-20, 0.0))),
+    # One ratio of the heats: the work's 1/(2 z^2) overflowed here and the COP was 0.0.
+    ("cop_ht", "one ratio", (1e-10, 0.9, 344.0), 4),
     # (1 - sg)^2 - (sg/z - z)^2 cancels twice here: 13.6 ulps.
     ("work_ht", "grouped form", (0.6, 0.5, 0.5), 16),
 
@@ -428,13 +432,9 @@ REGIMES = [
 ]
 # Known wrong values: each row flips when [no-cancel] mends its form.
 NO_CANCEL = [
-    ("generalized_carnot", "1 - g cancels", (1e-20, 0.0), 4),
-    ("eta_up", "1 - g cancels", (1e-20, 0.0), 4),
-    ("eta_mw", "1 - sqrt(g) cancels", (1e-20, 0.0), 4),
     ("zeta_up", "1 - tau_c cancels", (0.5, 1e-8), 4),
     ("z_star", "sech 2r underflows", (0.5, 373.0), 4),
     ("z_star", "tau sech 2r underflows", (5e-324, 0.9), 4),
-    ("cop_ht", "the work overflows", (1e-10, 0.9, 344.0), 4),
     ("zeta_up_thermal", "textbook form", (1.0 + 1e-8,), 4),
 ]
 _XFAIL = pytest.mark.xfail(strict=True, reason="[no-cancel]: 0.0 for a normal double")

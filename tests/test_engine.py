@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import sys
 
 import numpy as np
@@ -192,9 +193,36 @@ def test_z2_of_eta_below_the_double_range_is_a_domain_error(eta, eta_c, r):
 # Bounds
 
 
+R_ZERO_POINTS = (1e-20, 1e-12, 0.1, 0.2, 0.5, 0.8, 0.95, 1.0 - 2.0**-53)
+
+
 def test_eta_up_reduces_to_thermal_bound_at_r_zero():
-    for eta_c in (0.1, 0.2, 0.5, 0.8, 0.95):
-        assert math.isclose(eta_up(eta_c, 0.0), eta_up_thermal(eta_c), rel_tol=1e-13)
+    for eta_c in R_ZERO_POINTS:
+        assert eta_up(eta_c, 0.0) == eta_up_thermal(eta_c), eta_c
+
+
+def test_eta_mw_and_generalized_carnot_reduce_to_thermal_at_r_zero():
+    for eta_c in R_ZERO_POINTS:
+        assert eta_mw(eta_c, 0.0) == eta_rk(eta_c), eta_c
+        assert generalized_carnot(eta_c, 0.0) == eta_c
+
+
+@pytest.mark.parametrize("eta_c, r", [
+    *((eta_c, r) for eta_c in (1e-12, 0.2, 0.5, 1.0 - 2.0**-53) for r in (372.0, 400.0, 1e6)),
+    (0.5, 355.0),   # g = (1 - eta_c) sech 2r is subnormal
+])
+def test_bounds_never_rise_above_one_half_where_g_underflows(eta_c, r):
+    # The property the gate on engine_report enforces: eta_mw <= eta_up <= 1/2,
+    # exactly, also once g is subnormal or 0.0.
+    g = (1.0 - eta_c) * sech(2.0 * r)
+    assert g < sys.float_info.min
+    rep = engine_report(eta_c, r)
+    (row,) = engine_rows([eta_c], [r])
+    assert eta_mw(eta_c, r) <= eta_up(eta_c, r) <= 0.5
+    assert rep.eta_mw <= rep.eta_up <= 0.5
+    assert row[3] <= row[2] <= 0.5
+    if g == 0.0:
+        assert rep.eta_up == rep.eta_mw == row[2] == row[3] == 0.5
 
 
 def test_eta_up_approaches_one_half():
@@ -208,6 +236,20 @@ def test_eta_up_strictly_below_half_everywhere_sampled():
             assert eta_up(float(eta_c), float(r)) < 0.5
 
 
+def test_bounds_keep_their_order_in_floats():
+    # eta_c <= eta_c_gen <= 1 and eta_mw <= eta_up <= 1/2 with no rounding
+    # slack, where they are within a few ulps of each other: tiny eta_c or r
+    # (eta_c_gen near eta_c), and r in [25, 45] (both bounds near 1/2).  The
+    # forms 1 - g and (1 - s)/(2 + s) broke these at 394 of these 6000 points.
+    rng = random.Random(3)
+    for _ in range(6000):
+        eta_c = rng.choice((rng.random(), 10.0 ** rng.uniform(-18.0, 0.0)))
+        r = rng.choice((rng.uniform(25.0, 45.0), 10.0 ** rng.uniform(-12.0, 0.0)))
+        rep = engine_report(eta_c, r)
+        assert eta_c <= rep.eta_c_gen <= 1.0, (eta_c, r)
+        assert rep.eta_mw <= rep.eta_up <= 0.5, (eta_c, r)
+
+
 def test_eta_mw_limit_at_unit_carnot():
     assert abs(eta_mw(1.0 - 1e-12, 1.0) - 0.5) < 1e-5
 
@@ -219,7 +261,7 @@ def test_eta_mw_never_exceeds_eta_up():
 
 
 def test_generalized_carnot_values():
-    assert math.isclose(generalized_carnot(0.2, 0.0), 0.2, rel_tol=1e-15)
+    assert generalized_carnot(0.2, 0.0) == 0.2
     assert generalized_carnot(0.01, 10.0) > 1.0 - 1e-8
 
 
@@ -321,7 +363,7 @@ def test_engine_report_pwc_flag_fails_where_g_rounds_to_one():
 
 
 def test_engine_report_has_the_bits_of_the_public_functions():
-    # engine_report computes g = (1 - eta_c) sech 2r once; every field must
+    # engine_report computes (g, d = 1 - g) once; every field must
     # keep the bits of the function that computes it alone.
     def bits(x):
         return x.hex() if isinstance(x, float) else x

@@ -184,9 +184,9 @@ TYPED_ANSWERS = [
         "the bound is eta_up=0.1111111111111111",
         None, id="z2_of_eta-above-eta_up"),
     pytest.param(
-        lambda: engine.z2_of_eta(0.4910084846714757, 0.8724623173018478, 3.6772759624891806),
-        NoSolutionError, "inversion discriminant negative at eta=0.4910084846714757, "
-        "eta_c=0.8724623173018478, r=3.6772759624891806",
+        lambda: engine.z2_of_eta(0.20427974833666124, 0.6714114753695926, 0.38418862936198384),
+        NoSolutionError, "inversion discriminant negative at eta=0.20427974833666124, "
+        "eta_c=0.6714114753695926, r=0.38418862936198384",
         None, id="z2_of_eta-discriminant"),
     pytest.param(
         lambda: fridge.zeta_up_thermal(np.float32(0.5)),

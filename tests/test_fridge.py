@@ -12,9 +12,9 @@ from ottobounds.cycle import CycleSpec, OperatingMode, _classify_mode, heats_wor
 from ottobounds.errors import DomainError, InfeasibleError, ModeError
 from ottobounds.fridge import (
     FridgeParams,
+    _cooling_heat,
     _hot_heat,
     _tau_c,
-    _work,
     cooling_heat_ht,
     cop_ht,
     fridge_report,
@@ -186,20 +186,22 @@ def test_cop_errors_outside_the_window_name_the_mode():
 
 
 def _heats(z, tau, r):
-    """q2 and w_ext of the high-temperature cycle, from fridge's kernels."""
+    """q2 and w_ext = q2 + q4 of the high-temperature cycle, from fridge's kernels."""
     tc = _tau_c(tau, sech(2.0 * r))
-    return _hot_heat(z * z, tc), _work(z * z, tc)
+    q2 = _hot_heat(z * z, tc)
+    return q2, q2 + _cooling_heat(z * z, tc)
 
 
 def _cop_by_the_heats(p):
-    """cop_ht from the validated cooling heat and the heat kernels."""
+    """cop_ht as 2 z^2 q4 / ((1 - z^2)(tau_c - z^2)), q4 the validated cooling heat."""
     q4 = cooling_heat_ht(p.z, p.tau, p.r)
     if not math.isfinite(q4):
         raise DomainError("heats not representable")
     q2, w_ext = _heats(p.z, p.tau, p.r)
     if q4 <= 0.0:
-        raise ModeError("no cooling", mode=_classify_mode(q2, q4, q2 + q4))
-    return q4 / -w_ext
+        raise ModeError("no cooling", mode=_classify_mode(q2, q4, w_ext))
+    z2, tc = p.z * p.z, _tau_c(p.tau, sech(2.0 * p.r))
+    return 2.0 * z2 * q4 / ((1.0 - z2) * (tc - z2))
 
 
 def _outcome(fn, p):
@@ -240,10 +242,12 @@ def test_heats_diverge_at_an_underflowing_z():
 
 
 def test_heats_overflow_at_a_subnormal_z_squared():
-    # 2 z^2 is subnormal: the quotients overflow to the z -> 0 limits.
-    assert 0.0 < 1e-160 * 1e-160 < sys.float_info.min
+    # 2 z^2 is subnormal: the heats overflow to their z -> 0 limits, and the
+    # COP takes its limit 2 z^2 q4 / tau_c, a subnormal, not 0.0.
+    z2 = 1e-160 * 1e-160
+    assert 0.0 < z2 < sys.float_info.min
     assert _heats(1e-160, 0.75, 0.0) == (-math.inf, -math.inf)
-    assert cop_ht(FridgeParams(1e-160, 0.75, 0.0)) == 0.0
+    assert cop_ht(FridgeParams(1e-160, 0.75, 0.0)) == 2.0 * z2 * 0.25 / 0.75 > 0.0
 
 
 def test_cop_maximum_matches_the_bound_at_r_zero():

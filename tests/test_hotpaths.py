@@ -143,8 +143,8 @@ def _z2_cases(rng):
            for _ in range(N_SEEDED)]
     # From r = 355 on, g is subnormal: DomainError below eta_up.
     out += [(eta, 0.5, r) for eta in (0.0, 0.1, 0.3) for r in R_EDGES]
-    # A few ulps below eta_up: the rounded discriminant is negative.
-    out.append((0.4910084846714757, 0.8724623173018478, 3.6772759624891806))
+    # 1.9 ulps below eta_up: the rounded discriminant is negative.
+    out.append((0.20427974833666124, 0.6714114753695926, 0.38418862936198384))
     out += [(0.5, 0.5, 0.0), (0.49, 0.1, 5.0), (0, 0.5, 0)]
     for i in range(3):
         for bad in BAD:
