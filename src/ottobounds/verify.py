@@ -276,33 +276,30 @@ def _grid_pass(axes):
     grid of ``axes``, with the bits of the kernel run at every point.
 
     Along r only P = z dh varies, and eta does not fall as P rises, so the
-    best of an (a, b, z) row is eta at its largest P, and a point is
-    feasible exactly when a > b z and P >= T(a, b) (`_thresholds`).  A NaN
-    raises DomainError.  With no feasible point the best is -inf at the
-    grid's first point.
+    best of an (a, b, z) row is eta at its largest P.  A point is feasible
+    exactly when a > b z and P >= T(a, b) (`_thresholds`).  T must not rise
+    with a (DomainError), so each test holds on a top run of the sorted a,
+    found by one sorted search; a (b, r, z) point counts the shorter run.
+    A NaN raises DomainError.  With no feasible point the best is -inf at
+    the grid's first point.
     """
     import numpy as np
     a, b, z, r = (np.asarray(ax, dtype=float) for ax in axes)
-    a3, b3, z3, r3 = a[:, None, None], b[None, :, None], z[None, None, :], r[:, None, None]
-    # P on (r, b, z), then the face of row maxima on (a, b, z), in one
-    # buffer; P's scratch flags hold one slab's a > b z and the count mask.
+    a3, b3, z3 = a[:, None, None], b[None, :, None], z[None, None, :]
+    # P on (b, r, z), then the face of row maxima on (a, b, z), in one buffer.
     buffer = np.empty(max(a.size, r.size) * b.size * z.size)
-    p = buffer[:r.size * b.size * z.size].reshape(r.size, b.size, z.size)
-    work = _efficiency_work(np.empty(()), b3, z3, r3)
-    _zdh_into(b3, r3, p, work)
-    colder, mask = work[7][0], work[8]
-    bz = np.multiply(b3, z3)[0]   # the kernel's b z
-    threshold = _thresholds(np.tanh(0.5 * a)[:, None], np.tanh(0.5 * b)[None, :])
-    bound = np.empty(colder.shape)
-    evaluations = 0
-    with np.errstate(invalid="ignore"):
-        for i in range(a.size):
-            np.greater(a[i], bz, out=colder)
-            np.copyto(bound, np.nan)   # P >= NaN holds for no P
-            np.copyto(bound, threshold[i][:, None], where=colder)
-            evaluations += int(np.count_nonzero(np.greater_equal(p, bound, out=mask)))
-    peak = p.max(axis=0)
-    del p, work, colder, mask, bz, threshold, bound
+    p = buffer[:b.size * r.size * z.size].reshape(b.size, r.size, z.size)
+    bp, rp = b[:, None, None], r[None, :, None]
+    _zdh_into(bp, rp, p, _efficiency_work(np.empty(()), bp, z3, rp))
+    up = np.array(sorted(a.tolist()))   # not np.sort, which pages in more of numpy
+    threshold = _thresholds(np.tanh(0.5 * up)[::-1], np.tanh(0.5 * b)[:, None])   # (b, falling a)
+    if np.any(threshold[:, 1:] < threshold[:, :-1]):
+        raise DomainError("the engine threshold of z dh rises with a on the grid")
+    colder = a.size - np.searchsorted(up, np.multiply(b[:, None], z), side="right")   # a > b z
+    warm = (np.searchsorted(t, block, side="right") for t, block in zip(threshold, p))   # P >= T
+    evaluations = sum(int(np.minimum(w, top, out=w).sum()) for w, top in zip(warm, colder))
+    peak = p.max(axis=1)
+    del p, threshold, colder
     face = buffer[:a.size * b.size * z.size].reshape(a.size, b.size, z.size)
     np.copyto(face, peak)
     _eta_into(a3, b3, z3, face, _efficiency_work(a3, b3, z3, np.empty(())))

@@ -345,12 +345,29 @@ def test_a_grid_pass_keeps_the_first_maximum_in_c_order():
     t = float(verify._thresholds(np.tanh(np.array([[1.5]])), np.tanh(np.array([[0.5]])))[0, 0])
     edge = [np.array([3.0]), np.array([1.0]), np.array([np.nextafter(t, 0.0), t]), np.array([0.0])]
     assert _textbook_grid(edge)[2] == 1
-    cases = [repeated, edge]
+    # An a equal to the kernel's b z is not colder; its successor is.  At
+    # r = 3 x is ~2.6e4 at both, so a > b z alone decides.
+    b, z = np.array([2.0, 7.0]), np.array([0.3, 0.7])
+    on_bz = [np.array([b[1] * z[0], np.nextafter(b[1] * z[0], np.inf), 1.0]), b, z,
+             np.array([0.0, 3.0])]
+    eta = _textbook_efficiency(*np.meshgrid(*on_bz, indexing="ij", sparse=True))
+    assert eta[0, 1, 0, 1] == -np.inf < eta[1, 1, 0, 1]
+    one_r = repeated[:3] + [np.array([4.0])]
+    assert _textbook_grid(one_r)[2] > 0
+    cases = [repeated, edge, on_bz, one_r]
     for _ in range(60):
         axes = [rng.uniform(lo, hi, size=rng.integers(1, 8)) for lo, hi in zip(lows, highs)]
         cases.append([rng.choice(ax, size=len(ax) + 2) for ax in axes] if rng.random() < 0.3 else axes)
+    # The count sorts a itself: a shuffled grid has the sorted grid's best and count.
+    in_order = [np.linspace(lo, hi, 7) for lo, hi in verify.CEILING_BOX]
+    shuffled = [rng.permutation(ax) for ax in in_order]
+    assert np.any(np.diff(shuffled[0]) < 0.0)
+    cases += [in_order, shuffled]
     for axes in cases:
         assert verify._grid_pass(axes) == _textbook_grid(axes)
+    best, _, count = verify._grid_pass(in_order)
+    shuffled_best, _, shuffled_count = verify._grid_pass(shuffled)
+    assert count > 0 and (shuffled_best, shuffled_count) == (best, count)
 
 
 def test_a_grid_pass_without_a_feasible_point():
@@ -361,13 +378,27 @@ def test_a_grid_pass_without_a_feasible_point():
 
 
 def test_thresholds_hold_on_both_sides():
+    # T holds and its predecessor does not; and along the sorted a, repeats
+    # and both box ends included, no b's T rises, which the grid count needs.
     rng = np.random.default_rng(5)
-    ta, tb = np.tanh(0.5 * rng.uniform(1e-4, 10.0, size=(2, 400, 1)))
-    ta = np.concatenate([ta, [[np.tanh(0.5e-4)], [1.0]]])
-    tb = tb.reshape(1, -1)
+    a, b = rng.uniform(1e-4, 10.0, size=(2, 400))
+    a = np.sort(np.concatenate([a, a[:40], verify.CEILING_BOX[0]]))
+    ta = np.concatenate([np.tanh(0.5 * a), [1.0]])[:, None]
+    tb = np.tanh(0.5 * b)[None, :]
     t = verify._thresholds(ta, tb)
     assert np.all(t * ta / tb > 1.0)
     assert not np.any(np.nextafter(t, -np.inf) * ta / tb > 1.0)
+    assert np.all(np.diff(t, axis=0) <= 0.0)
+
+
+def test_a_threshold_that_rises_with_a_is_a_domain_error(monkeypatch):
+    # The spy hands back T for the a axis reversed, so T rises along the
+    # sorted a and the sorted count would be wrong.
+    real = verify._thresholds
+    monkeypatch.setattr(verify, "_thresholds", lambda ta, tb: real(np.flip(ta), tb))
+    axes = [np.linspace(lo, hi, 5) for lo, hi in verify.CEILING_BOX]
+    with pytest.raises(DomainError, match="rises with a"):
+        verify._grid_pass(axes)
 
 
 def _nan_everywhere(eta):
