@@ -113,9 +113,30 @@ def efficiency_ht(z, tau, r):
 
 
 def z_star(tau, r):
-    """Compression ratio maximising the extracted work: (tau sech 2r)^{1/4}."""
+    """Compression ratio maximising the extracted work: (tau sech 2r)^{1/4}.
+
+    Within a few ulps also where tau sech 2r is below the smallest normal
+    double (`_z_star`); z* itself underflows to 0.0 from r of about 1490.
+    """
     tau = unit_open("tau", tau)
-    return (tau * sech(2.0 * nonnegative("r", r))) ** 0.25
+    r = nonnegative("r", r)
+    return _z_star(tau, r, tau * sech(2.0 * r))
+
+
+def _z_star(tau, r, g):
+    """z* = g^{1/4} from g = tau u, u = sech 2r, at a validated (tau, r).
+
+    Below the smallest normal double g has lost digits, or is 0.0, while z*
+    has not: there z* = tau^{1/4} u^{1/4}, and once u is below it too,
+    ln u = ln 2 - 2r - log1p(e^{-4r}), whose log1p term is 0.0 from r of
+    about 186 on, so u^{1/4} = 2^{1/4} e^{-r/2}.
+    """
+    if g >= sys.float_info.min:
+        return g ** 0.25
+    u = sech(2.0 * r)
+    if u >= sys.float_info.min:
+        return tau ** 0.25 * u ** 0.25
+    return tau ** 0.25 * (2.0 ** 0.25 * math.exp(-0.5 * r))
 
 
 def z2_of_eta(eta, eta_c, r):
@@ -224,15 +245,16 @@ def engine_report(eta_c, r):
 
     Every field comes from one (g, d), with the same expressions as
     generalized_carnot, eta_up, eta_mw and z_star.  The flag is the
-    positive-work condition z*^2 > g, and holds in the limit where z*
-    underflows to 0 (extreme r).  It is False within a few ulps of g = 1
-    (eta_c below ~3e-16 at r = 0), where z*^2 rounds to g or below:
-    engine_report(1e-17, 0.0).
+    positive-work condition z*^2 > g, and holds where g underflows to 0.0
+    (r past about 372), as z*^2 = sqrt(g) > g does.  It is False within a
+    few ulps of g = 1 (eta_c below ~3e-16 at r = 0), where z*^2 rounds to g
+    or below: engine_report(1e-17, 0.0).
     """
     eta_c = unit_open("eta_c", eta_c)
-    g, d = _g_d(eta_c, nonnegative("r", r))
-    zs = g ** 0.25
-    pwc = zs * zs > g if zs > 0.0 else True
+    r = nonnegative("r", r)
+    g, d = _g_d(eta_c, r)
+    zs = _z_star(1.0 - eta_c, r, g)
+    pwc = zs * zs > g if g > 0.0 else True
     return EngineBoundsReport(eta_c, d, _eta_up(g, d), _eta_mw(g, d), zs, pwc)
 
 

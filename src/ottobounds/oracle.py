@@ -24,7 +24,7 @@ __all__ = [
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
-TOL = 1e-12        # bracket width at which the golden search and the bisection stop
+TOL = 1e-12        # bracket width at which the bisection stops, and the golden search on (0, 1)
 POLISH_H = 1e-5    # refine_parabolic's sample spacing, well outside the sqrt(eps) plateau
 
 
@@ -104,18 +104,20 @@ def _out(v):
 
 
 def maximize_scalar(fn, lo, hi):
-    """Golden-section maximisation of ``fn`` on [lo, hi] to a bracket of width TOL.
+    """Golden-section maximisation of ``fn`` on [lo, hi] to a bracket of width
+    max(TOL, 4 ulps of max(|lo|, |hi|)), as narrow as floats there allow.
 
     ``fn`` maps a float to a float, or an array of lane points to lane
     values, and is assumed unimodal on the bracket: each use in this
     package documents why that holds (and the tests check it by second
     differences).  The bracket shrinks by 1/phi per iteration; the step
-    count is fixed up front as ceil(log(width/TOL)/log(phi)), so the report
-    is a deterministic function of the inputs.  best_input is the best
-    point actually evaluated, which always lies inside the final bracket.
-    Lanes run in lockstep, one call per step, and each gets bitwise the
-    result of its own one-lane search; evaluations counts all.  A bracket
-    whose width hi - lo overflows is a DomainError.
+    count is fixed up front as ceil(log(width/tol)/log(phi)), tol that final
+    width, so the report is a deterministic function of the inputs, and no
+    step is spent on a bracket that floats cannot split.  best_input is the
+    best point actually evaluated, which always lies inside the final
+    bracket.  Lanes run in lockstep, one call per step, and each gets
+    bitwise the result of its own one-lane search; evaluations counts all.
+    A bracket whose width hi - lo overflows is a DomainError.
     """
     fn = _objective(fn)
     a, b = _finite_interval(lo, hi, "interval")
@@ -123,15 +125,14 @@ def maximize_scalar(fn, lo, hi):
     h = b - a
     if h == math.inf:
         raise DomainError(f"interval width overflows: [{lo!r}, {hi!r}]")
-    if h <= TOL:
+    tol = max(TOL, 4.0 * math.ulp(max(abs(a), abs(b))))   # h / tol cannot overflow
+    if h <= tol:
         x = 0.5 * a + 0.5 * b
         y = _eval_finite(fn, x)
         x = np.broadcast_to(x, np.shape(y))
         return SupremumReport(_out(x), _out(y), np.size(y))
 
-    q = h / TOL   # inf for a bracket wider than TOL * DBL_MAX: then a difference of logs
-    log_q = math.log(q) if q < math.inf else math.log(h) - math.log(TOL)
-    n = int(math.ceil(log_q / math.log(1.0 / INV_PHI)))
+    n = int(math.ceil(math.log(h / tol) / math.log(1.0 / INV_PHI)))
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
     yc = _eval_finite(fn, c)

@@ -3,13 +3,15 @@
 Each suite pits a closed form from `engine` or `fridge` against an
 independent numerical route (a grid scan plus seeded draws, a
 golden-section optimum, a bisection-located sign change) and reports the
-worst deviation it saw.  The ceiling's exact-efficiency kernel is written
-here in vectorised numpy and shares nothing with `cycle` but the inputs.
-Its grid scan and its draws run the kernel's steps with the bits of a run
-at every point, and evaluate eta only where it can be the best.  Only the
-ceiling and optimality suites need numpy, and import it when they run.
-The ceiling's grid runs on a worker thread, which then shares the draws
-with the caller; the report has the bits of a serial run.
+worst deviation it saw.  The ceiling's exact-efficiency kernel is
+written here in vectorised numpy and shares nothing with `cycle` but the
+inputs.  Its grid scan and its draws run the kernel's steps with the
+bits of a run at every point, and evaluate eta only where it can be the
+best.  Each step names its scratch buffers, new arrays by default; only
+the draw rows pass their own, shared between factors.  Only the ceiling
+and optimality suites need numpy, and import it when they run.  The
+ceiling's grid runs on a worker thread, which then shares the draws with
+the caller; the report has the bits of a serial run.
 """
 
 import math
@@ -87,15 +89,14 @@ def exact_efficiency(a, b, z, r):
         if not inside.all():
             raise DomainError(f"{name} must be {domain} in every lane, got {v!r}")
     out = np.empty(shape)
-    work = _efficiency_work(a, b, z, r)
     # Past b = ln DBL_MAX expm1(b) is inf, and inf * 0 is NaN at r = 0; those
     # lanes are taken in log space below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _zdh_into(b, r, out, work)
+        _zdh_into(b, r, z, out)
     lost = np.broadcast_to((0.5 * a < 1e-310) | (0.5 * b < 1e-310) | (b > 709.782712893384),
                            shape)
     out[lost] = 1.0   # so the kernel forms 1 * 0, not inf * 0; replaced below
-    eta = _eta_into(a, b, z, out, work)
+    eta = _eta_into(a, b, z, out)
     if lost.any():
         eta[lost] = _log_space_eta(*(np.broadcast_to(v, shape)[lost] for v in (a, b, z, r)))
     return eta
@@ -112,55 +113,39 @@ def _log_space_eta(a, b, z, r):
         x = np.exp(np.log(z) + log_dh + np.log(np.where(a < 1e-300, a, 2.0 * np.tanh(0.5 * a)))
                    - np.log(np.where(b < 1e-300, b, 2.0 * np.tanh(0.5 * b))))
     inside = (x > 1.0) & (a > b * z)
-    _eta_tail(x, z, np.empty_like(x))
+    _eta_tail(x, z)
     return np.where(inside, x, -np.inf)
 
 
-def _efficiency_work(a, b, z, r):
-    """The kernel's scratch: one buffer per factor, at the factor's shape,
-    and ``zp``, a contiguous copy of z broadcast over r's axes, so z dh and
-    z z loop over z and r (np.ascontiguousarray would make a 0-d z 1-d)."""
-    import numpy as np
-    shape = np.broadcast_shapes
-    zp = np.broadcast_to(z, shape(z.shape, r.shape)).copy()
-    return (np.empty(b.shape), np.empty(r.shape), np.empty(shape(b.shape, r.shape)),
-            np.empty(a.shape), np.empty(shape(b.shape, z.shape)), np.empty(zp.shape), zp,
-            np.empty(shape(a.shape, b.shape, z.shape), dtype=bool),
-            np.empty(shape(a.shape, b.shape, z.shape, r.shape), dtype=bool))
+# The kernel's steps write their result into x.  Each names its scratch,
+# which defaults to a new array of the factor's shape; a caller that passes
+# one buffer for several factors must read each for the last time before
+# the next is written.  Every ufunc call nests on the argument as given, so
+# a 0-d factor, whose ufunc result is a numpy scalar, needs no buffer.
 
-
-def _zdh_into(b, r, x, work):
+def _zdh_into(b, r, z, x, fb=None, fr=None, dh=None):
     """The kernel's first half: x = z dh, dh = 1 + (2 + expm1 b) sinh(r)^2."""
     import numpy as np
-    fb, fr, dh, zp = work[0], work[1], work[2], work[6]
-    np.expm1(b, out=fb)
-    np.add(2.0, fb, out=fb)
-    np.sinh(r, out=fr)
-    np.multiply(fr, fr, out=fr)   # what ** 2 does to an array
-    np.multiply(fb, fr, out=dh)
-    np.add(1.0, dh, out=dh)       # dh = 1 + (2 + expm1(b)) sinh(r)^2
-    return np.multiply(dh, zp, out=x)   # z dh: a product commutes bit for bit
+    e = np.add(2.0, np.expm1(b, out=fb), out=fb)
+    s = np.sinh(r, out=fr)
+    p = np.multiply(e, np.multiply(s, s, out=fr), out=dh)   # s s: what ** 2 does to an array
+    return np.multiply(np.add(1.0, p, out=dh), z, out=x)
 
 
-def _engine_into(a, b, z, x, work):
+def _engine_into(a, b, z, x, fa=None, fb=None, bz=None, colder=None, inside=None):
     """x = z dh tanh(a/2) / tanh(b/2) from x = z dh, in place, and the engine
-    region, x > 1 and a > b z, into work[8], which it returns."""
+    region, x > 1 and a > b z, which it returns."""
     import numpy as np
-    fb, fa, bz, colder, inside = work[0], work[3], work[4], work[7], work[8]
-    np.multiply(0.5, a, out=fa)
-    x *= np.tanh(fa, out=fa)
-    np.multiply(0.5, b, out=fb)
+    x *= np.tanh(np.multiply(0.5, a, out=fa), out=fa)
     # x = inf is the limit at a tiny b; 0/0, where both tanh underflow, is NaN
     # and fails x > 1 below, so the point is off the engine region.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x /= np.tanh(fb, out=fb)
-    np.greater(x, 1.0, out=inside)
-    np.greater(a, np.multiply(b, z, out=bz), out=colder)
-    inside &= colder
-    return inside
+        x /= np.tanh(np.multiply(0.5, b, out=fb), out=fb)
+    return np.logical_and(np.greater(x, 1.0, out=inside),
+                          np.greater(a, np.multiply(b, z, out=bz), out=colder), out=inside)
 
 
-def _eta_into(a, b, z, x, work):
+def _eta_into(a, b, z, x):
     """The kernel's second half: eta from x = z dh, in place, -inf off the
     engine region.
 
@@ -169,23 +154,21 @@ def _eta_into(a, b, z, x, work):
     eta does not fall as z dh rises.  The grid pass relies on that.
     """
     import numpy as np
-    outside = np.logical_not(_engine_into(a, b, z, x, work), out=work[8])
-    _eta_tail(x, work[6], work[5])
+    outside = np.logical_not(_engine_into(a, b, z, x))
+    _eta_tail(x, z)
     np.copyto(x, -np.inf, where=outside)
     return x
 
 
-def _eta_tail(x, z, fz):
-    """eta = 1 / (2 / (1 - z z) + 1 / (x - 1)) from x, in place, with fz
-    (z itself allowed) as scratch.  On an engine row 1 / (x - 1) >= 0, so
-    eta <= U(z) = 1 / (2 / (1 - z z)): rounding is monotone."""
+def _eta_tail(x, z, fz=None):
+    """eta = 1 / (2 / (1 - z z) + 1 / (x - 1)) from x, in place.  On an
+    engine row 1 / (x - 1) >= 0, so eta <= U(z) = 1 / (2 / (1 - z z)):
+    rounding is monotone."""
     import numpy as np
     x -= 1.0
     with np.errstate(divide="ignore"):   # 1/0 happens only off the engine region
         np.divide(1.0, x, out=x)
-        np.multiply(z, z, out=fz)
-        np.subtract(1.0, fz, out=fz)
-        x += np.divide(2.0, fz, out=fz)
+        x += np.divide(2.0, np.subtract(1.0, np.multiply(z, z, out=fz), out=fz), out=fz)
         np.divide(1.0, x, out=x)
     return x
 
@@ -289,8 +272,7 @@ def _grid_pass(axes):
     # P on (b, r, z), then the face of row maxima on (a, b, z), in one buffer.
     buffer = np.empty(max(a.size, r.size) * b.size * z.size)
     p = buffer[:b.size * r.size * z.size].reshape(b.size, r.size, z.size)
-    bp, rp = b[:, None, None], r[None, :, None]
-    _zdh_into(bp, rp, p, _efficiency_work(np.empty(()), bp, z3, rp))
+    _zdh_into(b[:, None, None], r[None, :, None], z3, p)
     up = np.array(sorted(a.tolist()))   # not np.sort, which pages in more of numpy
     threshold = _thresholds(np.tanh(0.5 * up)[::-1], np.tanh(0.5 * b)[:, None])   # (b, falling a)
     if np.any(threshold[:, 1:] < threshold[:, :-1]):
@@ -302,7 +284,7 @@ def _grid_pass(axes):
     del p, threshold, colder
     face = buffer[:a.size * b.size * z.size].reshape(a.size, b.size, z.size)
     np.copyto(face, peak)
-    _eta_into(a3, b3, z3, face, _efficiency_work(a3, b3, z3, np.empty(())))
+    _eta_into(a3, b3, z3, face)
     k = int(face.argmax())   # the first maximum; argmax stops at the first NaN
     best = float(face.flat[k])
     i, j, m = np.unravel_index(k, face.shape)
@@ -363,10 +345,8 @@ def _draw_leg(samples, seed):
 
     def views(m):   # the buffers cut to m rows
         uniform = block.reshape(n, 4)[:m]
-        f0, f1 = block[0, :m], block[1, :m]
-        a, b, z, r = abzr = draws[:, :m]
-        work = (f0, f1, f1, f0, f0, f0, z, colder[:m], inside[:m])
-        return uniform, uniform.T, abzr, (a, b, z, r, block[2, :m], work)
+        rows = (*draws[:, :m], block[2, :m], block[0, :m], block[1, :m], colder[:m], inside[:m])
+        return uniform, uniform.T, draws[:, :m], rows
 
     whole, tail = views(n), views(samples - (chunks - 1) * n)
 
@@ -390,28 +370,27 @@ def _draw_leg(samples, seed):
     return run
 
 
-def _judge_rows(a, b, z, r, x, work, cut):
+def _judge_rows(a, b, z, r, x, f0, f1, colder, inside, cut):
     """(feasible count, best eta or -inf) of the draw rows a, b, z, r.
 
-    x and the engine region are the kernel's, step for step, with factors
-    sharing work's rows f0 = fb = fa = bz and f1 = fr = dh (each is read
-    for the last time before the next is written).  eta's tail runs only on
+    x and the engine region are the kernel's, step for step, with the
+    factors sharing the rows f0 and f1 by name.  eta's tail runs only on
     engine rows with z < cut, gathered into f0 and f1: at z >= cut eta <=
     U(z) <= U(cut) <= the best so far.
     """
     import numpy as np
-    _zdh_into(b, r, x, work)
-    inside = _engine_into(a, b, z, x, work)
+    _zdh_into(b, r, z, x, fb=f0, fr=f1, dh=f1)
+    _engine_into(a, b, z, x, fa=f0, fb=f0, bz=f0, colder=colder, inside=inside)
     count = int(np.count_nonzero(inside))
-    judged = np.less(z, cut, out=work[7])
+    judged = np.less(z, cut, out=colder)
     judged &= inside
     rows = np.flatnonzero(judged)
     if not rows.size:
         return count, -math.inf
-    f0, f1 = work[0][:rows.size], work[1][:rows.size]
+    f0, f1 = f0[:rows.size], f1[:rows.size]
     np.take(x, rows, out=f0, mode="clip")   # no copy of out, unlike np.compress
     np.take(z, rows, out=f1, mode="clip")
-    return count, float(_eta_tail(f0, f1, f1).max())
+    return count, float(_eta_tail(f0, f1, fz=f1).max())
 
 
 def _z_cut(best):

@@ -319,8 +319,8 @@ CONDITION = {"z2_of_eta": lambda *a: 1 + ref.z2_of_eta(*a)[1]}
 # Every return and raise statement of these must be taken by a row.
 TABLED = (special.coth, special.sech, cycle._delta_h, cycle.lambda_sudden,
           cycle.effective_temperature, engine.z2_of_eta, engine._eta_up, engine.eta_rk,
-          engine._eta_mw, engine._g_d, fridge.r_window, fridge._r_window,
-          fridge.zeta_up_thermal)
+          engine._eta_mw, engine._g_d, engine.z_star, engine._z_star, fridge.r_window,
+          fridge._r_window, fridge.zeta_up_thermal)
 
 REGIMES = [
     *(("coth", "x <= 0", (x,), DomainError) for x in (0.0, -1.0)),
@@ -408,6 +408,11 @@ REGIMES = [
     *(("generalized_carnot", "d = 1 - g", args, 4) for args in ((0.2, 1.0), (1e-20, 0.0))),
     *(("eta_up", "(g, d) form", args, 4) for args in ((0.2, 1.0), (0.2, 6.0), (1e-20, 0.0))),
     *(("eta_mw", "(g, d) form", args, 4) for args in ((0.2, 1.0), (0.5, 0.0), (1e-20, 0.0))),
+    # Where g = tau sech 2r is below DBL_MIN, g^(1/4) lost digits or was 0.0.
+    *(("z_star", "(tau u)^(1/4)", args, 4) for args in ((0.5, 0.0), (0.5, 1.0), (1e-300, 5.0))),
+    ("z_star", "tau sech 2r underflows", (5e-324, 0.9), 4),
+    *(("z_star", "sech 2r underflows", args, 4)
+      for args in ((0.5, 355.0), (0.5, 360.0), (0.5, 373.0), (0.9, 800.0))),
     # One ratio of the heats: the work's 1/(2 z^2) overflowed here and the COP was 0.0.
     ("cop_ht", "one ratio", (1e-10, 0.9, 344.0), 4),
     # (1 - sg)^2 - (sg/z - z)^2 cancels twice here: 13.6 ulps.
@@ -433,8 +438,6 @@ REGIMES = [
 # Known wrong values: each row flips when [no-cancel] mends its form.
 NO_CANCEL = [
     ("zeta_up", "1 - tau_c cancels", (0.5, 1e-8), 4),
-    ("z_star", "sech 2r underflows", (0.5, 373.0), 4),
-    ("z_star", "tau sech 2r underflows", (5e-324, 0.9), 4),
     ("zeta_up_thermal", "textbook form", (1.0 + 1e-8,), 4),
 ]
 _XFAIL = pytest.mark.xfail(strict=True, reason="[no-cancel]: 0.0 for a normal double")

@@ -163,14 +163,14 @@ def test_chunked_draws_reproduce_a_one_shot_draw():
         assert f"plus {samples} seeded draws" in check.detail
 
 
-def _spy_on(monkeypatch, name, keep=lambda args, result: args):
-    """Record ``keep(args, result)`` for every call of ``verify.<name>``."""
+def _spy_on(monkeypatch, name, keep=lambda args, kwargs, result: (args, kwargs)):
+    """Record ``keep(args, kwargs, result)`` for every call of ``verify.<name>``."""
     calls = []
     real = getattr(verify, name)
 
-    def spy(*args):
-        result = real(*args)
-        calls.append(keep(args, result))
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(keep(args, kwargs, result))
         return result
 
     monkeypatch.setattr(verify, name, spy)
@@ -209,16 +209,60 @@ def test_the_draw_legs_aliased_buffers_give_the_bits_of_exact_efficiency(monkeyp
     judge = verify._judge_rows
     calls = _spy_on(monkeypatch, "_judge_rows")
     _draws(len(rows), seed=3)
-    (args,) = calls
-    fb, fr, dh, fa, bz, fz, zp = args[5][:7]
-    assert fb is fa is bz is fz and fr is dh and zp is args[2]   # the aliasing under test
+    ((args, _),) = calls
     for row, values in zip(args[:4], (a, b, z, r)):
         row[...] = values
-    tails = _spy_on(monkeypatch, "_eta_tail", keep=lambda args, eta: eta.copy())
+    halves = [_spy_on(monkeypatch, name, keep=lambda args, kwargs, result: kwargs)
+              for name in ("_zdh_into", "_engine_into")]
+    tails = _spy_on(monkeypatch, "_eta_tail", keep=lambda args, kwargs, eta: (kwargs, eta.copy()))
     # With no best yet every engine row reaches the tail, in row order.
     assert judge(*args[:-1], np.inf) == (engines.size, float(engines.max()))
-    (eta,) = tails
+    f0, f1, colder, inside = args[5:9]
+    (zdh,), (region,), ((tail, eta),) = *halves, tails
+    # The aliasing under test: f0 = fb = fa = bz and f1 = fr = dh = fz.
+    assert zdh["fb"] is region["fa"] is region["fb"] is region["bz"] is f0
+    assert zdh["fr"] is zdh["dh"] is f1
+    assert region["colder"] is colder and region["inside"] is inside
+    assert np.shares_memory(tail["fz"], f1)
     assert eta.tobytes() == engines.tobytes()
+
+
+# Each kernel step: its call on (a, b, z, r) and x, and the factors whose
+# broadcast shape each of its scratch buffers has.
+KERNEL_STEPS = {
+    "_zdh_into": (lambda a, b, z, r, x, **scratch: verify._zdh_into(b, r, z, x, **scratch),
+                  {"fb": "b", "fr": "r", "dh": "br"}),
+    "_engine_into": (lambda a, b, z, r, x, **scratch: verify._engine_into(a, b, z, x, **scratch),
+                     {"fa": "a", "fb": "b", "bz": "bz", "colder": "abz", "inside": "abzr"}),
+    "_eta_tail": (lambda a, b, z, r, x, **scratch: verify._eta_tail(x, z, **scratch),
+                  {"fz": "z"}),
+}
+
+
+@pytest.mark.parametrize("shapes", [[()] * 4, [(64,)] * 4,
+                                    [(3, 1, 1, 1), (1, 4, 1, 1), (1, 1, 5, 1), (6,)]],
+                         ids=["0-d", "1-d", "broadcast"])
+@pytest.mark.parametrize("step", KERNEL_STEPS)
+def test_each_kernel_step_has_the_same_bits_with_and_without_scratch(step, shapes):
+    lows, highs = np.array(verify.CEILING_BOX).T
+    rng = np.random.default_rng(6)
+    v = {name: np.asarray(rng.uniform(lo, hi, size=shape))
+         for name, lo, hi, shape in zip("abzr", lows, highs, shapes)}
+    x = np.empty(np.broadcast_shapes(*shapes))
+    verify._zdh_into(v["b"], v["r"], v["z"], x)
+    if step == "_eta_tail":   # from the x of an engine region
+        verify._engine_into(v["a"], v["b"], v["z"], x)
+    call, spans = KERNEL_STEPS[step]
+    scratch = {name: np.empty(np.broadcast_shapes(*(v[f].shape for f in factors)),
+                              dtype=bool if name in ("colder", "inside") else float)
+               for name, factors in spans.items()}
+    seen = []
+    for kwargs in ({}, scratch):
+        y = x.copy()
+        result = np.asarray(call(*v.values(), y, **kwargs))
+        seen.append((result.shape, result.dtype, result.tobytes(), y.tobytes()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == x.shape
 
 
 def _bound(z):
@@ -271,7 +315,7 @@ def test_after_its_first_chunk_a_leg_sends_few_rows_to_the_eta_tail(monkeypatch)
     # judges 62 chunks.  Its first chunk (no best yet) sends every engine
     # row to eta's tail, about 12 000; after that a few rows a chunk do,
     # where a cut that judged every engine row would send ~12 000 each.
-    sizes = _spy_on(monkeypatch, "_eta_tail", keep=lambda args, eta: eta.size)
+    sizes = _spy_on(monkeypatch, "_eta_tail", keep=lambda args, kwargs, eta: eta.size)
     best, count = _draws(verify.DEFAULT_BUDGET)
     chunks = -(-verify.DEFAULT_BUDGET // verify.DRAW_CHUNK)
     first = _one_shot_draws(verify.DRAW_CHUNK, verify.DEFAULT_SEED)[1]
