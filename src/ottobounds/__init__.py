@@ -6,9 +6,9 @@ cycle; `engine` and `fridge` the closed-form high-temperature bounds;
 `oracle` the deterministic search primitives; `verify` the self-check
 suites; `cli` the command line.
 
-Importing the package loads none of them, so a process that imports
-submodules itself (the command line does) pays only for those.  The first
-access to a public name of the package (PEP 562) loads them all.
+Importing the package loads none of them (PEP 562): ``ottobounds.engine``
+loads that submodule and its imports alone, and the first access to a
+re-exported function or class loads them all.
 """
 
 import importlib
@@ -65,12 +65,14 @@ __all__ = [*_SUBMODULES, *(name for names in _EXPORTS.values() for name in names
 
 
 def __getattr__(name):
-    """Bind every submodule and re-export on first access to any of them, then drop this hook.
+    """Load a submodule alone; on first access to a re-export, bind every name and drop this hook.
 
     A module with a ``__getattr__`` keeps CPython (3.11) from caching
     attribute loads on it, which made each ``ottobounds.<name>`` lookup
     ~4x slower; once the hook is gone the names are plain attributes.
     """
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")   # binds the submodule here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()

@@ -21,7 +21,8 @@ import sys
 from enum import Enum, EnumMeta
 
 from ._record import Record
-from .errors import DomainError, ModeError, as_real, nonnegative, positive
+from .errors import (_ENGINE, _REFRIGERATOR, DomainError, ModeError, OperatingMode,
+                     _classify_mode, as_real, nonnegative, positive)
 from .special import coth
 
 __all__ = [
@@ -188,20 +189,10 @@ class SqueezePlacement(Enum, metaclass=_PlacementType):
     COLD_BATH = "cold"
 
 
-class OperatingMode(Enum):
-    """Sign-pattern label of a cycle's heats and work."""
-
-    ENGINE = "engine"
-    REFRIGERATOR = "refrigerator"
-    HEATER = "heater"
-    ACCELERATOR = "accelerator"
-
-
 # Members bound once: on Python 3.11 each ``Enum.MEMBER`` lookup goes through
 # EnumType's slow attribute hook, and ``member.value`` is an enum.property,
 # so the hot paths read these globals and a member's ``_value_``.
 _HOT_BATH, _COLD_BATH = SqueezePlacement
-_ENGINE, _REFRIGERATOR, _HEATER, _ACCELERATOR = OperatingMode
 
 
 class CycleSpec(Record):
@@ -281,28 +272,6 @@ class CyclePerformance(Record):
     def work_input(self):
         """Work pumped into the cycle, -w_ext (positive for a refrigerator)."""
         return -self.w_ext
-
-
-def _classify_mode(q2, q4, w_ext):
-    """Operating-mode label from the sign pattern of the heats and work.
-
-    Engine: absorbs at the hot contact, rejects at the cold one, extracts
-    net work.  Accelerator: same heat pattern but net work is spent.
-    Refrigerator: draws heat out of the cold reservoir at the cost of work.
-    Boundary ties are never labelled engine: a zero-work tie with
-    engine-pattern heats counts as an accelerator, and every remaining
-    pattern (both heats rejected, or exact zeros in the heats) as a heater.
-    NaN fails every comparison: NaN work with engine-pattern heats is an
-    accelerator, any other NaN a heater.  This is the one definition of a
-    refrigerator, `fridge`'s included; its ``cooling_feasible`` asks only
-    whether a finite COP bound exists.  ``heats_work(spec).mode_label`` is
-    this label for a cycle.
-    """
-    if q2 > 0.0 and q4 < 0.0:
-        return _ENGINE if w_ext > 0.0 else _ACCELERATOR
-    if q2 < 0.0 and q4 > 0.0 and w_ext < 0.0:
-        return _REFRIGERATOR
-    return _HEATER
 
 
 def _heats(spec):

@@ -23,7 +23,6 @@ from .special import sech
 __all__ = [
     "EngineBoundsReport",
     "EngineParams",
-    "HT_BETA_OMEGA_MAX",
     "efficiency_ht",
     "engine_report",
     "engine_rows",
@@ -36,15 +35,6 @@ __all__ = [
     "z_star",
     "z2_of_eta",
 ]
-
-# Advisory ceiling on beta*omega for trusting the high-temperature forms.
-# Their gap to the exact cycle is second order in beta*omega without
-# squeezing and first order with it (cycle._delta_h tends to cosh 2r only to
-# first order).  Relative gap of the efficiency at z = 0.5, tau = 0.2, for
-# beta2*omega2 = 1e-4 / 1e-2 / 0.3: 1.3e-8 / 1.3e-4 / 12 % at r = 0, and
-# 1.1e-5 / 1.0e-3 / 1.3 % at r = 0.5.
-HT_BETA_OMEGA_MAX = 0.3
-
 
 class EngineParams(Record):
     """Engine operating point ``z``, ``tau``, ``r``; the work is in units of 1/beta_hot."""
@@ -97,10 +87,12 @@ def _grouped_work(z, sg, u):
 def efficiency_ht(z, tau, r):
     """High-temperature sudden-quench efficiency at one operating point.
 
-    (1 - z^2)(z^2 cosh 2r - tau) / (2 z^2 cosh 2r - tau (1 + z^2)); positive
-    and below 1/2 wherever the positive-work condition holds, negative
-    outside it.  Raises SingularityError at the pole of the denominator
-    (which lies outside the engine region).
+    (1 - z^2)(z^2 cosh 2r - tau) / (2 z^2 cosh 2r - tau (1 + z^2)).  With
+    g = tau sech 2r it is positive and below 1/2 where z^2 > g (positive
+    work), negative between the pole z^2 = g/(2 - g) and g, and positive
+    below the pole, where numerator and denominator are both negative and
+    it can exceed 1/2 and 1 (1.5 at z = tau = 0.5, r = 0).  Raises
+    SingularityError at the pole, which lies outside the engine region.
     """
     z = unit_open("z", z)
     tau = unit_open("tau", tau)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks that raise them.
+"""Exception types, the checks that raise them, and the mode label a ModeError carries.
 
 A typed answer on valid input (``ModeError``, ``NoSolutionError``, ...) is
 raised as ``OttoError(template, *values)`` and formats its message only when
@@ -8,6 +8,7 @@ its values, not the message, and its ``repr`` shows them.
 
 import math
 import numbers
+from enum import Enum
 
 
 class OttoError(Exception):
@@ -32,6 +33,41 @@ class ModeError(OttoError, ValueError):
 
     def __init__(self, message, *values, mode=None):
         self.mode = mode    # BaseException.__new__ has stored args already
+
+
+class OperatingMode(Enum):
+    """Sign-pattern label of a cycle's heats and work."""
+
+    ENGINE = "engine"
+    REFRIGERATOR = "refrigerator"
+    HEATER = "heater"
+    ACCELERATOR = "accelerator"
+
+
+# Bound once, as cycle binds its placements: the hot paths read these globals.
+_ENGINE, _REFRIGERATOR, _HEATER, _ACCELERATOR = OperatingMode
+
+
+def _classify_mode(q2, q4, w_ext):
+    """Operating-mode label from the sign pattern of the heats and work.
+
+    Engine: absorbs at the hot contact, rejects at the cold one, extracts
+    net work.  Accelerator: same heat pattern but net work is spent.
+    Refrigerator: draws heat out of the cold reservoir at the cost of work.
+    Boundary ties are never labelled engine: a zero-work tie with
+    engine-pattern heats counts as an accelerator, and every remaining
+    pattern (both heats rejected, or exact zeros in the heats) as a heater.
+    NaN fails every comparison: NaN work with engine-pattern heats is an
+    accelerator, any other NaN a heater.  This is the one definition of a
+    refrigerator, `fridge`'s included; its ``cooling_feasible`` asks only
+    whether a finite COP bound exists.  ``heats_work(spec).mode_label`` is
+    this label for a cycle.
+    """
+    if q2 > 0.0 and q4 < 0.0:
+        return _ENGINE if w_ext > 0.0 else _ACCELERATOR
+    if q2 < 0.0 and q4 > 0.0 and w_ext < 0.0:
+        return _REFRIGERATOR
+    return _HEATER
 
 
 class SingularityError(OttoError, ArithmeticError):
@@ -86,6 +122,14 @@ def nonnegative(name, value):
     if 0.0 <= v < _INF:
         return v
     raise DomainError(f"{name} must be a non-negative finite number, got {value!r}")
+
+
+def finite(name, value):
+    """A finite real."""
+    v = value if type(value) is float else as_real(value)
+    if -_INF < v < _INF:
+        return v
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
 def unit_open(name, value):

@@ -4,7 +4,7 @@ High-temperature, sudden-quench regime in the variables z = omega1/omega2,
 tau = beta_hot/beta_cold and the cold-bath squeezing r.  The combination
 ``tau_c = tau * cosh(2r)`` is the temperature ratio against the cold bath's
 effective temperature.  A refrigerator is what the sign rule of
-`cycle._classify_mode` (a cycle's ``mode_label``) says: here some z
+`errors._classify_mode` (a cycle's ``mode_label``) says: here some z
 refrigerates exactly when tau_c > 1/2, and every z does once tau_c >= 1,
 with a COP that grows without bound as z -> 1.  So the bound zeta_up,
 ``cooling_feasible`` and the windows (``fridge_report``'s ``tau_window``
@@ -16,8 +16,8 @@ rather than to a boundary value.
 import math
 
 from ._record import Record
-from .cycle import _classify_mode
-from .errors import DomainError, InfeasibleError, ModeError, as_real, nonnegative, unit_open
+from .errors import (DomainError, InfeasibleError, ModeError, _classify_mode, as_real,
+                     nonnegative, unit_open)
 from .special import sech
 
 __all__ = [

@@ -6,17 +6,16 @@ location.  Both are fully deterministic: identical inputs produce
 bitwise-identical reports, and no randomness enters anywhere.  numpy is
 imported by the functions that compute on arrays, not by this module, so
 the scalar paths of the package start without it.  The ceiling suite's
-grid scan lives in `verify`, next to the kernel it runs.
+grid scan lives in `verify` and the sweep points in `special.axis_points`.
 """
 
 import math
 
 from ._record import Record
-from .errors import BracketError, DomainError, as_real, nonnegative_int
+from .errors import BracketError, DomainError, as_real, finite
 
 __all__ = [
     "SupremumReport",
-    "axis_points",
     "find_root_scalar",
     "maximize_scalar",
     "refine_parabolic",
@@ -36,14 +35,6 @@ def _finite_interval(lo, hi, what):
     raise DomainError(f"{what} must be finite with lo < hi, got [{lo!r}, {hi!r}]")
 
 
-def _finite(name, value):
-    """value as a Python float if it is a finite real, else DomainError."""
-    v = as_real(value)
-    if -math.inf < v < math.inf:
-        return v
-    raise DomainError(f"{name} must be a finite real number, got {value!r}")
-
-
 def _objective(fn):
     if not callable(fn):
         raise DomainError(f"the objective must be callable, got {fn!r}")
@@ -58,24 +49,6 @@ class SupremumReport(Record):
         d["best_input"] = best_input
         d["best_value"] = best_value
         d["evaluations"] = evaluations
-
-
-def axis_points(start, stop, count):
-    """count evenly spaced floats from start to stop, the last exactly stop.
-
-    The arithmetic of np.linspace, i*step + start, on plain floats; a count
-    of 0 gives no points, as np.linspace does.  Where stop - start
-    overflows, np.linspace gives NaN and inf; this raises DomainError.
-    """
-    start, stop = _finite("start", start), _finite("stop", stop)
-    count = nonnegative_int("count", count)
-    if count < 2:
-        return [start] * count
-    span = stop - start
-    if abs(span) == math.inf:
-        raise DomainError(f"stop - start overflows: [{start!r}, {stop!r}]")
-    step = span / (count - 1)
-    return [i * step + start for i in range(count - 1)] + [stop]
 
 
 def _finite_reals(v):
@@ -172,7 +145,7 @@ def refine_parabolic(fn, x):
     import numpy as np
     fn = _objective(fn)
     if not isinstance(x, np.ndarray):
-        x = _finite("x", x)
+        x = finite("x", x)
     elif not _finite_reals(x):
         raise DomainError(f"x must hold finite real lane points, got {x!r}")
     h = POLISH_H

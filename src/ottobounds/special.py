@@ -1,4 +1,4 @@
-"""Overflow-safe hyperbolic helpers.
+"""Overflow-safe hyperbolic helpers, and the evenly spaced points of a sweep.
 
 The textbook cosh/sinh ratios overflow in double precision near x ~ 355,
 while the formulas in this package take unbounded squeezing and inverse
@@ -8,9 +8,9 @@ float input and keep full relative accuracy for small arguments.
 
 import math
 
-from .errors import DomainError, as_real
+from .errors import DomainError, as_real, finite, nonnegative_int
 
-__all__ = ["coth", "sech"]
+__all__ = ["axis_points", "coth", "sech"]
 
 
 def coth(x):
@@ -40,3 +40,20 @@ def sech(x):
     e = math.exp(-abs(v))
     return 2.0 * e / (1.0 + e * e)
 
+
+def axis_points(start, stop, count):
+    """count evenly spaced floats from start to stop, the last exactly stop.
+
+    The arithmetic of np.linspace, i*step + start, on plain floats; a count
+    of 0 gives no points, as np.linspace does.  Where stop - start
+    overflows, np.linspace gives NaN and inf; this raises DomainError.
+    """
+    start, stop = finite("start", start), finite("stop", stop)
+    count = nonnegative_int("count", count)
+    if count < 2:
+        return [start] * count
+    span = stop - start
+    if abs(span) == math.inf:
+        raise DomainError(f"stop - start overflows: [{start!r}, {stop!r}]")
+    step = span / (count - 1)
+    return [i * step + start for i in range(count - 1)] + [stop]

@@ -19,8 +19,8 @@ import math
 from . import engine, fridge
 from ._record import Record
 from .errors import DomainError, nonnegative_int
-from .oracle import axis_points, find_root_scalar, maximize_scalar, refine_parabolic
-from .special import sech
+from .oracle import find_root_scalar, maximize_scalar, refine_parabolic
+from .special import axis_points, sech
 
 __all__ = [
     "CheckResult",

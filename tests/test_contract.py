@@ -52,7 +52,8 @@ LIMITS = {(special.coth, math.inf): 1.0, (special.sech, math.inf): 0.0,
 RECORD_TAKING = {"efficiency_sudden", "heats_work", "lambda_sudden", "work_ht", "cop_ht"}
 # Valid arguments, integral where a position takes that, so np.int64 goes there too.
 FLOAT_CALLS = {
-    special.coth: (0.5,), special.sech: (0.5,), cycle.effective_temperature: (1.0, 1.0, 0.5),
+    special.coth: (0.5,), special.sech: (0.5,), special.axis_points: (0.25, 0.75, 3),
+    cycle.effective_temperature: (1.0, 1.0, 0.5),
     engine.efficiency_ht: (0.8, 0.3, 0.5), engine.engine_report: (0.3, 0.5),
     engine.engine_rows: (0.3, 0.5), engine.eta_mw: (0.3, 0.5), engine.eta_rk: (0.3,),
     engine.eta_up: (0.2, 1.0), engine.eta_up_thermal: (0.3,), engine.generalized_carnot: (0.3, 0.5),
@@ -96,7 +97,10 @@ def test_each_bad_argument_raises_domain_error(fn):
             _call(fn, call)
 
 
-@pytest.mark.parametrize("fn", _ids(fn for fn in CALLS if fn is not verify.ceiling_check))
+# ceiling_check's and axis_points' counts take integers alone (test_errors
+# gives axis_points a numpy start).
+@pytest.mark.parametrize("fn", _ids(fn for fn in CALLS
+                                    if fn not in (verify.ceiling_check, special.axis_points)))
 def test_a_numpy_scalar_gives_the_plain_float_result(fn):
     args = CALLS[fn]
     for i, value in enumerate(args):
@@ -245,7 +249,7 @@ OBJECTIVES = (
 
 def _oracle_calls():
     pairs = list(itertools.product(SEARCH_FLOATS, repeat=2))
-    yield "axis_points", [(oracle.axis_points, (lo, hi, n)) for lo, hi in
+    yield "axis_points", [(special.axis_points, (lo, hi, n)) for lo, hi in
                           itertools.product(EDGES + WRONG, repeat=2)
                           for n in (0, 1, 3, -1, 2.0, True, None)]
     yield "find_root_scalar", [(oracle.find_root_scalar, (g, pair)) for g in OBJECTIVES

@@ -79,8 +79,12 @@ def test_engine_params_validation():
 
 
 def test_efficiency_sign_bookkeeping_below_pwc():
-    # z^2 < tau and r = 0: not an engine, the formula goes negative.
+    # z^2 < tau and r = 0: not an engine.  Between the pole z^2 = tau/(2 - tau)
+    # and tau the formula goes negative; below the pole both numerator and
+    # denominator are negative, so it is positive and may exceed 1/2 and 1.
     assert math.isclose(efficiency_ht(0.6, 0.5, 0.0), -2.24, rel_tol=1e-12)
+    assert math.isclose(efficiency_ht(0.5, 0.5, 0.0), 1.5, rel_tol=1e-12)
+    assert math.isclose(efficiency_ht(0.1, 0.5, 0.0), 4851.0 / 4850.0, rel_tol=1e-12)
 
 
 def test_efficiency_zero_on_the_pwc_boundary():

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ottobounds import engine, fridge, oracle, verify
+from ottobounds import engine, fridge, oracle, special, verify
 from ottobounds.cycle import OperatingMode
 from ottobounds.errors import (
     DomainError,
@@ -14,6 +14,7 @@ from ottobounds.errors import (
     OttoError,
     SingularityError,
     as_real,
+    finite,
     nonnegative,
     nonnegative_int,
     positive,
@@ -27,7 +28,7 @@ from test_hotpaths import CALLS
 
 @pytest.mark.parametrize("value", [0.25, 3, np.float64(0.25), np.float32(0.25), np.int64(3), np.uint8(3)])
 def test_real_scalars_come_back_as_python_floats(value):
-    for check in (positive, nonnegative):
+    for check in (positive, nonnegative, finite):
         got = check("x", value)
         assert type(got) is float and got == float(value)
     assert type(as_real(value)) is float
@@ -36,13 +37,14 @@ def test_real_scalars_come_back_as_python_floats(value):
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, math.nan, math.inf,
                                    -math.inf, np.array(0.5), [0.5], 10**400])
 def test_everything_else_is_a_domain_error(value):
-    for check in (positive, nonnegative, unit_open):
+    for check in (positive, nonnegative, unit_open, finite):
         with pytest.raises(DomainError, match="^x must "):
             check("x", value)
 
 
 def test_ranges_and_messages():
     assert nonnegative("r", 0) == 0.0
+    assert finite("x", -1e308) == -1e308
     with pytest.raises(DomainError, match="r must be a positive finite number, got 0"):
         positive("r", 0)
     with pytest.raises(DomainError, match=r"r must be a non-negative finite number, got -0.1"):
@@ -77,12 +79,12 @@ def _line(x):
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: oracle.axis_points(math.nan, 1.0, 3), id="axis_points(nan)"),
-    pytest.param(lambda: oracle.axis_points("a", 1.0, 3), id="axis_points('a')"),
-    pytest.param(lambda: oracle.axis_points(0.0, math.inf, 3), id="axis_points(stop=inf)"),
+    pytest.param(lambda: special.axis_points(math.nan, 1.0, 3), id="axis_points(nan)"),
+    pytest.param(lambda: special.axis_points("a", 1.0, 3), id="axis_points('a')"),
+    pytest.param(lambda: special.axis_points(0.0, math.inf, 3), id="axis_points(stop=inf)"),
     # stop - start overflows: these gave [nan, inf, 1e308] and [nan, 1.7e308].
-    pytest.param(lambda: oracle.axis_points(-1e308, 1e308, 3), id="axis_points(span=inf)"),
-    pytest.param(lambda: oracle.axis_points(-1.7e308, 1.7e308, 2), id="axis_points(span=inf, 2)"),
+    pytest.param(lambda: special.axis_points(-1e308, 1e308, 3), id="axis_points(span=inf)"),
+    pytest.param(lambda: special.axis_points(-1.7e308, 1.7e308, 2), id="axis_points(span=inf, 2)"),
     pytest.param(lambda: oracle.refine_parabolic(_line, "a"), id="refine_parabolic(x='a')"),
     pytest.param(lambda: oracle.refine_parabolic(0.5, 0.5), id="refine_parabolic(fn=0.5)"),
     pytest.param(lambda: oracle.find_root_scalar(_line, (0, 1, 2)), id="find_root(3 ends)"),
@@ -117,7 +119,7 @@ def test_search_primitives_and_the_exact_efficiency_raise_domain_error(call):
 
 
 def test_the_search_primitives_keep_their_valid_calls():
-    assert oracle.axis_points(np.float64(0.0), 1, 3) == [0.0, 0.5, 1.0]
+    assert special.axis_points(np.float64(0.0), 1, 3) == [0.0, 0.5, 1.0]
     assert abs(oracle.find_root_scalar(lambda r: -math.inf if r < 0.5 else r - 0.5 + 1e-3,
                                        (0.0, 1.0)) - 0.5) < 1e-11
     vertex = oracle.refine_parabolic(lambda x: -(x - 0.25) * (x - 0.25), np.int64(0))

@@ -12,11 +12,11 @@ from ottobounds.oracle import (
     INV_PHI,
     INV_PHI2,
     TOL,
-    axis_points,
     find_root_scalar,
     maximize_scalar,
     refine_parabolic,
 )
+from ottobounds.special import axis_points
 
 # ---------------------------------------------------------------------------
 # Golden-section maximisation

@@ -56,12 +56,14 @@ def test_an_unknown_name_is_an_attribute_error():
         ottobounds.no_such_name
 
 
-# Removed wrappers, with what replaces each: README, "Removed names".
+# Removed wrappers, with what replaces each: README, "Removed names" (and
+# "Moved names" for HT_BETA_OMEGA_MAX and axis_points).
 REMOVED = {"cycle": ("thermal_occupation", "squeezed_occupation", "classify_mode", "delta_h",
                      "cycle_energies"),
-           "engine": ("pwc_ht",), "errors": ("real",),
+           "engine": ("pwc_ht", "HT_BETA_OMEGA_MAX"), "errors": ("real",),
            "fridge": ("cop_quasistatic", "zeta_carnot", "hot_heat_ht", "extracted_work_ht",
-                      "tau_window")}
+                      "tau_window"),
+           "oracle": ("axis_points",)}
 
 
 @pytest.mark.parametrize("home", sorted(REMOVED))
@@ -77,10 +79,16 @@ def test_removed_names_are_attribute_errors(home):
 
 def test_the_first_access_binds_every_name_and_removes_the_hook():
     # A module-level __getattr__ stops CPython caching attribute loads on the
-    # module, so once everything is bound the hook must be gone.
+    # module, so once everything is bound the hook must be gone.  A submodule
+    # name loads that submodule alone and keeps the hook.
     code = ("import ottobounds as ob, sys; "
             "assert not set(ob.__all__) & set(vars(ob)); "
             "assert not [m for m in sys.modules if m.startswith('ottobounds.')]; "
+            "from ottobounds import engine; "
+            "loaded = {m for m in sys.modules if m.startswith('ottobounds.')}; "
+            "assert loaded == {'ottobounds.' + m for m in ('_record', 'engine', 'errors', "
+            "'special')}, loaded; "
+            "assert '__getattr__' in vars(ob) and 'eta_up' not in vars(ob); "
             "ob.eta_up; "
             "assert set(ob.__all__) <= set(vars(ob)) and '__getattr__' not in vars(ob)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

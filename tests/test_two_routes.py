@@ -63,3 +63,12 @@ def test_cycle_and_the_oracle_agree_once_expm1_b_overflows():
     perf, eta = _both_routes(1.0, 2.0, 800.0, 400.0, 0.5)
     assert perf.mode_label is cycle.OperatingMode.ENGINE
     assert math.isfinite(eta) and math.isclose(perf.eta, eta, rel_tol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="coth(b_hot w2 / 2) overflows in the classical limit: "
+                   "h_c = q2 = w_ext = inf, labelled an engine with eta = NaN, though the "
+                   "exact cycle is an accelerator (ROADMAP [total-cycle])")
+def test_a_classical_limit_cycle_is_no_engine_with_a_nan_field():
+    perf = cycle.heats_work(cycle.CycleSpec.of(1.0, 10.0, 3e-307, 4e-309))
+    assert perf.mode_label is not cycle.OperatingMode.ENGINE
+    assert not any(type(v) is float and v != v for v in vars(perf).values()), perf
