@@ -82,6 +82,34 @@ def test_eval_custom_lambda():
     assert json.loads(res.stdout)["eta"] == json.loads(sudden.stdout)["eta"]
 
 
+def _nan_fields(payload):
+    return [k for k, v in payload.items() if isinstance(v, float) and v != v]
+
+
+@pytest.mark.xfail(strict=True, reason="coth(b1 w1 / 2) and lambda overflow at w1 = 1e-320, so "
+                   "h_a, h_b and h_d print Infinity and q4, w_ext NaN (ROADMAP [total-cycle])")
+def test_eval_in_the_classical_limit_has_finite_corners():
+    res = run_cli("eval", "--w1", "1e-320", "--w2", "2", "--b1", "2", "--b2", "0.2",
+                  "--r", "0.5")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    # h_a = (w1/2) coth(b1 w1/2) tends to 1/beta_cold as w1 -> 0.
+    assert math.isclose(payload["h_a"], 0.5, rel_tol=1e-12)
+    assert _nan_fields(payload) == []
+
+
+@pytest.mark.xfail(strict=True, reason="delta_h of the squeezed cold bath overflows at "
+                   "b1 w1 = 710: q2 = -inf, q4 = +inf, w_ext NaN and a 'heater' label, though "
+                   "the exact cycle refrigerates with COP 2/3 (ROADMAP [total-cycle])")
+def test_eval_with_a_saturated_cold_bath_is_a_refrigerator():
+    res = run_cli("eval", "--w1", "1", "--w2", "2", "--b1", "710", "--b2", "1e-3",
+                  "--r", "1", "--placement", "cold")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["mode"] == "refrigerator"
+    assert _nan_fields(payload) == []
+
+
 # ---------------------------------------------------------------------------
 # fig2
 

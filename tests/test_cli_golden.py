@@ -2,7 +2,7 @@
 
 Each case runs ``cli.main(argv)`` in-process (``_cli.run_cli``) and compares
 what it wrote and returned with the files under ``tests/golden/cli/``, which
-``tests/_freeze_cli_golden.py`` generates.  A change to any byte of CLI
+``tests/_freeze_goldens.py`` generates.  A change to any byte of CLI
 output fails here; regenerate the files only when the change is deliberate.
 """
 

@@ -3,7 +3,7 @@
 Every case calls one public function on a seeded or edge-case input and
 records the ``repr`` of its result, or the type and message of what it
 raised (and a ModeError's ``mode``).  ``tests/golden/hotpaths.json``, which
-``tests/_freeze_hotpath_golden.py`` generates, holds the recorded outcomes;
+``tests/_freeze_goldens.py`` generates, holds the recorded outcomes;
 a change to any bit of a result, an error type or an error text fails here.
 No entry may be a raw ZeroDivisionError, and no returned value may hold a NaN
 but the known saturated w_ext.

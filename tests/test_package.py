@@ -5,6 +5,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,21 @@ def test_star_import_binds_every_public_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ottobounds.no_such_name
+
+
+def test_the_readme_quick_start_runs_as_written():
+    # The python block under "Library quick start", run as a reader pastes
+    # it; its comments state the two values checked here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    perf = namespace["perf"]
+    assert "perf.mode_label      # OperatingMode.ENGINE\n" in block
+    assert perf.mode_label is ottobounds.OperatingMode.ENGINE
+    assert "perf.eta             # 0.3211...\n" in block
+    assert repr(perf.eta).startswith("0.3211")
 
 
 # Removed wrappers, with what replaces each: README, "Removed names" (and

@@ -1,11 +1,13 @@
 import gc
 import inspect
 import itertools
+import json
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,20 +17,24 @@ from _cli import run_cli
 from ottobounds import engine, verify
 from ottobounds.errors import DomainError
 
-# Default-seed rows of `run_suite("all")` (budget 10^6), as recorded before
-# the ceiling check became one pass per point: (name, worst, evaluations).
-REFERENCE_ROWS = [
-    ("efficiency-ceiling", 0.4999999944846905, 4747402),
-    ("work-optimum", 1.083267371637664e-09, 25200),
-    ("reduction-identities", 1.6777050534185766e-13, 548),
-    ("cooling-windows", 1.6475709685437323e-13, 182),
-]
+# The default-seed rows of `run_suite("all")`, one copy for these tests and
+# the benchmark's gate: {"seed", "budget", "checks": [{"name", "passed",
+# "worst", "evaluations"}, ...]}.  A change that alters a row re-records it.
+REFERENCE = json.loads((Path(__file__).parents[1] / "bench" / "reference.json")
+                       .read_text())["verify_all"]
+CEILING_WORST = REFERENCE["checks"][0]["worst"]
 GRID_EVALUATIONS = 4011323  # feasible points of the 48^4 grid plus its refinement
+
+
+def test_the_reference_rows_are_those_of_the_default_seed_and_budget():
+    assert (REFERENCE["seed"], REFERENCE["budget"]) == (verify.DEFAULT_SEED,
+                                                        verify.DEFAULT_BUDGET)
 
 
 def test_default_seed_suite_rows_are_unchanged():
     checks = verify.run_suite("all")
-    assert [(c.name, c.worst, c.evaluations) for c in checks] == REFERENCE_ROWS
+    assert [{"name": c.name, "passed": c.passed, "worst": c.worst,
+             "evaluations": c.evaluations} for c in checks] == REFERENCE["checks"]
     assert all(c.passed for c in checks)
 
 
@@ -274,7 +280,7 @@ def _bound(z):
 
 
 @pytest.mark.parametrize("best", [-np.inf, 0.0, 0.45, 0.4999999, 0.49999997944998625,
-                                  REFERENCE_ROWS[0][1], 0.5, 0.75])
+                                  CEILING_WORST, 0.5, 0.75])
 def test_the_draw_cut_skips_only_rows_that_cannot_beat_the_best(best):
     # 0.4999999794... is the default-seed draw leg's best, the next the
     # ceiling's.  U does not rise with z, so U <= best at the cut and above
@@ -553,7 +559,6 @@ def test_suites_take_only_the_budget_and_the_seed():
     assert params(verify.run_suite) == [("name", inspect.Parameter.empty),
                                         ("budget", verify.DEFAULT_BUDGET),
                                         ("seed", verify.DEFAULT_SEED)]
-    assert verify.DEFAULT_BUDGET == 1_000_000
 
 
 def test_cli_budget_zero_and_negative():
