@@ -4,7 +4,7 @@ The closed forms of `engine` and `fridge` are high-temperature limits: they
 bound the exact cycle only as b = beta_hot omega2 -> 0.  These tests take
 the exact cycle at b = 1e-2 and 1e-3 and check that limit by its rate.
 
-Engine set-up (ROADMAP [limits]): lanes (eta_c, r), tau = 1 - eta_c,
+Engine set-up (ROADMAP [claims]): lanes (eta_c, r), tau = 1 - eta_c,
 a = beta_cold omega1 = b z / tau, dh = 1 + (2 + expm1 b) sinh^2 r, the hot
 side's squeezing factor, and g = tau / dh.  The cycle is an engine for z
 from sqrt(g) up, to first order in b; each search runs over
@@ -19,7 +19,7 @@ from sqrt(g) up, to first order in b; each search runs over
   maximised over z, gives an engine whose eta is eta_rk(1 - g), the
   squeezed Rezek-Kosloff form, up to C b^2, C = 0.38 (0.369 measured).
 
-Fridge set-up (ROADMAP [fridge-limits]): tau = 0.4, b = 1e-3, the squeezing
+Fridge set-up (ROADMAP [claims]): tau = 0.4, b = 1e-3, the squeezing
 on the cold bath, z on a 1e-3 grid.  Claim 4: no z refrigerates without
 squeezing or below `fridge.r_window(0.4)` = (0.3466, 0.7834); inside it the
 best COP lies just above zeta_up; past it every z refrigerates, and zeta_up

@@ -159,8 +159,19 @@ def test_lambda_sudden_is_at_least_one_on_every_edge_frequency_pair():
     assert [p for p in pairs if not lambda_sudden(FrequencyPair(*p)) >= 1.0] == []
 
 
-# The kernels behind three names removed from the API (README, "Removed
-# names"), on every edge value their callers can pass them.
+def test_a_float_in_place_of_a_record_is_an_attribute_error():
+    # Record-taking functions read the fields of a record that validated
+    # itself on construction, and do not type-check the record.
+    fns = {getattr(module, name) for module in (cycle, engine, fridge)
+           for name in module.__all__ if name in RECORD_TAKING}
+    assert {fn.__name__ for fn in fns} == RECORD_TAKING
+    for fn in fns:
+        with pytest.raises(AttributeError):
+            fn(0.5)
+
+
+# The kernels behind three names removed from the API (CHANGES.md, "API
+# history"), on every edge value their callers can pass them.
 
 def test_delta_h_kernel_is_at_least_one_on_every_edge_product():
     positive = [x for x in EDGES if 0.0 < x < math.inf]

@@ -72,8 +72,9 @@ def test_the_readme_quick_start_runs_as_written():
     assert repr(perf.eta).startswith("0.3211")
 
 
-# Removed wrappers, with what replaces each: README, "Removed names" (and
-# "Moved names" for HT_BETA_OMEGA_MAX and axis_points).
+# Removed wrappers, with what replaces each: CHANGES.md, "API history",
+# under "Removed names" (and "Moved names" for HT_BETA_OMEGA_MAX and
+# axis_points).
 REMOVED = {"cycle": ("thermal_occupation", "squeezed_occupation", "classify_mode", "delta_h",
                      "cycle_energies"),
            "engine": ("pwc_ht", "HT_BETA_OMEGA_MAX"), "errors": ("real",),

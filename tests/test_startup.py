@@ -49,8 +49,8 @@ SCALAR_COMMANDS = [
 ]
 
 # command -> the package modules it loads, and json if it does, each in a
-# fresh interpreter: the README's start-up table, for each command of the
-# benchmark's CLI rotation.
+# fresh interpreter, for each command of the benchmark's CLI rotation: the
+# README's promise "Lazy start-up".
 SWEEP = {"_record", "cli", "engine", "errors", "special"}
 VERIFY = {"_record", "cli", "engine", "errors", "fridge", "oracle", "special", "verify", "json"}
 LOADED = [
